@@ -16,9 +16,7 @@ spot-check available as a validator.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -129,13 +127,6 @@ def _value_leq(v, w) -> bool:
     return v[1] < w[1] or v == w
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("STRATAKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _level1_candidates(
     arr: Arrangement, central: bool
 ) -> list[tuple[tuple[Sign, ...], int, Feasibility]]:
@@ -155,15 +146,9 @@ def _level1_candidates(
                 stricts.append(([-v for v in a], -rhs))
         return strict_feasibility(eqs, stricts, arr.n)
 
-    candidates = list(iproduct((-1, 0, 1), repeat=k))
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, candidates))
-    else:
-        results = [check(s) for s in candidates]
     out = []
-    for sigma, feas in zip(candidates, results):
+    for sigma in iproduct((-1, 0, 1), repeat=k):
+        feas = check(sigma)
         if not feas.feasible:
             continue
         zero_rows = [list(a) for s, (a, _) in zip(sigma, arr.forms) if s == 0]
@@ -230,24 +215,31 @@ def _higher_leq(a, b) -> bool:
     return all(_value_leq(v, w) for v, w in zip(a, b))
 
 
+def _level_parts(arr: Arrangement, order: int):
+    """Every tuple of level-1 faces, one per level, as (sign vector, dim)
+    pairs: the affine face first, then order - 1 central ones."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    bad = validate_arrangement(arr)
+    if bad:
+        raise ValueError("; ".join(bad))
+    affine = [(s, d) for s, d, _ in _level1_candidates(arr, central=False)]
+    central = (
+        [(s, d) for s, d, _ in _level1_candidates(arr, central=True)]
+        if order > 1
+        else []
+    )
+    return iproduct(affine, *[central] * (order - 1))
+
+
 def faces_higher(arr: Arrangement, order: int) -> Poset:
     """Face poset of the level-`order` stratification of R^n (x) R^order.
 
     A stratum's dimension is the largest total dimension of a compatible
     tuple of level-1 faces, one per level.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    bad = validate_arrangement(arr)
-    if bad:
-        raise ValueError("; ".join(bad))
-    affine = _level1_candidates(arr, central=False)
-    central = _level1_candidates(arr, central=True) if order > 1 else []
     faces: dict[tuple, int] = {}
-    for parts in iproduct(
-        [(s, d) for s, d, _ in affine],
-        *[[(s, d) for s, d, _ in central] for _ in range(order - 1)],
-    ):
+    for parts in _level_parts(arr, order):
         label = _combine(parts[0][0], [p[0] for p in parts[1:]])
         dim = sum(p[1] for p in parts)
         if faces.get(label, -1) < dim:
@@ -291,18 +283,8 @@ def symmetric_subdivision(arr: Arrangement, order: int) -> Poset:
     Labels are per-form tuples of level signs (level 1 affine, levels
     >= 2 central); the symmetric group on the central levels acts by
     permuting coordinates."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    bad = validate_arrangement(arr)
-    if bad:
-        raise ValueError("; ".join(bad))
-    affine = _level1_candidates(arr, central=False)
-    central = _level1_candidates(arr, central=True) if order > 1 else []
     faces: dict[tuple, int] = {}
-    for parts in iproduct(
-        [(s, d) for s, d, _ in affine],
-        *[[(s, d) for s, d, _ in central] for _ in range(order - 1)],
-    ):
+    for parts in _level_parts(arr, order):
         label = tuple(
             tuple(p[0][i] for p in parts) for i in range(len(arr.forms))
         )

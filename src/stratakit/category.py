@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Hashable, Mapping
 
 from .delta import DeltaComplex
-from .poset import Poset
+from .poset import Poset, _chain_layers
 
 __all__ = [
     "AcyclicCategory",
@@ -193,17 +194,8 @@ def underlying_poset(c: AcyclicCategory) -> Poset:
 
 
 def _chains_by_length(c: AcyclicCategory) -> list[list[tuple[Mid, ...]]]:
-    """Nondegenerate chains, grouped by length; depth-first in stored order."""
-    layers: list[list[tuple[Mid, ...]]] = []
-    frontier = [(m,) for m in c.morphisms]
-    while frontier:
-        layers.append(frontier)
-        frontier = [
-            chain + (m,)
-            for chain in frontier
-            for m in c._out[c.dst[chain[-1]]]
-        ]
-    return layers
+    """Nondegenerate chains grouped by length, each layer in stored order."""
+    return _chain_layers(c.morphisms, {m: c._out[c.dst[m]] for m in c.morphisms})
 
 
 def nondegenerate_nerve(c: AcyclicCategory) -> DeltaComplex:
@@ -261,74 +253,36 @@ def _chain_objects(c: AcyclicCategory, chain: tuple[Mid, ...]) -> tuple[Obj, ...
     return (c.src[chain[0]],) + tuple(c.dst[m] for m in chain)
 
 
-def _factors_through(
-    c: AcyclicCategory,
-    f_objs: tuple[Obj, ...],
-    f_chain: tuple[Mid, ...],
-    g_objs: tuple[Obj, ...],
-    g_comp: Mapping[tuple[int, int], Mid],
-) -> bool:
-    """Is there an injective monotone phi with g . phi = f?
-
-    Positions are matched left to right; for each step the composite of
-    the g-segment must equal the corresponding f-morphism.
-    """
-    m = len(f_chain)
-    n = len(g_objs) - 1
-
-    def extend(i: int, pos: int) -> bool:
-        if i == m + 1:
-            return True
-        lo = 0 if i == 0 else pos + 1
-        for p in range(lo, n + 1):
-            if g_objs[p] != f_objs[i]:
-                continue
-            if i > 0 and g_comp[(pos, p)] != f_chain[i - 1]:
-                continue
-            if extend(i + 1, p):
-                return True
-        return False
-
-    return extend(0, -1)
-
-
 def sd_category(c: AcyclicCategory) -> Poset:
     """Barycentric subdivision of an acyclic category.
 
     Elements are the nondegenerate chains (objects are the 0-chains);
-    f <= g iff f factors as g . phi for an injective order map phi. For
-    acyclic categories the factorization is unique when it exists, so the
-    result is a poset, graded by chain length.
+    f <= g iff f factors as g . phi for an injective order map phi. In an
+    acyclic category the objects of a chain are distinct, so each proper
+    nonempty subset of g's object positions gives exactly one such f: its
+    objects at those positions, joined by composites of the segments of g
+    between them. The result is a poset, graded by chain length.
     """
     bad = validate_category(c)
     if bad:
         raise ValueError("invalid category: " + "; ".join(bad))
-    layers = _chains_by_length(c)
+    chains = [chain for layer in _chains_by_length(c) for chain in layer]
     elements: list[tuple] = [("o", x) for x in c.objects]
-    chain_of: list[tuple[Mid, ...] | None] = [None] * len(c.objects)
-    objs_of: list[tuple[Obj, ...]] = [(x,) for x in c.objects]
-    grades = {}
-    for k, layer in enumerate(layers, start=1):
-        for chain in layer:
-            elements.append(("m",) + chain)
-            chain_of.append(chain)
-            objs_of.append(_chain_objects(c, chain))
-    grades = {i: len(objs_of[i]) - 1 for i in range(len(elements))}
-    labels = {i: elements[i] for i in range(len(elements))}
-    comps = [
-        _segment_composites(c, ch) if ch else {} for ch in chain_of
-    ]
+    elements.extend(("m",) + chain for chain in chains)
+    index = {e: i for i, e in enumerate(elements)}
+    grades = {i: len(e) - 1 if e[0] == "m" else 0 for i, e in enumerate(elements)}
+    labels = dict(enumerate(elements))
     less = []
-    for j in range(len(elements)):
-        for i in range(len(elements)):
-            if grades[i] < grades[j] and _factors_through(
-                c,
-                objs_of[i],
-                chain_of[i] or (),
-                objs_of[j],
-                comps[j],
-            ):
-                less.append((i, j))
+    for j, chain in enumerate(chains, start=len(c.objects)):
+        objs = _chain_objects(c, chain)
+        comp = _segment_composites(c, chain)
+        for k in range(1, len(objs)):
+            for pos in combinations(range(len(objs)), k):
+                if k == 1:
+                    sub = ("o", objs[pos[0]])
+                else:
+                    sub = ("m",) + tuple(comp[ij] for ij in zip(pos, pos[1:]))
+                less.append((index[sub], j))
     return Poset.from_relation(range(len(elements)), less, grades, labels)
 
 

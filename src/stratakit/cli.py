@@ -68,6 +68,18 @@ def _digest(payload) -> str:
     return hashlib.sha256(sio.canonical_json(payload).encode()).hexdigest()
 
 
+def _codec(kind: str):
+    """The JSON loader and dumper of an input kind."""
+    return {
+        "poset": (sio.load_poset, sio.dump_poset),
+        "category": (sio.load_category, sio.dump_category),
+        "css": (sio.load_css, sio.dump_css),
+        "delta": (sio.load_delta, sio.dump_delta),
+        "arrangement": (sio.load_arrangement, sio.dump_arrangement),
+        "graph": (sio.load_graph, sio.dump_graph),
+    }[kind]
+
+
 def _load_checked(path: str, kind: str | None = None):
     payload = _read_payload(path)
     actual = kind or sio.detect_kind(payload)
@@ -76,14 +88,7 @@ def _load_checked(path: str, kind: str | None = None):
         raise CliError(
             "schema violations: " + "; ".join(problems), EXIT_INVALID
         )
-    loader = {
-        "poset": sio.load_poset,
-        "category": sio.load_category,
-        "css": sio.load_css,
-        "delta": sio.load_delta,
-        "arrangement": sio.load_arrangement,
-        "graph": sio.load_graph,
-    }[actual]
+    loader, _ = _codec(actual)
     try:
         return actual, loader(payload), payload
     except (ValueError, KeyError) as exc:
@@ -219,17 +224,21 @@ def cmd_homology(args) -> int:
     return EXIT_OK
 
 
+def _cells_by_dim(x) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for v in x.cells():
+        key = str(x.cat.grades[v])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def _dual_command(args, op_name, op) -> int:
     x, payload = _css_input(args)
     y = op(x)
-    cells_by_dim: dict[str, int] = {}
-    for v in y.cells():
-        key = str(y.cat.grades[v])
-        cells_by_dim[key] = cells_by_dim.get(key, 0) + 1
     report = {
         "operation": op_name,
         "digest": _digest(payload),
-        "cells_by_dim": cells_by_dim,
+        "cells_by_dim": _cells_by_dim(y),
         "css": sio.dump_css(y),
         **_homology_report(sd(y)),
     }
@@ -263,12 +272,7 @@ def cmd_arrangement(args) -> int:
         report["poset"] = sio.dump_poset(p)
         report.update(_homology_report(order_complex(p)))
     elif args.subcommand == "salvetti":
-        x = salvetti_cellular(arr, args.order)
-        cells_by_dim: dict[str, int] = {}
-        for v in x.cells():
-            key = str(x.cat.grades[v])
-            cells_by_dim[key] = cells_by_dim.get(key, 0) + 1
-        report["cells_by_dim"] = cells_by_dim
+        report["cells_by_dim"] = _cells_by_dim(salvetti_cellular(arr, args.order))
         report.update(_homology_report(higher_salvetti(arr, args.order)))
     else:
         p = symmetric_subdivision(arr, args.order)
@@ -382,18 +386,8 @@ def cmd_export(args) -> int:
     else:
         kind, value, payload = _load_checked(args.file)
     if args.format == "json":
-        if kind == "poset":
-            body = sio.dump_poset(value)
-        elif kind == "css":
-            body = sio.dump_css(value)
-        elif kind == "category":
-            body = sio.dump_category(value)
-        elif kind == "delta":
-            body = sio.dump_delta(value)
-        elif kind == "graph":
-            body = sio.dump_graph(value)
-        else:
-            body = sio.dump_arrangement(value)
+        _, dump = _codec(kind)
+        body = dump(value)
         _emit({"operation": "export json", "digest": _digest(payload), "body": body}, args)
         return EXIT_OK
     if args.format == "dot":

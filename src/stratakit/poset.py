@@ -5,6 +5,14 @@ materialized on demand via transitive closure and cached on the instance.
 Elements are integer ids. Grades are optional and, where present, must
 strictly increase along covers; operations that need grades fail fast
 rather than inferring them.
+
+Each order-theoretic primitive exists once here: ``_strict_down`` is
+the only topological sort and transitive closure (Kahn's algorithm,
+accumulating down-sets as it goes, ValueError on a cycle), and
+``_chain_layers`` the only chain enumerator (chains grown one layer at a
+time from a table of successors). ``Poset``, ``validate_poset``,
+``order_complex``, and the nerve and ``sd_category`` in ``category``,
+are built on them.
 """
 
 from __future__ import annotations
@@ -52,22 +60,13 @@ class Poset:
         covering pairs, so callers may pass any generating set of pairs.
         """
         elems = tuple(elements)
-        down: dict[int, set[int]] = {e: set() for e in elems}
-        for lo, hi in less:
-            down[hi].add(lo)
-        changed = True
-        while changed:
-            changed = False
-            for e in elems:
-                new = set().union(*(down[d] for d in down[e])) if down[e] else set()
-                if not new <= down[e]:
-                    down[e] |= new
-                    changed = True
+        down = _strict_down(elems, less)
         covers = []
         for hi in elems:
-            for lo in down[hi]:
-                if not any(lo in down[mid] for mid in down[hi]):
-                    covers.append((lo, hi))
+            below = down[hi]
+            if below:
+                shadow = set().union(*map(down.__getitem__, below))
+                covers.extend((lo, hi) for lo in below - shadow)
         return cls(
             elems,
             tuple(sorted(covers, key=repr)),
@@ -78,24 +77,16 @@ class Poset:
     @cached_property
     def _down(self) -> dict[int, frozenset[int]]:
         """Strict down-set of each element (transitive closure of covers)."""
-        lower: dict[int, set[int]] = {e: set() for e in self.elements}
-        children: dict[int, list[int]] = {e: [] for e in self.elements}
-        for lo, hi in self.covers:
-            children[hi].append(lo)
-        order = _toposort(self.elements, self.covers)
-        for e in order:
-            acc: set[int] = set()
-            for c in children[e]:
-                acc.add(c)
-                acc |= lower[c]
-            lower[e] = acc
-        return {e: frozenset(s) for e, s in lower.items()}
+        down = _strict_down(self.elements, self.covers)
+        return {e: frozenset(s) for e, s in down.items()}
 
     @cached_property
-    def _up_covers(self) -> dict[int, tuple[int, ...]]:
+    def _up(self) -> dict[int, tuple[int, ...]]:
+        """Strict up-set of each element, in element order."""
         up: dict[int, list[int]] = {e: [] for e in self.elements}
-        for lo, hi in self.covers:
-            up[lo].append(hi)
+        for hi in self.elements:
+            for lo in self._down[hi]:
+                up[lo].append(hi)
         return {e: tuple(v) for e, v in up.items()}
 
     def less(self, a: int, b: int) -> bool:
@@ -113,44 +104,55 @@ class Poset:
 
     def chains(self) -> list[tuple[int, ...]]:
         """All nonempty strictly increasing chains, shortest first."""
-        out: list[tuple[int, ...]] = [(e,) for e in self.elements]
-        frontier = list(out)
-        while frontier:
-            nxt = []
-            for chain in frontier:
-                for f in self.elements:
-                    if chain[-1] in self._down[f]:
-                        nxt.append(chain + (f,))
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        return [c for layer in _chain_layers(self.elements, self._up) for c in layer]
 
     def height(self) -> int:
         """Length (number of covers) of the longest chain; -1 if empty."""
-        if not self.elements:
-            return -1
-        return max(len(c) for c in self.chains()) - 1
+        return len(_chain_layers(self.elements, self._up)) - 1
 
 
-def _toposort(elements, covers) -> list[int]:
-    children: dict[int, list[int]] = {e: [] for e in elements}
-    indeg = {e: 0 for e in elements}
-    for lo, hi in covers:
-        children[lo].append(hi)
+def _strict_down(elements, pairs) -> dict:
+    """Strict down-sets of the order generated by ``pairs`` (lo, hi).
+
+    Kahn's algorithm: an element leaves the queue once every element
+    below it has, and then hands itself and its finished down-set to the
+    elements above it, so one pass yields the transitive closure. Raises
+    ValueError if the relation has a cycle.
+    """
+    above: dict = {e: [] for e in elements}
+    indeg = dict.fromkeys(elements, 0)
+    for lo, hi in pairs:
+        above[lo].append(hi)
         indeg[hi] += 1
-    queue = [e for e in elements if indeg[e] == 0]
-    order = []
+    down: dict = {e: set() for e in elements}
+    queue = [e for e in elements if not indeg[e]]
+    done = 0
     while queue:
         e = queue.pop()
-        order.append(e)
-        for f in children[e]:
+        done += 1
+        for f in above[e]:
+            down[f].add(e)
+            down[f] |= down[e]
             indeg[f] -= 1
-            if indeg[f] == 0:
+            if not indeg[f]:
                 queue.append(f)
-    if len(order) != len(elements):
-        # cycle; callers detect this via validate_poset
-        order.extend(e for e in elements if e not in set(order))
-    return order
+    if done != len(elements):
+        raise ValueError("relation contains a cycle")
+    return down
+
+
+def _chain_layers(starts, after) -> list[list[tuple]]:
+    """Chains beginning at ``starts``, grouped by length, shortest first.
+
+    ``after[x]`` lists what may follow ``x`` in a chain; within a layer,
+    chains keep the order of their prefixes, then of ``after``.
+    """
+    layers = []
+    frontier = [(x,) for x in starts]
+    while frontier:
+        layers.append(frontier)
+        frontier = [chain + (y,) for chain in frontier for y in after[chain[-1]]]
+    return layers
 
 
 def validate_poset(p: Poset) -> list[str]:
@@ -169,25 +171,11 @@ def validate_poset(p: Poset) -> list[str]:
             problems.append(f"reflexive cover ({lo},{hi})")
 
     # antisymmetry == acyclicity of the cover digraph
-    children: dict[int, list[int]] = {e: [] for e in p.elements}
-    indeg = {e: 0 for e in p.elements}
-    for lo, hi in p.covers:
-        children[lo].append(hi)
-        indeg[hi] += 1
-    queue = [e for e in p.elements if indeg[e] == 0]
-    visited = 0
-    while queue:
-        e = queue.pop()
-        visited += 1
-        for f in children[e]:
-            indeg[f] -= 1
-            if indeg[f] == 0:
-                queue.append(f)
-    if visited != len(p.elements):
+    try:
+        down = p._down
+    except ValueError:
         problems.append("antisymmetry violation: cover relation contains a cycle")
         return problems
-
-    down = p._down
     for lo, hi in p.covers:
         if any(lo in down[mid] for mid in down[hi]):
             problems.append(f"cover ({lo},{hi}) is a transitive shortcut")
@@ -233,12 +221,8 @@ def product(p: Poset, q: Poset) -> Poset:
             raise ValueError(f"invalid {name} factor: " + "; ".join(bad))
     pairs = [(a, b) for a in p.elements for b in q.elements]
     index = {pair: i for i, pair in enumerate(pairs)}
-    covers = []
-    for a, b in pairs:
-        for a2 in p._up_covers[a]:
-            covers.append((index[(a, b)], index[(a2, b)]))
-        for b2 in q._up_covers[b]:
-            covers.append((index[(a, b)], index[(a, b2)]))
+    covers = [(index[(a, b)], index[(a2, b)]) for a, a2 in p.covers for b in q.elements]
+    covers += [(index[(a, b)], index[(a, b2)]) for a in p.elements for b, b2 in q.covers]
     grades = {}
     if (not p.elements or p.grades) and (not q.elements or q.grades):
         for (a, b), i in index.items():
@@ -257,17 +241,7 @@ def order_complex(p: Poset) -> DeltaComplex:
     bad = validate_poset(p)
     if bad:
         raise ValueError("invalid poset: " + "; ".join(bad))
-    by_dim: list[list[tuple[int, ...]]] = []
-    frontier = [(e,) for e in p.elements]
-    while frontier:
-        by_dim.append(sorted(frontier))
-        nxt = [
-            chain + (f,)
-            for chain in frontier
-            for f in p.elements
-            if chain[-1] in p._down[f]
-        ]
-        frontier = nxt
+    by_dim = [sorted(layer) for layer in _chain_layers(p.elements, p._up)]
     cells = tuple(tuple(c) for c in by_dim)
     index = [{c: i for i, c in enumerate(layer)} for layer in by_dim]
     faces = []

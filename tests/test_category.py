@@ -18,7 +18,7 @@ from stratakit.category import (
     validate_category,
 )
 from stratakit.delta import euler_characteristic, f_vector, validate_delta
-from stratakit.fixtures import circle_minimal, punctured_torus, simplex
+from stratakit.fixtures import CSS_FIXTURES, circle_minimal, punctured_torus, simplex
 from stratakit.poset import Poset, order_complex, validate_poset
 
 
@@ -157,6 +157,15 @@ class TestSdCategory:
         p = sd_category(simplex(2).cat)
         for lo, hi in p.covers:
             assert p.grades[hi] == p.grades[lo] + 1
+
+    @pytest.mark.parametrize("name", sorted(CSS_FIXTURES))
+    def test_chain_has_every_proper_subchain_below(self, name):
+        # an n-chain has n + 1 distinct objects, and each proper nonempty
+        # subset of them spans exactly one chain below it
+        p = sd_category(CSS_FIXTURES[name]().cat)
+        for e in p.elements:
+            n = p.grades[e]
+            assert len(p.down_set(e)) == 2 ** (n + 1) - 2
 
 
 class TestStars:

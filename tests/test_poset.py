@@ -1,6 +1,8 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from stratakit.delta import euler_characteristic, f_vector, validate_delta
 from stratakit.homology import chain_complex, homology
 from stratakit.poset import (
@@ -62,6 +64,10 @@ class TestValidate:
         assert validate_poset(p) == []
         # brute-force cover count: 3 singletons x 2 pairs above, 3 pairs x top
         assert len(p.covers) == 9
+
+    def test_cyclic_relation_rejected(self):
+        with pytest.raises(ValueError, match="relation contains a cycle"):
+            Poset.from_relation(range(3), [(0, 1), (1, 0), (1, 2)])
 
     def test_transitive_shortcut_reported(self):
         p = Poset((0, 1, 2), ((0, 1), (1, 2), (0, 2)))
@@ -163,6 +169,8 @@ class TestOrderComplex:
             for c in layer:
                 assert len(set(c)) == dim + 1
                 assert all(p.less(c[i], c[i + 1]) for i in range(dim))
+        assert {c for layer in k.cells for c in layer} == set(p.chains())
+        assert p.height() == k.dim()
 
 
 def test_isomorphism_respects_grades():
