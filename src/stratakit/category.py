@@ -87,13 +87,16 @@ class AcyclicCategory:
 
     @classmethod
     def from_poset(cls, p: Poset) -> "AcyclicCategory":
-        """A poset as a category: one morphism per strict pair."""
+        """A poset as a category: one morphism per strict pair.
+
+        Cost O(|pairs| + |compose|): each pair (a, b) composes with the
+        cached up-set of b.
+        """
         mids = [(a, b) for b in p.elements for a in sorted(p.down_set(b), key=repr)]
         comp = {}
         for a, b in mids:
-            for c in p.elements:
-                if p.less(b, c):
-                    comp[((b, c), (a, b))] = (a, c)
+            for c in p._up[b]:
+                comp[((b, c), (a, b))] = (a, c)
         return cls(
             tuple(p.elements),
             tuple(sorted(mids)),
@@ -286,8 +289,19 @@ def sd_category(c: AcyclicCategory) -> Poset:
     return Poset.from_relation(range(len(elements)), less, grades, labels)
 
 
+def _composable_pairs(mids, src, dst):
+    """Every pair (a, b) of mids with dst[a] == src[b], in the order of a
+    double loop over mids. Cost O(|mids| + pairs), via a by-source index."""
+    by_src: dict[Obj, list[Mid]] = {}
+    for m in mids:
+        by_src.setdefault(src[m], []).append(m)
+    return [(a, b) for a in mids for b in by_src.get(dst[a], ())]
+
+
 def _comma_under(c: AcyclicCategory, x: Obj, include_identity: bool):
-    """The comma category x|C: objects are morphisms out of x."""
+    """The comma category x|C: objects are morphisms out of x.
+
+    Cost O(|Mor| + |compose|) of the result."""
     one = (IDENTITY, x)
     objects: list[Obj] = ([one] if include_identity else []) + list(c._out[x])
     mids = []
@@ -303,11 +317,10 @@ def _comma_under(c: AcyclicCategory, x: Obj, include_identity: bool):
             a = (u, w, c.compose[(w, u)])
             mids.append(a)
             src[a], dst[a] = u, a[2]
-    comp = {}
-    for a in mids:
-        for b in mids:
-            if dst[a] == src[b]:
-                comp[(b, a)] = (a[0], c.compose[(b[1], a[1])], b[2])
+    comp = {
+        (b, a): (a[0], c.compose[(b[1], a[1])], b[2])
+        for a, b in _composable_pairs(mids, src, dst)
+    }
     grades = {u: c.grades[c.dst[u]] for u in c._out[x] if c.dst[u] in c.grades}
     if include_identity and x in c.grades:
         grades[one] = c.grades[x]
@@ -317,7 +330,9 @@ def _comma_under(c: AcyclicCategory, x: Obj, include_identity: bool):
 
 
 def _comma_over(c: AcyclicCategory, x: Obj, include_identity: bool):
-    """The comma category C|x: objects are morphisms into x."""
+    """The comma category C|x: objects are morphisms into x.
+
+    Cost O(|Mor| + |compose|) of the result."""
     one = (IDENTITY, x)
     objects: list[Obj] = list(c._in[x]) + ([one] if include_identity else [])
     mids = []
@@ -334,14 +349,10 @@ def _comma_over(c: AcyclicCategory, x: Obj, include_identity: bool):
             a = (u, u, one)
             mids.append(a)
             src[a], dst[a] = u, one
-    comp = {}
-    for a in mids:
-        for b in mids:
-            if dst[a] == src[b]:
-                if b[2] == one:
-                    comp[(b, a)] = (a[0], c.compose[(b[1], a[1])], one)
-                else:
-                    comp[(b, a)] = (a[0], c.compose[(b[1], a[1])], b[2])
+    comp = {
+        (b, a): (a[0], c.compose[(b[1], a[1])], b[2])
+        for a, b in _composable_pairs(mids, src, dst)
+    }
     grades = {u: c.grades[c.src[u]] for u in c._in[x] if c.src[u] in c.grades}
     if include_identity and x in c.grades:
         grades[one] = c.grades[x]
@@ -382,7 +393,10 @@ def _is_ident(m) -> bool:
 
 def product_category(c: AcyclicCategory, d: AcyclicCategory) -> AcyclicCategory:
     """Pairs with componentwise composition; hom-sets multiply:
-    Hom((x,y),(x',y')) = Hom(x,x') x Hom(y,y')."""
+    Hom((x,y),(x',y')) = Hom(x,x') x Hom(y,y').
+
+    Cost O(|Mor| + |compose|) of the result, after validating both
+    factors."""
     for side, name in ((c, "first"), (d, "second")):
         bad = validate_category(side)
         if bad:
@@ -414,14 +428,10 @@ def product_category(c: AcyclicCategory, d: AcyclicCategory) -> AcyclicCategory:
             return a
         return side.compose[(b, a)]
 
-    comp = {}
-    for a in mids:
-        for b in mids:
-            if dst[a] == src[b]:
-                comp[(b, a)] = (
-                    comp_side(c, b[0], a[0]),
-                    comp_side(d, b[1], a[1]),
-                )
+    comp = {
+        (b, a): (comp_side(c, b[0], a[0]), comp_side(d, b[1], a[1]))
+        for a, b in _composable_pairs(mids, src, dst)
+    }
     grades = {}
     if (not c.objects or c.grades) and (not d.objects or d.grades):
         grades = {(x, y): c.grades[x] + d.grades[y] for x, y in objects}
@@ -462,7 +472,7 @@ def grothendieck(
     Objects are pairs (x, a) with a in fibers[x]. There is one morphism
     (x,a) -> (y,b) for each u in Hom(x,y) with maps[u](a) <= b, plus the
     fiber relations a < b over a fixed object. Raises on non-functorial
-    input.
+    input. Composition costs O(|Mor| + |compose|) of the result.
     """
     bad = validate_category(c)
     if bad:
@@ -521,11 +531,10 @@ def grothendieck(
             return (u1, a1, b2)
         return (c.compose[(u2, u1)], a1, b2)
 
-    comp = {}
-    for a_mid in mids:
-        for b_mid in mids:
-            if dst[a_mid] == src[b_mid]:
-                comp[(b_mid, a_mid)] = compose_pair(b_mid, a_mid)
+    comp = {
+        (b_mid, a_mid): compose_pair(b_mid, a_mid)
+        for a_mid, b_mid in _composable_pairs(mids, src, dst)
+    }
     graded_fibers = all(
         p.grades or not p.elements for p in fibers.values()
     )
@@ -565,6 +574,7 @@ class GroupActionOnCategory:
             ):
                 problems.append(f"generator {k}: not a morphism bijection")
                 continue
+            commutes = True
             for m in c.morphisms:
                 if c.src[mmap[m]] != omap[c.src[m]] or c.dst[mmap[m]] != omap[
                     c.dst[m]
@@ -572,12 +582,15 @@ class GroupActionOnCategory:
                     problems.append(
                         f"generator {k}: does not commute with src/dst on {m!r}"
                     )
-            for (g, f), gf in c.compose.items():
-                if c.compose[(mmap[g], mmap[f])] != mmap[gf]:
-                    problems.append(
-                        f"generator {k}: not functorial on ({g!r},{f!r})"
-                    )
-                    break
+                    commutes = False
+            # images of a composable pair are composable only if it commutes
+            if commutes:
+                for (g, f), gf in c.compose.items():
+                    if c.compose[(mmap[g], mmap[f])] != mmap[gf]:
+                        problems.append(
+                            f"generator {k}: not functorial on ({g!r},{f!r})"
+                        )
+                        break
             for x in c.objects:
                 if x in c.grades and c.grades[omap[x]] != c.grades[x]:
                     problems.append(f"generator {k}: does not preserve grades")
@@ -623,7 +636,8 @@ def quotient_by_free_action(
 
     Freeness on objects makes composition of orbit representatives
     well-defined; the nondegenerate nerve of the quotient is the orbit
-    complex of the nerve.
+    complex of the nerve. After validating the action, cost
+    O(|G| (|Ob| + |Mor|) + |compose| of the quotient).
     """
     if action.category is not c and action.category != c:
         raise ValueError("action is attached to a different category")
@@ -648,32 +662,27 @@ def quotient_by_free_action(
         orbit = {omap[x] for omap, _ in elements}
         obj_rep[x] = min(orbit, key=obj_index.__getitem__)
     reps = tuple(x for x in c.objects if obj_rep[x] == x)
+    # freeness makes each element below unique: the one moving x to its
+    # rep, and the one moving a rep r to the orbit member y
+    to_rep: dict[Obj, dict[Mid, Mid]] = {}
+    from_rep: dict[Obj, dict[Mid, Mid]] = {}
+    for omap, mmap in elements:
+        for x in c.objects:
+            if omap[x] == obj_rep[x]:
+                to_rep.setdefault(x, mmap)
+        for r in reps:
+            from_rep.setdefault(omap[r], mmap)
 
     # a morphism orbit has a unique member whose source is an orbit rep
-    mor_rep: dict[Mid, Mid] = {}
-    for m in c.morphisms:
-        candidates = [
-            mmap[m] for omap, mmap in elements if omap[c.src[m]] == obj_rep[c.src[m]]
-        ]
-        mor_rep[m] = candidates[0]
+    mor_rep = {m: to_rep[c.src[m]][m] for m in c.morphisms}
     mids = tuple(m for m in c.morphisms if mor_rep[m] == m)
-
-    def normalize(m: Mid) -> Mid:
-        return mor_rep[m]
-
     src = {m: c.src[m] for m in mids}
     dst = {m: obj_rep[c.dst[m]] for m in mids}
     comp = {}
-    for f in mids:
-        # true target of the representative f
-        y = c.dst[f]
-        for g in mids:
-            if obj_rep[y] != c.src[g]:
-                continue
-            translate = next(
-                mmap for omap, mmap in elements if omap[c.src[g]] == y
-            )
-            comp[(g, f)] = normalize(c.compose[(translate[g], f)])
+    for f, g in _composable_pairs(mids, src, dst):
+        # translate g to start at the true target of the representative f
+        translate = from_rep[c.dst[f]]
+        comp[(g, f)] = mor_rep[c.compose[(translate[g], f)]]
     grades = {x: c.grades[x] for x in reps if x in c.grades}
     return AcyclicCategory(reps, mids, src, dst, comp, grades)
 

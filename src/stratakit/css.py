@@ -110,18 +110,21 @@ def _sphere_homology_ok(p: Poset, n: int) -> bool:
 
 
 def _diamond_ok(p: Poset) -> bool:
-    """Every rank-2 interval has exactly two intermediate elements."""
+    """Every rank-2 interval has exactly two intermediate elements.
+
+    Cost O(sum over rank-2 pairs (a, b) of |down(b)|)."""
     for a, b in p.comparable_pairs():
         if p.grades[b] - p.grades[a] == 2:
-            middles = [
-                m for m in p.elements if p.less(a, m) and p.less(m, b)
-            ]
+            middles = [m for m in p.down_set(b) if p.less(a, m)]
             if len(middles) != 2:
                 return False
     return True
 
 
 def _closed_cell_link_ok(p: Poset, n: int, problems: list[str], tag: str):
+    """Sphere, grade and diamond checks on a closed cell's link, and a
+    sphere check on each lower interval, built from the down-sets in
+    O(|interval relation|) each."""
     if not _sphere_homology_ok(p, n):
         problems.append(
             f"{tag}: link is not a homology ({n - 1})-sphere as required "
@@ -138,7 +141,7 @@ def _closed_cell_link_ok(p: Poset, n: int, problems: list[str], tag: str):
         below = sorted(p.down_set(e), key=repr)
         sub = Poset.from_relation(
             below,
-            [(a, b) for a in below for b in below if p.less(a, b)],
+            [(a, b) for b in below for a in p.down_set(b)],
             {a: p.grades[a] for a in below},
         )
         if not _sphere_homology_ok(sub, g):

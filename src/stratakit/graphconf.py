@@ -130,10 +130,23 @@ class ConfCell:
 
     labeling[i] is ("v", vertex) or ("e", edge); orders lists, per edge
     carrying at least one coordinate, the coordinates in increasing
-    position along the edge (0-end lowest)."""
+    position along the edge (0-end lowest).
+
+    The hash, the dataclass's hash((labeling, orders)), is computed once:
+    every morphism id holds a cell, and id lookups dominate construction."""
 
     labeling: tuple
     orders: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.labeling, self.orders)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return (ConfCell, (self.labeling, self.orders))
 
     def dim(self) -> int:
         return sum(1 for kind, _ in self.labeling if kind == "e")

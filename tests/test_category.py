@@ -316,6 +316,22 @@ class TestQuotient:
         assert chi_total == 2 * chi_orbit
         assert f_vector(nondegenerate_nerve(q)) == (2, 2)
 
+    def test_generator_breaking_endpoints_is_reported(self):
+        from stratakit.graphconf import conf_category, cycle_graph, sigma_action
+
+        css = conf_category(cycle_graph(3), 2)
+        c = css.cat
+        omap, mmap = sigma_action(css, 2).generators[0]
+        f = c.morphisms[0]
+        g = next(m for m in c.morphisms if c.src[m] != c.src[f])
+        swapped = dict(mmap)
+        swapped[f], swapped[g] = mmap[g], mmap[f]
+        problems = GroupActionOnCategory(c, ((omap, swapped),)).validate()
+        assert problems
+        assert all("does not commute with src/dst" in p for p in problems)
+        with pytest.raises(ValueError, match="does not commute"):
+            quotient_by_free_action(c, GroupActionOnCategory(c, ((omap, swapped),)))
+
 
 def test_opposite_category_involution():
     c = punctured_torus().cat

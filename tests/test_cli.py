@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import stratakit
 from stratakit.cli import main
 
 
@@ -32,6 +36,23 @@ def test_timing_on_stderr_only(capsys):
     code, out, err = run(capsys, "sd", "--fixture", "circle-minimal")
     assert code == 0
     assert "timing_ms" in err and "timing_ms" not in out
+
+
+def test_consecutive_calls_match_separate_processes(capsys):
+    unordered = ["conf", "--fixture", "loop", "--k", "2", "--unordered"]
+    ordered = ["conf", "--fixture", "loop", "--k", "2"]
+    in_process = [run(capsys, *argv)[1] for argv in (unordered, ordered, unordered)]
+    src = os.path.dirname(os.path.dirname(stratakit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "stratakit.cli", *argv],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        for argv in (unordered, ordered)
+    ]
+    assert in_process == [separate[0], separate[1], separate[0]]
+    assert separate[0] != separate[1]
 
 
 def test_arrangement_commands(tmp_path, capsys):
