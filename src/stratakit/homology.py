@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .delta import DeltaComplex, f_vector
+from .lp import _rank
 
 __all__ = [
     "ChainComplex",
@@ -257,29 +257,6 @@ def _dense_snf(rows: list[list[int]]) -> list[int]:
     return diag
 
 
-def _rational_rank(rows: list[list[int]]) -> int:
-    M = [[Fraction(v) for v in row] for row in rows]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        pivot = next((i for i in range(rank, m) if M[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        pv = M[rank][col]
-        for i in range(rank + 1, m):
-            if M[i][col]:
-                factor = M[i][col] / pv
-                for j in range(col, n):
-                    M[i][j] -= factor * M[rank][j]
-        rank += 1
-        col += 1
-    return rank
-
-
 def snf_diagonal(mat: Matrix) -> list[int]:
     """Invariant factors of an integer matrix, each dividing the next."""
     sparse = _SparseMatrix(mat)
@@ -290,7 +267,7 @@ def snf_diagonal(mat: Matrix) -> list[int]:
 def integer_rank(mat: Matrix) -> int:
     sparse = _SparseMatrix(mat)
     units = sparse.eliminate_units()
-    return units + _rational_rank(sparse.dense_residual())
+    return units + _rank(sparse.dense_residual())
 
 
 def homology(cc: ChainComplex, rank_only: bool = False) -> HomologyResult:

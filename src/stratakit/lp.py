@@ -3,21 +3,37 @@
 Sign-vector faces are open polyhedra {equalities, strict inequalities}.
 Strict feasibility is decided by maximizing a slack bound t subject to
 g.x - t >= h for each strict row and t <= 1: the system is realizable iff
-the optimum is positive. The simplex method runs over Fraction with
-Bland's rule, so it terminates and never misclassifies a degenerate
-face. Optimal dual multipliers are retained as infeasibility
-certificates.
+the optimum is positive. The simplex method uses Bland's rule, so it
+terminates and never misclassifies a degenerate face. Optimal dual
+multipliers are retained as infeasibility certificates.
+
+The tableau holds integers (Edmonds' integer pivoting, the rule of
+Bareiss elimination). Each row is an integer vector R with a positive
+scale d, and the true row is R / d. The inputs become such rows once per
+call, each row multiplied by the lcm of its denominators; witness, margin
+and certificate become Fractions once, at the end. A pivot on entry p of
+row r makes every other row p*R_i - R_i[col]*R_r with scale p*d_i and
+divides it and its scale by their one gcd. Bland's entering test reads the
+sign of an integer entry, and the ratio test compares rhs_i*a_k with
+rhs_k*a_i (the scales cancel), so the pivots are the ones a Fraction
+tableau takes. A pivot costs O(rows*cols) multiply-subtracts of small
+integers plus one gcd per row, where a Fraction tableau pays a gcd and an
+object allocation for every entry. Fraction appears only at the boundary.
+
+Every result is checked before it is returned (_check), on the integer
+rows: a witness must satisfy every row and a certificate must prove the
+infeasibility, or RuntimeError is raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["Feasibility", "strict_feasibility", "rational_rank"]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -25,12 +41,22 @@ class Feasibility:
     """Outcome of a strict-feasibility check.
 
     feasible: whether the open system has a rational solution.
-    witness: a solution point (when feasible).
+    witness: a solution point (when feasible), or the optimal x (when the
+        equalities are consistent but the stricts are not).
     margin: the optimal slack bound t* (None if the equalities alone are
         inconsistent).
-    certificate: dual multipliers (y on inequality rows, w on equality
-        rows) proving t* optimal, or the phase-1 multipliers proving the
-        equalities inconsistent.
+    certificate: None when feasible. Otherwise, with the rows numbered
+        stricts first, then equalities, then t <= 1:
+        - {"phase": 1, "multipliers": m, "signs": s}: the equalities are
+          inconsistent. m[i] * s[i] weights row i (0 on all but the
+          equality rows), and the weighted equality rows add up to
+          0 = nonzero.
+        - {"phase": 2, "y": y, "w": w, "bound": t*}: t* <= 0. y weights
+          the strict rows, each read as g.x - t >= h, and the t <= 1 row;
+          w weights the equality rows. The weighted rows add up to the
+          functional t with right-hand side t*. Every strict-row y is
+          <= 0 and not all are 0, and y on t <= 1 is >= 0, so no x meets
+          every strict row.
     """
 
     feasible: bool
@@ -39,13 +65,44 @@ class Feasibility:
     certificate: dict | None
 
 
-def _bland_simplex(tab, basis, ncols):
+def _scaled(values) -> tuple[list[int], int]:
+    """An integer vector and a positive scale whose quotient is values."""
+    fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (scale // v.denominator) for v in fracs], scale
+
+
+def _system(equalities, stricts, nvars: int) -> list[tuple[list[int], int, str]]:
+    """The rows of the program as (vector, scale, kind): the vector lists
+    the x coefficients, the t coefficient and the rhs, and divided by the
+    positive scale it is the true row. Stricts g.x - t >= h come first,
+    then equalities e.x = f, then t <= 1."""
+    rows = []
+    for g, h in stricts:
+        vec, scale = _scaled([*g, h])
+        rows.append((vec[:-1] + [-scale, vec[-1]], scale, "ge"))
+    for e, f in equalities:
+        vec, scale = _scaled([*e, f])
+        rows.append((vec[:-1] + [0, vec[-1]], scale, "eq"))
+    rows.append(([0] * nvars + [1, 1], 1, "le"))
+    return rows
+
+
+def _reduced(vec: list[int], scale: int) -> tuple[list[int], int]:
+    g = gcd(scale, *vec)
+    if g > 1:
+        return [v // g for v in vec], scale // g
+    return vec, scale
+
+
+def _bland_simplex(tab, scale, basis, ncols):
     """Maximize the objective stored in the last tableau row.
 
-    tab is a list of rows [a_0..a_{ncols-1} | rhs]; the last row holds
-    reduced costs (z_j - c_j negated convention: entry > 0 means entering
-    improves). Entering: smallest improving index; leaving: smallest row
-    index among minimal ratios. Returns False when unbounded.
+    tab is a list of integer rows [a_0..a_{ncols-1} | rhs], row i standing
+    for tab[i] / scale[i]; the last row holds reduced costs (entry > 0
+    means entering improves). Entering: smallest improving index; leaving:
+    smallest basis index among minimal ratios. Returns False when
+    unbounded.
     """
     m = len(tab) - 1
     while True:
@@ -54,28 +111,37 @@ def _bland_simplex(tab, basis, ncols):
         if enter is None:
             return True
         pivot_row = None
-        best = None
         for i in range(m):
-            a = tab[i][enter]
+            row = tab[i]
+            a = row[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[pivot_row]
-                ):
-                    best = ratio
-                    pivot_row = i
+                rhs = row[-1]
+                if pivot_row is None:
+                    pivot_row, best_rhs, best_a = i, rhs, a
+                    continue
+                lhs = rhs * best_a
+                other = best_rhs * a
+                if lhs < other or (lhs == other and basis[i] < basis[pivot_row]):
+                    pivot_row, best_rhs, best_a = i, rhs, a
         if pivot_row is None:
             return False
-        _pivot(tab, basis, pivot_row, enter)
+        _pivot(tab, scale, basis, pivot_row, enter)
 
 
-def _pivot(tab, basis, row, col):
-    pv = tab[row][col]
-    tab[row] = [v / pv for v in tab[row]]
+def _pivot(tab, scale, basis, row, col):
+    prow = tab[row]
+    if prow[col] < 0:
+        prow = [-v for v in prow]
+    # the pivot row divided by its pivot entry has scale prow[col]
+    prow, p = _reduced(prow, prow[col])
+    tab[row] = prow
+    scale[row] = p
     for i, r in enumerate(tab):
-        if i != row and r[col]:
-            f = r[col]
-            tab[i] = [v - f * p for v, p in zip(r, tab[row])]
+        f = r[col]
+        if f and i != row:
+            tab[i], scale[i] = _reduced(
+                [p * a - f * b for a, b in zip(r, prow)], p * scale[i]
+            )
     basis[row] = col
 
 
@@ -86,56 +152,59 @@ def strict_feasibility(
 ) -> Feasibility:
     """Decide {e.x = f for equalities, g.x > h for stricts} over the
     rationals."""
-    # variables: x+ (nvars), x- (nvars), t+, t-, slacks, artificials
-    rows: list[tuple[list[Fraction], Fraction, str]] = []
-    for g, h in stricts:
-        rows.append((list(g) + [Fraction(-1)], Fraction(h), "ge"))
-    for e, f in equalities:
-        rows.append((list(e) + [ZERO], Fraction(f), "eq"))
-    rows.append(([ZERO] * nvars + [ONE], ONE, "le"))  # t <= 1
+    rows = _system(equalities, stricts, nvars)
+    result = _solve(rows, nvars)
+    _check(rows, nvars, result)
+    return result
 
+
+def _solve(rows, nvars: int) -> Feasibility:
+    # variables: x+ (nvars), t+, x- (nvars), t-, slacks, artificials
     nfree = nvars + 1  # x and t, both sign-free
     nslack = sum(kind != "eq" for *_, kind in rows)
     ncore = 2 * nfree + nslack
     ncols = ncore + len(rows)  # + one artificial per row
 
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
+    scale: list[int] = []
     signs = []
-    slack_at = {}
     si = 0
-    for ridx, (coeffs, rhs, kind) in enumerate(rows):
-        row = [ZERO] * (ncols + 1)
-        for j, a in enumerate(coeffs):
-            row[j] = Fraction(a)
-            row[nfree + j] = -Fraction(a)
+    for ridx, (vec, d, kind) in enumerate(rows):
+        free = vec[:-1]
+        row = free + [-a for a in free] + [0] * (ncols - 2 * nfree) + vec[-1:]
         if kind != "eq":
-            slack_at[ridx] = 2 * nfree + si
-            row[2 * nfree + si] = -ONE if kind == "ge" else ONE
+            row[2 * nfree + si] = -d if kind == "ge" else d
             si += 1
-        row[-1] = Fraction(rhs)
         sign = 1
         if row[-1] < 0:
             row = [-v for v in row]
             sign = -1
-        row[ncore + ridx] = ONE
+        row[ncore + ridx] = d
         signs.append(sign)
         tab.append(row)
+        scale.append(d)
 
     basis = [ncore + i for i in range(len(rows))]
 
-    # phase 1: maximize -sum(artificials)
-    obj = [ZERO] * (ncols + 1)
+    # phase 1: maximize -sum(artificials); the objective row is the sum of
+    # the rows, whose artificial entries cancel the -1s
+    common = lcm(*scale)
+    obj = [0] * (ncols + 1)
+    for row, d in zip(tab, scale):
+        f = common // d
+        obj = [v + f * r for v, r in zip(obj, row)]
     for j in range(ncore, ncols):
-        obj[j] = -ONE
+        obj[j] = 0
+    obj, s = _reduced(obj, common)
     tab.append(obj)
-    for i in range(len(rows)):
-        tab[-1] = [v + r for v, r in zip(tab[-1], tab[i])]
-    _bland_simplex(tab, basis, ncore)  # artificials never re-enter
+    scale.append(s)
+    _bland_simplex(tab, scale, basis, ncore)  # artificials never re-enter
     # objective value is -tab[-1][-1]; equalities are consistent iff it is 0
-    if tab[-1][-1] > 0:
+    obj, s = tab[-1], scale[-1]
+    if obj[-1] > 0:
         cert = {
             "phase": 1,
-            "multipliers": [-ONE - tab[-1][ncore + i] for i in range(len(rows))],
+            "multipliers": [Fraction(-s - obj[ncore + i], s) for i in range(len(rows))],
             "signs": list(signs),
         }
         return Feasibility(False, None, None, cert)
@@ -145,32 +214,38 @@ def strict_feasibility(
         if basis[i] >= ncore:
             enter = next((j for j in range(ncore) if tab[i][j] != 0), None)
             if enter is not None:
-                _pivot(tab, basis, i, enter)
+                _pivot(tab, scale, basis, i, enter)
 
-    # phase 2: maximize t = t+ - t-
-    obj = [ZERO] * (ncols + 1)
-    obj[nvars] = ONE
-    obj[nfree + nvars] = -ONE
+    # phase 2: maximize t = t+ - t-; a basic t+ or t- is priced out with
+    # its row, whose basic entry equals its scale
+    obj = [0] * (ncols + 1)
+    obj[nvars] = 1
+    obj[nfree + nvars] = -1
+    s = 1
+    for i, col in enumerate(basis):
+        f = obj[col]
+        if col < ncore and f:
+            d = scale[i]
+            obj, s = _reduced([d * v - f * r for v, r in zip(obj, tab[i])], d * s)
     tab[-1] = obj
-    for i in range(len(rows)):
-        if basis[i] < ncore and obj[basis[i]]:
-            f = obj[basis[i]]
-            tab[-1] = [v - f * r for v, r in zip(tab[-1], tab[i])]
-    if not _bland_simplex(tab, basis, ncore):
+    scale[-1] = s
+    if not _bland_simplex(tab, scale, basis, ncore):
         raise RuntimeError("slack-bounded program cannot be unbounded")
 
-    values = [ZERO] * ncols
+    values = [ZERO] * (2 * nfree)
     for i, col in enumerate(basis):
-        values[col] = tab[i][-1]
+        if col < 2 * nfree:
+            values[col] = Fraction(tab[i][-1], scale[i])
     x = tuple(values[j] - values[nfree + j] for j in range(nvars))
     margin = values[nvars] - values[nfree + nvars]
     if margin > 0:
         return Feasibility(True, x, margin, None)
-    # dual multipliers from the reduced costs of slack/artificial columns
+    # dual multipliers from the reduced costs of the artificial columns
+    obj, s = tab[-1], scale[-1]
     y = {}
     w = {}
-    for ridx, (_, _, kind) in enumerate(rows):
-        mult = -tab[-1][ncore + ridx] * signs[ridx]
+    for ridx, (*_, kind) in enumerate(rows):
+        mult = Fraction(-obj[ncore + ridx] * signs[ridx], s)
         if kind == "eq":
             w[ridx] = mult
         else:
@@ -179,25 +254,94 @@ def strict_feasibility(
     return Feasibility(False, x, margin, cert)
 
 
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    M = [list(map(Fraction, r)) for r in rows]
+def _combination(rows, weights) -> tuple[list[int], int]:
+    """sum_i weights[i] * rows[i] over the true rows, as an integer vector
+    and a positive scale. weights maps row indices to Fractions."""
+    terms = [(rows[i], c) for i, c in weights.items() if c]
+    common = lcm(*(c.denominator * d for (_, d, _), c in terms))
+    total = [0] * len(rows[-1][0])
+    for (vec, d, _), c in terms:
+        f = c.numerator * (common // (c.denominator * d))
+        total = [t + f * v for t, v in zip(total, vec)]
+    return total, common
+
+
+def _check(rows, nvars: int, result: Feasibility) -> None:
+    """Raise RuntimeError unless result is proved on rows (from _system):
+    a feasible witness satisfies every equality and strict row; a
+    certificate meets the conditions in the Feasibility docstring."""
+    cert = result.certificate
+    if result.feasible:
+        point, den = _scaled(result.witness)
+        for vec, _, kind in rows:
+            if kind == "le":
+                continue
+            lhs = sum(a * v for a, v in zip(vec, point))
+            rhs = vec[-1] * den
+            if not (lhs == rhs if kind == "eq" else lhs > rhs):
+                raise RuntimeError(f"LP witness violates a row: {result}")
+        return
+    if cert["phase"] == 1:
+        weights = {
+            i: m * s
+            for i, ((*_, kind), m, s) in enumerate(
+                zip(rows, cert["multipliers"], cert["signs"])
+            )
+            if kind == "eq"
+        }
+        total, _ = _combination(rows, weights)
+        if any(total[:-1]) or not total[-1]:
+            raise RuntimeError(f"LP phase-1 certificate is no proof: {result}")
+        return
+    margin = cert["bound"]
+    y = cert["y"]
+    strict_y = [m.numerator for i, m in y.items() if rows[i][2] == "ge"]
+    bound_y = [m.numerator for i, m in y.items() if rows[i][2] == "le"]
+    total, common = _combination(rows, {**y, **cert["w"]})
+    if (
+        margin != result.margin
+        or margin.numerator > 0
+        or any(total[:nvars])
+        or total[nvars] != common
+        or total[-1] * margin.denominator != margin.numerator * common
+        or max(strict_y, default=0) > 0
+        or not any(strict_y)
+        or min(bound_y, default=0) < 0
+    ):
+        raise RuntimeError(f"LP phase-2 certificate is no proof: {result}")
+
+
+def _rank(rows) -> int:
+    """Rank of a rational matrix by fraction-free (Bareiss) elimination.
+
+    Each row is first multiplied by the lcm of its denominators, which
+    keeps the rank. Below the pivot, every entry becomes
+    (p*a - f*b) // prev, prev being the previous pivot: the division is
+    exact, since each entry is a minor of the integer matrix.
+    """
+    M = [_scaled(r)[0] for r in rows]
     m = len(M)
     n = len(M[0]) if m else 0
     rank = 0
-    col = 0
-    while rank < m and col < n:
+    prev = 1
+    for col in range(n):
+        if rank == m:
+            break
         pivot = next((i for i in range(rank, m) if M[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         M[rank], M[pivot] = M[pivot], M[rank]
-        pv = M[rank][col]
+        prow = M[rank][col:]
+        p = prow[0]
         for i in range(rank + 1, m):
-            if M[i][col]:
-                f = M[i][col] / pv
-                for j in range(col, n):
-                    M[i][j] -= f * M[rank][j]
+            r = M[i]
+            f = r[col]
+            r[col:] = [(p * a - f * b) // prev for a, b in zip(r[col:], prow)]
+        prev = p
         rank += 1
-        col += 1
     return rank
+
+
+def rational_rank(rows: list[list[Fraction]]) -> int:
+    """Rank of a rational matrix by exact fraction-free elimination."""
+    return _rank(rows)

@@ -1,0 +1,328 @@
+"""The integer-tableau LP and the fraction-free rank against copies of the
+Fraction routines they replaced, and the LP's result self-check.
+
+The integer tableau must take the same pivots as a Fraction tableau, so
+every ``Feasibility`` (witness, margin and certificate dicts included)
+must equal the reference's, not only the verdict.
+"""
+
+import random
+import sys
+from dataclasses import replace
+from fractions import Fraction as F
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stratakit.lp as lp
+from stratakit.arrangement import braid_arrangement
+from stratakit.homology import integer_rank
+from stratakit.lp import _check, _rank, _system, rational_rank, strict_feasibility
+
+# ------------------------------------------------ reference: Fraction tableau
+
+
+def ref_bland_simplex(tab, basis, ncols):
+    m = len(tab) - 1
+    while True:
+        obj = tab[-1]
+        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        if enter is None:
+            return True
+        pivot_row = None
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[pivot_row]
+                ):
+                    best = ratio
+                    pivot_row = i
+        if pivot_row is None:
+            return False
+        ref_pivot(tab, basis, pivot_row, enter)
+
+
+def ref_pivot(tab, basis, row, col):
+    pv = tab[row][col]
+    tab[row] = [v / pv for v in tab[row]]
+    for i, r in enumerate(tab):
+        if i != row and r[col]:
+            f = r[col]
+            tab[i] = [v - f * p for v, p in zip(r, tab[row])]
+    basis[row] = col
+
+
+def ref_feasibility(equalities, stricts, nvars):
+    zero, one = F(0), F(1)
+    rows = []
+    for g, h in stricts:
+        rows.append((list(g) + [F(-1)], F(h), "ge"))
+    for e, f in equalities:
+        rows.append((list(e) + [zero], F(f), "eq"))
+    rows.append(([zero] * nvars + [one], one, "le"))
+    nfree = nvars + 1
+    nslack = sum(kind != "eq" for *_, kind in rows)
+    ncore = 2 * nfree + nslack
+    ncols = ncore + len(rows)
+    tab, signs = [], []
+    si = 0
+    for ridx, (coeffs, rhs, kind) in enumerate(rows):
+        row = [zero] * (ncols + 1)
+        for j, a in enumerate(coeffs):
+            row[j] = F(a)
+            row[nfree + j] = -F(a)
+        if kind != "eq":
+            row[2 * nfree + si] = -one if kind == "ge" else one
+            si += 1
+        row[-1] = F(rhs)
+        sign = 1
+        if row[-1] < 0:
+            row = [-v for v in row]
+            sign = -1
+        row[ncore + ridx] = one
+        signs.append(sign)
+        tab.append(row)
+    basis = [ncore + i for i in range(len(rows))]
+    obj = [zero] * (ncols + 1)
+    for j in range(ncore, ncols):
+        obj[j] = -one
+    tab.append(obj)
+    for i in range(len(rows)):
+        tab[-1] = [v + r for v, r in zip(tab[-1], tab[i])]
+    ref_bland_simplex(tab, basis, ncore)
+    if tab[-1][-1] > 0:
+        cert = {
+            "phase": 1,
+            "multipliers": [-one - tab[-1][ncore + i] for i in range(len(rows))],
+            "signs": list(signs),
+        }
+        return lp.Feasibility(False, None, None, cert)
+    for i in range(len(rows)):
+        if basis[i] >= ncore:
+            enter = next((j for j in range(ncore) if tab[i][j] != 0), None)
+            if enter is not None:
+                ref_pivot(tab, basis, i, enter)
+    obj = [zero] * (ncols + 1)
+    obj[nvars] = one
+    obj[nfree + nvars] = -one
+    tab[-1] = obj
+    for i in range(len(rows)):
+        if basis[i] < ncore and obj[basis[i]]:
+            f = obj[basis[i]]
+            tab[-1] = [v - f * r for v, r in zip(tab[-1], tab[i])]
+    assert ref_bland_simplex(tab, basis, ncore)
+    values = [zero] * ncols
+    for i, col in enumerate(basis):
+        values[col] = tab[i][-1]
+    x = tuple(values[j] - values[nfree + j] for j in range(nvars))
+    margin = values[nvars] - values[nfree + nvars]
+    if margin > 0:
+        return lp.Feasibility(True, x, margin, None)
+    y, w = {}, {}
+    for ridx, (_, _, kind) in enumerate(rows):
+        mult = -tab[-1][ncore + ridx] * signs[ridx]
+        (w if kind == "eq" else y)[ridx] = mult
+    cert = {"phase": 2, "y": y, "w": w, "bound": margin}
+    return lp.Feasibility(False, x, margin, cert)
+
+
+def ref_rank(rows):
+    M = [list(map(F, r)) for r in rows]
+    m = len(M)
+    n = len(M[0]) if m else 0
+    rank = col = 0
+    while rank < m and col < n:
+        pivot = next((i for i in range(rank, m) if M[i][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        pv = M[rank][col]
+        for i in range(rank + 1, m):
+            if M[i][col]:
+                f = M[i][col] / pv
+                for j in range(col, n):
+                    M[i][j] -= f * M[rank][j]
+        rank += 1
+        col += 1
+    return rank
+
+
+def assert_same(equalities, stricts, nvars):
+    got = strict_feasibility(equalities, stricts, nvars)
+    want = ref_feasibility(equalities, stricts, nvars)
+    assert got == want
+    assert repr(got) == repr(want)
+    return got
+
+
+# ------------------------------------------------------------ drawn systems
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def systems(draw):
+    """Systems with Fraction coefficients that mix in zero rows, repeated
+    rows, parallel rows and rows through one common point (degenerate
+    vertices)."""
+    n = draw(st.integers(1, 3))
+    point = draw(st.lists(small, min_size=n, max_size=n))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        how = draw(st.sampled_from(["free", "zero", "repeat", "parallel", "through"]))
+        if how == "zero":
+            rows.append(([F(0)] * n, draw(small)))
+        elif how in ("repeat", "parallel") and rows:
+            a, b = rows[draw(st.integers(0, len(rows) - 1))]
+            if how == "parallel":
+                c = draw(small.filter(bool))
+                a, b = [c * v for v in a], draw(small)
+            rows.append((a, b))
+        else:
+            a = draw(st.lists(small, min_size=n, max_size=n))
+            if how == "through":
+                rows.append((a, sum(x * p for x, p in zip(a, point))))
+            else:
+                rows.append((a, draw(small)))
+    eqs, stricts = [], []
+    for a, b in rows:
+        kind = draw(st.sampled_from(["eq", "gt", "lt"]))
+        if kind == "eq":
+            eqs.append((a, b))
+        elif kind == "gt":
+            stricts.append((a, b))
+        else:
+            stricts.append(([-v for v in a], -b))
+    return eqs, stricts, n
+
+
+@settings(max_examples=250, deadline=None)
+@given(systems())
+def test_matches_fraction_tableau(system):
+    assert_same(*system)
+
+
+@pytest.mark.parametrize("central", [False, True])
+def test_braid3_sign_systems_match(central):
+    arr = braid_arrangement(3)
+    seen = {True: 0, False: 0}
+    for sigma in product((-1, 0, 1), repeat=len(arr.forms)):
+        eqs, stricts = [], []
+        for s, (a, b) in zip(sigma, arr.forms):
+            rhs = F(0) if central else -b
+            if s == 0:
+                eqs.append((list(a), rhs))
+            elif s > 0:
+                stricts.append((list(a), rhs))
+            else:
+                stricts.append(([-v for v in a], -rhs))
+        seen[assert_same(eqs, stricts, arr.n).feasible] += 1
+    # braid(3) has 13 faces: 6 chambers, 6 walls, 1 line
+    assert seen == {True: 13, False: 14}
+
+
+def test_fractional_arrangement_systems_match():
+    rng = random.Random(3)
+    for _ in range(30):
+        n = rng.choice([2, 3])
+        forms = [
+            ([F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)],
+             F(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(3)
+        ]
+        for sigma in product((-1, 0, 1), repeat=len(forms)):
+            eqs = [(a, -b) for s, (a, b) in zip(sigma, forms) if s == 0]
+            stricts = [
+                ([s * v for v in a], s * -b) for s, (a, b) in zip(sigma, forms) if s
+            ]
+            assert_same(eqs, stricts, n)
+
+
+# ------------------------------------------------------------------ rank
+
+
+ENTRIES = {
+    "int": lambda rng: rng.randint(-5, 5),
+    "fraction": lambda rng: F(rng.randint(-5, 5), rng.randint(1, 6)),
+}
+
+
+def low_rank(rng, m, n, r, entry):
+    """An m x n matrix that is a product of m x r and r x n factors."""
+    left = [[entry(rng) for _ in range(r)] for _ in range(m)]
+    right = [[entry(rng) for _ in range(n)] for _ in range(r)]
+    return [
+        [sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)]
+        for i in range(m)
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+def test_rank_matches_fraction_elimination(kind):
+    rng = random.Random(11)
+    for _ in range(150):
+        m, n = rng.randint(0, 7), rng.randint(1, 7)
+        mat = low_rank(rng, m, n, rng.randint(0, 4), ENTRIES[kind])
+        if rng.random() < 0.3 and mat:
+            mat.append(list(mat[rng.randrange(len(mat))]))
+        want = ref_rank(mat)
+        assert _rank(mat) == want
+        assert rational_rank(mat) == want
+
+
+def test_integer_rank_does_not_call_the_public_rank(monkeypatch):
+    # a tracer wrapping lp.rational_rank must not count homology's ranks
+    def fail(rows):
+        raise AssertionError("homology called lp.rational_rank")
+
+    assert "rational_rank" not in vars(sys.modules["stratakit.homology"])
+    monkeypatch.setattr(lp, "rational_rank", fail)
+    mat = {(0, 0): 2, (0, 1): 4, (1, 0): 3, (1, 1): 6, (2, 2): 5}
+    assert integer_rank(mat) == 2
+
+
+# ------------------------------------------------------------ self-check
+
+
+def test_check_rejects_a_tampered_witness():
+    stricts = [([F(1)], F(0)), ([F(-1)], F(-1))]
+    rows = _system([], stricts, 1)
+    r = strict_feasibility([], stricts, 1)
+    _check(rows, 1, r)
+    with pytest.raises(RuntimeError):
+        _check(rows, 1, replace(r, witness=(F(1),)))
+
+
+def test_check_rejects_a_flipped_phase1_certificate():
+    eqs = [([F(1), F(1)], F(0)), ([F(2), F(2)], F(1))]
+    rows = _system(eqs, [], 2)
+    r = strict_feasibility(eqs, [], 2)
+    assert r.certificate["phase"] == 1
+    _check(rows, 2, r)
+    mult = list(r.certificate["multipliers"])
+    i = next(i for i, m in enumerate(mult) if m)
+    mult[i] = -mult[i]
+    with pytest.raises(RuntimeError):
+        _check(rows, 2, replace(r, certificate={**r.certificate, "multipliers": mult}))
+
+
+def test_check_rejects_a_flipped_phase2_certificate():
+    # x > 0, y > 0 and x + y = -1/2: the certificate needs the equality
+    stricts = [([F(1), F(0)], F(0)), ([F(0), F(1)], F(0))]
+    eqs = [([F(1), F(1)], F(-1, 2))]
+    rows = _system(eqs, stricts, 2)
+    r = strict_feasibility(eqs, stricts, 2)
+    assert r.certificate["phase"] == 2
+    _check(rows, 2, r)
+    for key in ("y", "w"):
+        part = dict(r.certificate[key])
+        i = next(i for i, m in part.items() if m)
+        part[i] = -part[i]
+        with pytest.raises(RuntimeError):
+            _check(rows, 2, replace(r, certificate={**r.certificate, key: part}))
