@@ -127,28 +127,33 @@ def _value_leq(v, w) -> bool:
     return v[1] < w[1] or v == w
 
 
+def _sign_system(arr: Arrangement, signs, central: bool):
+    """The (equalities, stricts) putting form i at signs[i]: 0 on its
+    hyperplane, +-1 strictly on that side, None unconstrained. A central
+    system drops the constant terms."""
+    eqs = []
+    stricts = []
+    for s, (a, b) in zip(signs, arr.forms):
+        if s is None:
+            continue
+        rhs = Fraction(0) if central else -b
+        if s == 0:
+            eqs.append((list(a), rhs))
+        elif s > 0:
+            stricts.append((list(a), rhs))
+        else:
+            stricts.append(([-v for v in a], -rhs))
+    return eqs, stricts
+
+
 def _level1_candidates(
     arr: Arrangement, central: bool
 ) -> list[tuple[tuple[Sign, ...], int, Feasibility]]:
     """Realizable sign vectors in {-1,0,1}^k with their dimensions."""
     k = len(arr.forms)
-
-    def check(sigma: tuple[Sign, ...]):
-        eqs = []
-        stricts = []
-        for s, (a, b) in zip(sigma, arr.forms):
-            rhs = Fraction(0) if central else -b
-            if s == 0:
-                eqs.append((list(a), rhs))
-            elif s > 0:
-                stricts.append((list(a), rhs))
-            else:
-                stricts.append(([-v for v in a], -rhs))
-        return strict_feasibility(eqs, stricts, arr.n)
-
     out = []
     for sigma in iproduct((-1, 0, 1), repeat=k):
-        feas = check(sigma)
+        feas = strict_feasibility(*_sign_system(arr, sigma, central), arr.n)
         if not feas.feasible:
             continue
         zero_rows = [list(a) for s, (a, _) in zip(sigma, arr.forms) if s == 0]
@@ -248,16 +253,19 @@ def faces_higher(arr: Arrangement, order: int) -> Poset:
 
 
 def complement_poset(arr: Arrangement, order: int) -> Poset:
-    """Subposet of the strata avoiding every thickened hyperplane."""
+    """Subposet of the strata avoiding every thickened hyperplane.
+
+    These strata form an up-set (a nonzero value stays nonzero above it),
+    so every interval between two of them lies inside and the covers of
+    the face poset with both ends kept generate the order: O(covers)
+    instead of a test of every pair.
+    """
     p = faces_higher(arr, order)
     keep = [e for e in p.elements if all(v != 0 for v in p.labels[e])]
     kept = set(keep)
-    less = [
-        (a, b) for a in keep for b in keep if b in kept and p.less(a, b)
-    ]
     return Poset.from_relation(
         keep,
-        less,
+        [(a, b) for a, b in p.covers if a in kept and b in kept],
         {e: p.grades[e] for e in keep},
         {e: p.labels[e] for e in keep},
     )
@@ -336,26 +344,15 @@ def _witness(arr: Arrangement, order: int, label: tuple):
     stratum, built from per-level witnesses."""
     points = []
     for level in range(1, order + 1):
-        eqs = []
-        stricts = []
-        for value, (a, b) in zip(label, arr.forms):
-            rhs = -b if level == 1 else Fraction(0)
-            wanted = 0
-            if value != 0:
-                sign, m = value
-                if level == m:
-                    wanted = sign
-                elif level < m:
-                    wanted = None  # unconstrained at this level
-            if wanted is None:
-                continue
-            if wanted == 0:
-                eqs.append((list(a), rhs))
-            elif wanted > 0:
-                stricts.append((list(a), rhs))
+        signs = []
+        for value in label:
+            if value == 0 or level > value[1]:
+                signs.append(0)
+            elif level == value[1]:
+                signs.append(value[0])
             else:
-                stricts.append(([-v for v in a], -rhs))
-        feas = strict_feasibility(eqs, stricts, arr.n)
+                signs.append(None)  # unconstrained below its own level
+        feas = strict_feasibility(*_sign_system(arr, signs, level > 1), arr.n)
         if not feas.feasible:
             return None
         points.append(feas.witness)

@@ -387,10 +387,6 @@ def lower_link(c: AcyclicCategory, x: Obj) -> DeltaComplex:
     return nondegenerate_nerve(_comma_over(c, x, include_identity=False))
 
 
-def _is_ident(m) -> bool:
-    return isinstance(m, tuple) and len(m) == 2 and m[0] == IDENTITY
-
-
 def product_category(c: AcyclicCategory, d: AcyclicCategory) -> AcyclicCategory:
     """Pairs with componentwise composition; hom-sets multiply:
     Hom((x,y),(x',y')) = Hom(x,x') x Hom(y,y').
@@ -406,7 +402,9 @@ def product_category(c: AcyclicCategory, d: AcyclicCategory) -> AcyclicCategory:
     src: dict[Mid, Obj] = {}
     dst: dict[Mid, Obj] = {}
     # morphisms: (f, g) with f in Mor(c)+identities, g in Mor(d)+identities,
-    # excluding identity-identity pairs
+    # excluding identity-identity pairs. A component is an identity iff its
+    # endpoints agree: validate_category allows no other endomorphism,
+    # while an input id may equal the IDENTITY tag.
     c_parts = [((IDENTITY, x), x, x) for x in c.objects] + [
         (f, c.src[f], c.dst[f]) for f in c.morphisms
     ]
@@ -415,22 +413,27 @@ def product_category(c: AcyclicCategory, d: AcyclicCategory) -> AcyclicCategory:
     ]
     for f, fs, fd in c_parts:
         for g, gs, gd in d_parts:
-            if _is_ident(f) and _is_ident(g):
+            if fs == fd and gs == gd:
                 continue
             m = (f, g)
             mids.append(m)
             src[m], dst[m] = (fs, gs), (fd, gd)
 
-    def comp_side(side: AcyclicCategory, b, a):
-        if _is_ident(a):
-            return b
-        if _is_ident(b):
-            return a
-        return side.compose[(b, a)]
+    def compose_pair(b, a):
+        (sa0, sa1), (da0, da1) = src[a], dst[a]
+        (sb0, sb1), (db0, db1) = src[b], dst[b]
+        if sa0 == da0:
+            f = b[0]
+        else:
+            f = a[0] if sb0 == db0 else c.compose[(b[0], a[0])]
+        if sa1 == da1:
+            g = b[1]
+        else:
+            g = a[1] if sb1 == db1 else d.compose[(b[1], a[1])]
+        return (f, g)
 
     comp = {
-        (b, a): (comp_side(c, b[0], a[0]), comp_side(d, b[1], a[1]))
-        for a, b in _composable_pairs(mids, src, dst)
+        (b, a): compose_pair(b, a) for a, b in _composable_pairs(mids, src, dst)
     }
     grades = {}
     if (not c.objects or c.grades) and (not d.objects or d.grades):
@@ -525,9 +528,10 @@ def grothendieck(
     def compose_pair(b_mid, a_mid):
         u2, u1 = b_mid[0], a_mid[0]
         a1, b2 = a_mid[1], b_mid[2]
-        if _is_ident(u1):
+        # fiber relations, and only they, stay over one base object
+        if src[a_mid][0] == dst[a_mid][0]:
             return (u2, a1, b2)
-        if _is_ident(u2):
+        if src[b_mid][0] == dst[b_mid][0]:
             return (u1, a1, b2)
         return (c.compose[(u2, u1)], a1, b2)
 

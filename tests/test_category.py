@@ -17,8 +17,10 @@ from stratakit.category import (
     upper_star,
     validate_category,
 )
+from stratakit.css import make_css, product_css, sd
 from stratakit.delta import euler_characteristic, f_vector, validate_delta
 from stratakit.fixtures import CSS_FIXTURES, circle_minimal, punctured_torus, simplex
+from stratakit.homology import chain_complex, homology
 from stratakit.poset import Poset, order_complex, validate_poset
 
 
@@ -29,6 +31,10 @@ def chain_cat(n):
         {i: i for i in range(n + 1)},
     )
     return AcyclicCategory.from_poset(p)
+
+
+def interval_with_id(mid):
+    return AcyclicCategory((0, 1), (mid,), {mid: 0}, {mid: 1}, {}, {0: 0, 1: 1})
 
 
 def terminal_cat():
@@ -238,6 +244,22 @@ class TestProductCategory:
         rhs = poset_product(underlying_poset(c), underlying_poset(c))
         assert are_isomorphic(lhs, rhs)
 
+    def test_morphism_id_equal_to_identity_tag(self):
+        # "1" is also the tag of derived identity components; identities
+        # must be told by their endpoints, not their ids
+        i = interval_with_id("1")
+        cube = product_category(product_category(i, i), i)
+        assert validate_category(cube) == []
+        assert (len(cube.morphisms), len(cube.compose)) == (19, 18)
+        expected = ((1, 0, 0, 0), ((),) * 4)
+        h = homology(chain_complex(nondegenerate_nerve(cube)))
+        assert (h.betti, h.torsion) == expected
+        x = make_css(i)
+        cube_css = product_css(product_css(x, x), x)
+        assert cube_css.cat == cube
+        h = homology(chain_complex(sd(cube_css)))
+        assert (h.betti, h.torsion) == expected
+
 
 class TestGrothendieck:
     def test_constant_point_functor_is_identity(self):
@@ -247,6 +269,16 @@ class TestGrothendieck:
         maps = {m: {0: 0} for m in c.morphisms}
         # grades of the construction come from the (trivially graded)
         # fibers, so compare the category structure only
+        assert categories_isomorphic(
+            grothendieck(c, fibers, maps), c, match_grades=False
+        )
+
+    def test_base_morphism_id_starting_with_identity_tag(self):
+        i = interval_with_id("1")
+        c = product_category(i, i)  # has mids ("1", ("1", x))
+        point = Poset((0,), (), {0: 0})
+        fibers = {x: point for x in c.objects}
+        maps = {m: {0: 0} for m in c.morphisms}
         assert categories_isomorphic(
             grothendieck(c, fibers, maps), c, match_grades=False
         )

@@ -1,6 +1,9 @@
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratakit.delta import (
     DeltaComplex,
@@ -9,9 +12,17 @@ from stratakit.delta import (
     f_vector,
     validate_delta,
 )
-from stratakit.css import sd
-from stratakit.fixtures import boundary_simplex, punctured_torus, rp2, simplex
+from stratakit.css import product_css, sd
+from stratakit.fixtures import (
+    CSS_FIXTURES,
+    boundary_simplex,
+    punctured_torus,
+    rp2,
+    simplex,
+)
 from stratakit.homology import (
+    _dense_snf,
+    _rank,
     chain_complex,
     homology,
     integer_rank,
@@ -167,3 +178,116 @@ class TestCounting:
             assert euler_characteristic(k) == sum(
                 (-1) ** n * b for n, b in enumerate(h.betti)
             )
+
+
+# ------------------------------------- reference: heap-driven unit pivoting
+
+
+class RefSparseMatrix:
+    """Unit pivots chosen by lowest Markowitz score from a heap."""
+
+    def __init__(self, mat):
+        self.rows = {}
+        self.cols = {}
+        for (i, j), v in mat.items():
+            if v:
+                self.rows.setdefault(i, {})[j] = v
+                self.cols.setdefault(j, set()).add(i)
+
+    def _set(self, i, j, v):
+        if v:
+            self.rows.setdefault(i, {})[j] = v
+            self.cols.setdefault(j, set()).add(i)
+        else:
+            row = self.rows.get(i)
+            if row and j in row:
+                del row[j]
+                if not row:
+                    del self.rows[i]
+                self.cols[j].discard(i)
+                if not self.cols[j]:
+                    del self.cols[j]
+
+    def eliminate_units(self):
+        heap = []
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                if v in (1, -1):
+                    heap.append(((len(row) - 1) * (len(self.cols[j]) - 1), i, j))
+        heapq.heapify(heap)
+        count = 0
+        while heap:
+            score, i, j = heapq.heappop(heap)
+            v = self.rows.get(i, {}).get(j, 0)
+            if v not in (1, -1):
+                continue
+            cur = (len(self.rows[i]) - 1) * (len(self.cols[j]) - 1)
+            if cur > score:
+                heapq.heappush(heap, (cur, i, j))
+                continue
+            pivot_row = dict(self.rows[i])
+            for i2 in list(self.cols[j]):
+                if i2 == i:
+                    continue
+                factor = self.rows[i2][j] * v
+                for j2, u in pivot_row.items():
+                    nv = self.rows.get(i2, {}).get(j2, 0) - factor * u
+                    self._set(i2, j2, nv)
+                    if nv in (1, -1):
+                        r2 = self.rows.get(i2, {})
+                        score = (len(r2) - 1) * (len(self.cols[j2]) - 1)
+                        heapq.heappush(heap, (score, i2, j2))
+            for j2 in list(pivot_row):
+                self._set(i, j2, 0)
+            count += 1
+        return count
+
+    def dense_residual(self):
+        col_pos = {j: c for c, j in enumerate(sorted(self.cols))}
+        out = [[0] * len(col_pos) for _ in self.rows]
+        for r, i in enumerate(sorted(self.rows)):
+            for j, v in self.rows[i].items():
+                out[r][col_pos[j]] = v
+        return out
+
+
+def ref_snf_diagonal(mat):
+    sparse = RefSparseMatrix(mat)
+    units = sparse.eliminate_units()
+    return [1] * units + _dense_snf(sparse.dense_residual())
+
+
+def ref_integer_rank(mat):
+    sparse = RefSparseMatrix(mat)
+    units = sparse.eliminate_units()
+    return units + _rank(sparse.dense_residual())
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 25 x 25, mostly +-1, with explicit zeros, +-2 and +-3 entries;
+    indices are drawn sparsely, so rows and columns may be empty."""
+    m = draw(st.integers(0, 25))
+    n = draw(st.integers(0, 25))
+    if not m or not n:
+        return {}
+    value = st.sampled_from([1, -1] * 6 + [0, 2, -2, 3, -3])
+    key = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    return draw(st.dictionaries(key, value, max_size=min(m * n, 120)))
+
+
+class TestUnitReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices())
+    def test_matches_heap_elimination(self, mat):
+        assert snf_diagonal(mat) == ref_snf_diagonal(mat)
+        assert integer_rank(mat) == ref_integer_rank(mat)
+
+    def test_fixture_boundary_maps(self):
+        spaces = [make() for make in CSS_FIXTURES.values()]
+        spaces.append(product_css(rp2(), rp2()))
+        assert len(spaces) == 13
+        for x in spaces:
+            for mat in chain_complex(sd(x)).boundaries:
+                assert snf_diagonal(mat) == ref_snf_diagonal(mat)
+                assert integer_rank(mat) == ref_integer_rank(mat)
