@@ -52,7 +52,9 @@ class AcyclicCategory:
 
     ``compose[(g, f)] = g . f`` for every composable pair of non-identity
     morphisms (dst(f) == src(g)). ``grades`` optionally assigns an integer
-    to each object (the cell dimension, for face categories).
+    to each object (the cell dimension, for face categories). Instances
+    are immutable after construction: adjacency and the diagnostics of
+    ``validate_category`` are computed once and cached.
     """
 
     objects: tuple[Obj, ...]
@@ -75,6 +77,10 @@ class AcyclicCategory:
         for m in self.morphisms:
             inc[self.dst[m]].append(m)
         return {x: tuple(v) for x, v in inc.items()}
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_category_problems(self))
 
     def hom(self, x: Obj, y: Obj) -> tuple[Mid, ...]:
         return tuple(m for m in self._out.get(x, ()) if self.dst[m] == y)
@@ -108,7 +114,13 @@ class AcyclicCategory:
 
 
 def validate_category(c: AcyclicCategory) -> list[str]:
-    """Report unit/associativity/acyclicity violations; empty iff valid."""
+    """Report unit/associativity/acyclicity violations; empty iff valid.
+
+    The check runs once per category; each call returns a fresh list."""
+    return list(c._problems)
+
+
+def _category_problems(c: AcyclicCategory) -> list[str]:
     problems = []
     objs = set(c.objects)
     if len(objs) != len(c.objects):

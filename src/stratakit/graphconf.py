@@ -216,7 +216,9 @@ def conf_category(g: Graph, k: int) -> CombinatorialCSS:
     if bad:
         raise ValueError("; ".join(bad))
     cells = _conf_cells(g, k)
-    cellset = set(cells)
+    # one instance per cell, so lookups keyed by cells or ids match by
+    # identity instead of ConfCell.__eq__; a cell outside the model raises
+    stored = {cell: cell for cell in cells}
     mids = []
     src = {}
     dst = {}
@@ -232,7 +234,7 @@ def conf_category(g: Graph, k: int) -> CombinatorialCSS:
             result = _specialize(g, cell, spec)
             if result is None:
                 continue
-            assert result in cellset
+            result = stored[result]
             m = (cell, spec)
             mids.append(m)
             src[m], dst[m] = result, cell
@@ -240,12 +242,10 @@ def conf_category(g: Graph, k: int) -> CombinatorialCSS:
     for m in mids:
         out[src[m]].append(m)
     comp = {}
-    midset = set(mids)
+    stored_mids = {m: m for m in mids}
     for f in mids:
         for b in out[dst[f]]:
-            merged = (b[0], tuple(sorted(b[1] + f[1])))
-            assert merged in midset
-            comp[(b, f)] = merged
+            comp[(b, f)] = stored_mids[(b[0], tuple(sorted(b[1] + f[1])))]
     grades = {cell: cell.dim() for cell in cells}
     cat = AcyclicCategory(
         tuple(cells), tuple(mids), src, dst, comp, grades
@@ -266,19 +266,23 @@ def _permute_cell(cell: ConfCell, perm: dict[int, int]) -> ConfCell:
 def sigma_action(css: CombinatorialCSS, k: int) -> GroupActionOnCategory:
     """The coordinate-permutation action on a configuration category,
     generated by adjacent transpositions. Free: strict orders and
-    distinct vertex occupancies forbid fixed cells."""
+    distinct vertex occupancies forbid fixed cells. Images are the stored
+    cells and morphism ids themselves."""
+    stored = {cell: cell for cell in css.cat.objects}
+    stored_mids = {m: m for m in css.cat.morphisms}
     gens = []
     for i in range(k - 1):
         perm = {j: j for j in range(k)}
         perm[i], perm[i + 1] = i + 1, i
-        omap = {cell: _permute_cell(cell, perm) for cell in css.cat.objects}
+        omap = {
+            cell: stored[_permute_cell(cell, perm)] for cell in css.cat.objects
+        }
         mmap = {}
         for m in css.cat.morphisms:
             cell, spec = m
-            mmap[m] = (
-                _permute_cell(cell, perm),
-                tuple(sorted((perm[c], end) for c, end in spec)),
-            )
+            mmap[m] = stored_mids[
+                (omap[cell], tuple(sorted((perm[c], end) for c, end in spec)))
+            ]
         gens.append((omap, mmap))
     return GroupActionOnCategory(css.cat, tuple(gens))
 

@@ -12,10 +12,24 @@ RP^2 x S^2). Nerve boundary matrices are sparse with unit entries, so
 this typically removes well over 90% of the cells; a dense SNF runs on
 the small residue. A rank-only mode over the rationals is available for
 fast Betti numbers; torsion mode is the default.
+
+``homology`` reduces the boundary maps jointly, from d_top down to d_1,
+and clears: before d_n is reduced, the columns of the n-cells that were
+unit-pivot rows of d_{n+1} are deleted. Each unit pivot (b, a) of d_{n+1}
+is a reduction pair (Kaczynski-Mrozek-Slusarek, "Homology computation by
+reduction of chain complexes", 1998; the "clearing" of Chen-Kerber,
+"Persistent homology computation with a twist", 2011). Row operations on
+d_{n+1} are column operations on d_n that only add into the pivot-row
+columns, and since d_n . d_{n+1} = 0 those columns end up zero; so every
+rank and invariant factor of d_n is unchanged. The precondition is
+d . d = 0, which ``chain_complex`` verifies. Cost of the sweep of d_n,
+before -> after: all |C_n| = rank d_n + rank d_{n+1} + beta_n columns ->
+about rank d_n + beta_n columns plus the non-unit part of d_{n+1}.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 from .delta import DeltaComplex, f_vector
@@ -114,9 +128,12 @@ def _is_zero_product(a: Matrix, b: Matrix) -> bool:
     return not prod
 
 
-def _unit_reduce(mat: Matrix) -> tuple[int, list[list[int]]]:
-    """Eliminate +-1 pivots in one column sweep; returns the pivot count
-    and the dense residual (remaining rows by non-empty columns, sorted).
+def _unit_reduce(
+    mat: Matrix, skip: Container[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Eliminate +-1 pivots in one column sweep, ignoring the columns in
+    ``skip``; returns the pivot rows, in pivot order, and the dense
+    residual (remaining rows by non-empty columns, sorted).
 
     Each column is visited once, in descending index, and pivots on the
     +-1 entry of its shortest row (ties to the smaller row index). Unit
@@ -129,27 +146,38 @@ def _unit_reduce(mat: Matrix) -> tuple[int, list[list[int]]]:
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (i, j), v in mat.items():
-        if v:
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
-    units = 0
+        if v and j not in skip:
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: v}
+            else:
+                row[j] = v
+            col = cols.get(j)
+            if col is None:
+                cols[j] = {i}
+            else:
+                col.add(i)
+    pivots = []
     for j in sorted(cols, reverse=True):
         col = cols[j]
         p = None
+        best = 0
         for i in col:
-            if rows[i][j] in (1, -1) and (
-                p is None or (len(rows[i]), i) < (len(rows[p]), p)
-            ):
-                p = i
+            row = rows[i]
+            if row[j] in (1, -1):
+                size = len(row)
+                if p is None or size < best or (size == best and i < p):
+                    p, best = i, size
         if p is None:
             continue
         pivot = rows.pop(p)
+        v = pivot.pop(j)
+        col.discard(p)
         for j2 in pivot:
             cols[j2].discard(p)
-        v = pivot[j]
-        for i in list(col):
+        for i in col:
             row = rows[i]
-            factor = row[j] * v  # row[j] / v since v is a unit
+            factor = row.pop(j) * v  # row[j] / v since v is a unit
             for j2, u in pivot.items():
                 nv = row.get(j2, 0) - factor * u
                 if nv:
@@ -161,7 +189,8 @@ def _unit_reduce(mat: Matrix) -> tuple[int, list[list[int]]]:
                     cols[j2].discard(i)
             if not row:
                 del rows[i]
-        units += 1
+        col.clear()
+        pivots.append(p)
     col_pos = {j: c for c, j in enumerate(j for j in sorted(cols) if cols[j])}
     residual = []
     for i in sorted(rows):
@@ -169,7 +198,7 @@ def _unit_reduce(mat: Matrix) -> tuple[int, list[list[int]]]:
         for j, v in rows[i].items():
             dense[col_pos[j]] = v
         residual.append(dense)
-    return units, residual
+    return pivots, residual
 
 
 def _dense_snf(rows: list[list[int]]) -> list[int]:
@@ -235,37 +264,50 @@ def _dense_snf(rows: list[list[int]]) -> list[int]:
 
 def snf_diagonal(mat: Matrix) -> list[int]:
     """Invariant factors of an integer matrix, each dividing the next."""
-    units, residual = _unit_reduce(mat)
-    return [1] * units + _dense_snf(residual)
+    pivots, residual = _unit_reduce(mat, ())
+    return [1] * len(pivots) + _dense_snf(residual)
 
 
 def integer_rank(mat: Matrix) -> int:
-    units, residual = _unit_reduce(mat)
-    return units + _rank(residual)
+    pivots, residual = _unit_reduce(mat, ())
+    return len(pivots) + _rank(residual)
 
 
 def homology(cc: ChainComplex, rank_only: bool = False) -> HomologyResult:
     """Integral homology from Smith normal forms of the boundary maps.
 
+    The maps are reduced from the top down, d_top first. The n-cells that
+    were unit-pivot rows of d_{n+1} are cleared: their columns of d_n are
+    never read. Each such pivot (b, a) is a reduction pair, and removing
+    it changes no rank and no invariant factor of d_n; this needs
+    d_n . d_{n+1} = 0, which ``chain_complex`` verifies and a hand-built
+    ``ChainComplex`` must satisfy. The sweep of d_n then visits about
+    rank d_n + beta_n columns plus the non-unit part, instead of all
+    |C_n| = rank d_n + rank d_{n+1} + beta_n. A negative Betti number,
+    that is rank d_n + rank d_{n+1} > |C_n|, raises RuntimeError: it is
+    what a complex with d . d != 0 or a wrong clearing can give.
+
     With rank_only=True, torsion is skipped and ranks are computed over
     the rationals (after unit-pivot elimination).
     """
     top = len(cc.shape) - 1
-    ranks = []
-    torsions = []
-    for n in range(1, top + 2):
-        mat = cc.boundary(n)
+    ranks = [0] * (top + 2)  # ranks[n] = rank d_n; d_0 = 0
+    torsion: list[tuple[int, ...]] = [()] * (top + 1)
+    cleared: set[int] = set()
+    for n in range(top + 1, 0, -1):
+        pivots, residual = _unit_reduce(cc.boundary(n), cleared)
         if rank_only:
-            ranks.append(integer_rank(mat))
-            torsions.append(())
+            ranks[n] = len(pivots) + _rank(residual)
         else:
-            diag = snf_diagonal(mat)
-            ranks.append(len(diag))
-            torsions.append(tuple(d for d in diag if d > 1))
-    betti = []
-    torsion = []
-    for n in range(top + 1):
-        rank_in = ranks[n - 1] if n >= 1 else 0
-        betti.append(cc.shape[n] - rank_in - ranks[n])
-        torsion.append(torsions[n])
-    return HomologyResult(tuple(betti), tuple(torsion))
+            diag = _dense_snf(residual)
+            ranks[n] = len(pivots) + len(diag)
+            torsion[n - 1] = tuple(d for d in diag if d > 1)
+        cleared = set(pivots)
+    betti = tuple(cc.shape[n] - ranks[n] - ranks[n + 1] for n in range(top + 1))
+    for n, b in enumerate(betti):
+        if b < 0:
+            raise RuntimeError(
+                f"negative Betti number {b} in dimension {n}: "
+                "the boundary maps do not compose to zero"
+            )
+    return HomologyResult(betti, tuple(torsion))

@@ -17,7 +17,7 @@ from stratakit.category import (
     upper_star,
     validate_category,
 )
-from stratakit.css import make_css, product_css, sd
+from stratakit.css import make_css, product_css, sd, validate_total_normality
 from stratakit.delta import euler_characteristic, f_vector, validate_delta
 from stratakit.fixtures import CSS_FIXTURES, circle_minimal, punctured_torus, simplex
 from stratakit.homology import chain_complex, homology
@@ -47,6 +47,20 @@ class TestValidate:
 
     def test_parallel_morphisms_allowed(self):
         assert validate_category(circle_minimal().cat) == []
+
+    def test_cached_diagnostics_survive_caller_mutation(self):
+        c = AcyclicCategory(("x",), ("f",), {"f": "x"}, {"f": "x"}, {})
+        first = validate_category(c)
+        expected = list(first)
+        assert expected and validate_category(c) is not first
+        first.clear()
+        assert validate_category(c) == expected
+        good = chain_cat(2)
+        validate_category(good).append("not a problem")
+        assert validate_category(good) == []
+        x = punctured_torus()
+        assert validate_total_normality(x) == validate_total_normality(x) == []
+        assert validate_category(x.cat) == []
 
     def test_two_way_homs_rejected(self):
         c = AcyclicCategory(

@@ -1,3 +1,4 @@
+import functools
 import heapq
 import random
 
@@ -16,11 +17,13 @@ from stratakit.css import product_css, sd
 from stratakit.fixtures import (
     CSS_FIXTURES,
     boundary_simplex,
+    circle_minimal,
     punctured_torus,
     rp2,
     simplex,
 )
 from stratakit.homology import (
+    ChainComplex,
     _dense_snf,
     _rank,
     chain_complex,
@@ -291,3 +294,96 @@ class TestUnitReduction:
             for mat in chain_complex(sd(x)).boundaries:
                 assert snf_diagonal(mat) == ref_snf_diagonal(mat)
                 assert integer_rank(mat) == ref_integer_rank(mat)
+
+
+# ------------------------------- reference: each boundary map on its own
+
+
+def ref_homology(cc, rank_only=False):
+    """Homology with every boundary map reduced separately, no clearing."""
+    top = len(cc.shape) - 1
+    ranks = []
+    torsions = []
+    for n in range(1, top + 2):
+        mat = cc.boundary(n)
+        if rank_only:
+            ranks.append(integer_rank(mat))
+            torsions.append(())
+        else:
+            diag = snf_diagonal(mat)
+            ranks.append(len(diag))
+            torsions.append(tuple(d for d in diag if d > 1))
+    betti = []
+    for n in range(top + 1):
+        rank_in = ranks[n - 1] if n >= 1 else 0
+        betti.append(cc.shape[n] - rank_in - ranks[n])
+    return tuple(betti), tuple(torsions)
+
+
+def assert_same_as_reference(cc):
+    for rank_only in (False, True):
+        h = homology(cc, rank_only=rank_only)
+        assert (h.betti, h.torsion) == ref_homology(cc, rank_only)
+
+
+@st.composite
+def relations(draw):
+    """A strict order on up to 10 elements, drawn as pairs a < b."""
+    n = draw(st.integers(1, 10))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    less = [(a, b) for a, b in draw(st.lists(pairs, max_size=40)) if a < b]
+    return Poset.from_relation(range(n), less)
+
+
+# products of these take at most a fraction of a second to subdivide
+SMALL_FIXTURES = sorted(
+    set(CSS_FIXTURES) - {"simplex-3", "boundary-simplex-3"}
+)
+
+
+@functools.lru_cache(maxsize=None)
+def product_chains(left, right):
+    return chain_complex(
+        sd(product_css(CSS_FIXTURES[left](), CSS_FIXTURES[right]()))
+    )
+
+
+class TestClearing:
+    @settings(max_examples=200, deadline=None)
+    @given(relations())
+    def test_order_complexes_match_per_matrix_homology(self, p):
+        assert_same_as_reference(chain_complex(order_complex(p)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(SMALL_FIXTURES), st.sampled_from(SMALL_FIXTURES))
+    def test_fixture_products_match_per_matrix_homology(self, left, right):
+        assert_same_as_reference(product_chains(left, right))
+
+    def test_fixture_nerves(self):
+        assert len(CSS_FIXTURES) == 12
+        for make in CSS_FIXTURES.values():
+            assert_same_as_reference(chain_complex(sd(make())))
+
+    def test_rp2_products(self):
+        cc = chain_complex(sd(product_css(rp2(), rp2())))
+        assert_same_as_reference(cc)
+        assert homology(cc).torsion == ((), (2, 2), (2,), (2,), ())
+        cc = chain_complex(sd(product_css(rp2(), boundary_simplex(3))))
+        assert_same_as_reference(cc)
+        h = homology(cc)
+        assert (h.betti, h.torsion) == ((1, 0, 1, 0, 0), ((), (2,), (), (2,), ()))
+
+    def test_rp2_rp2_circle(self):
+        x = product_css(product_css(rp2(), rp2()), circle_minimal())
+        cc = chain_complex(sd(x))
+        assert_same_as_reference(cc)
+        h = homology(cc)
+        assert h.betti == (1, 1, 0, 0, 0, 0)
+        assert h.torsion == ((), (2, 2), (2, 2, 2), (2, 2), (2,), ())
+
+    def test_negative_betti_raises(self):
+        # d1 . d2 = 2, not 0: rank d1 + rank d2 = 2 > |C_1| = 1
+        cc = ChainComplex((1, 1, 1), ({(0, 0): 1}, {(0, 0): 2}))
+        for rank_only in (False, True):
+            with pytest.raises(RuntimeError, match="dimension 1"):
+                homology(cc, rank_only=rank_only)

@@ -167,6 +167,22 @@ class TestSigmaAction:
             unordered = euler_characteristic(sd(unordered_conf(g, 2)))
             assert ordered == 2 * unordered
 
+    def test_images_are_stored_objects(self):
+        # one instance per cell and per morphism id, so lookups keyed by
+        # them hit by identity
+        for g, k in ((y_graph(), 2), (k5_graph(), 2), (subdivide_graph(y_graph(), 1), 3)):
+            css = conf_category(g, k)
+            c = css.cat
+            cells = {id(x) for x in c.objects}
+            mids = {id(m) for m in c.morphisms}
+            assert all(id(x) in cells for x in c.src.values())
+            assert all(id(x) in cells for x in c.dst.values())
+            assert all(id(m[0]) in cells for m in c.morphisms)
+            assert all(id(gf) in mids for gf in c.compose.values())
+            for omap, mmap in sigma_action(css, k).generators:
+                assert all(id(x) in cells for x in omap.values())
+                assert all(id(m) in mids for m in mmap.values())
+
     def test_three_points_freeness(self):
         css = conf_category(subdivide_graph(y_graph(), 2), 3)
         action = sigma_action(css, 3)
