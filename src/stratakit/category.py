@@ -8,7 +8,8 @@ structures are small and their compositions are non-uniform (two
 composite paths may coincide).
 
 Object and morphism ids are arbitrary hashables; all iteration follows
-the stored tuple order, so outputs are deterministic.
+the stored tuple order, so outputs are deterministic. The cycle check is
+``poset._strict_down``; ``categories_isomorphic`` is networkx's matcher.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 from typing import Hashable, Mapping
 
 from .delta import DeltaComplex
-from .poset import Poset, _chain_layers
+from .poset import Poset, _chain_layers, _strict_down
 
 __all__ = [
     "AcyclicCategory",
@@ -136,35 +137,11 @@ def _category_problems(c: AcyclicCategory) -> list[str]:
             problems.append(
                 f"morphism {m!r}: Hom(x,x) may only contain the identity"
             )
-    # acyclicity of the underlying relation
-    adj: dict[Obj, set[Obj]] = {x: set() for x in c.objects}
-    for m in c.morphisms:
-        adj[c.src[m]].add(c.dst[m])
-    state: dict[Obj, int] = {}
-
-    def has_cycle(x: Obj) -> bool:
-        stack = [(x, iter(adj[x]))]
-        state[x] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for y in it:
-                if state.get(y) == 1:
-                    return True
-                if y not in state:
-                    state[y] = 1
-                    stack.append((y, iter(adj[y])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-        return False
-
-    for x in c.objects:
-        if x not in state and has_cycle(x):
-            problems.append("acyclicity violation: Hom cycle through objects")
-            break
+    # acyclicity; sorting the set, as a repeated id would never finish
+    try:
+        _strict_down(objs, [(c.src[m], c.dst[m]) for m in c.morphisms])
+    except ValueError:
+        problems.append("acyclicity violation: Hom cycle through objects")
     if problems:
         return problems
 
@@ -706,88 +683,53 @@ def quotient_by_free_action(
 def categories_isomorphic(
     c: AcyclicCategory, d: AcyclicCategory, match_grades: bool = True
 ) -> bool:
-    """Search for an isomorphism: an object bijection preserving grades
-    and hom cardinalities that extends to morphisms respecting
-    composition. Backtracking; meant for desk-scale categories."""
+    """Isomorphism of categories (keeping grades when ``match_grades``) by
+    networkx's VF2 matcher, on a graph with a node per object (coloured by
+    its grade when ``match_grades``), per morphism and per composition
+    entry (g, f), and role-labelled edges object - m (src), m - object
+    (dst) and entry - g, f, g.f. In a valid acyclic category f: x -> y,
+    g: y -> z and g.f: x -> z have different endpoints, so each entry's
+    three edges are distinct, and a colour- and role-preserving graph
+    isomorphism is exactly a category isomorphism. VF2 extends a match in
+    the second graph's node order: breadth first, each entry right after
+    its last morphism, so composition is checked as soon as it is defined
+    (with entries last, symmetric products backtrack for seconds)."""
+    import networkx as nx
+
     if len(c.objects) != len(d.objects) or len(c.morphisms) != len(d.morphisms):
         return False
 
-    def signature(cat: AcyclicCategory, x: Obj):
-        return (
-            cat.grades.get(x) if match_grades else None,
-            len(cat._out[x]),
-            len(cat._in[x]),
-        )
-
-    d_by_sig: dict[tuple, list[Obj]] = {}
-    for y in d.objects:
-        d_by_sig.setdefault(signature(d, y), []).append(y)
-    for x in c.objects:
-        if signature(c, x) not in d_by_sig:
-            return False
-
-    order = sorted(c.objects, key=lambda x: len(d_by_sig[signature(c, x)]))
-
-    def mor_bijections(ms1, ms2):
-        if len(ms1) != len(ms2):
-            return
-        if not ms1:
-            yield {}
-            return
-        first, rest = ms1[0], ms1[1:]
-        for i, m2 in enumerate(ms2):
-            for tail in mor_bijections(rest, ms2[:i] + ms2[i + 1 :]):
-                yield {first: m2, **tail}
-
-    def extend(i: int, omap: dict):
-        if i == len(order):
-            # match morphisms hom-set by hom-set, then check composition
-            hom_maps = []
-            for x in c.objects:
-                for y in c.objects:
-                    h1 = c.hom(x, y)
-                    if not h1:
+    def graph(cat: AcyclicCategory) -> "nx.Graph":
+        entries: dict[Mid, list[tuple[Mid, Mid]]] = {}
+        for (g, f), gf in cat.compose.items():
+            for m in {g, f, gf}:
+                entries.setdefault(m, []).append((g, f))
+        out = nx.Graph()  # nodes enter at their first edge, in search order
+        for root in cat.objects:
+            queue = [] if ("o", root) in out else [root]
+            for x in queue:
+                for m in cat._out[x] + cat._in[x]:
+                    if ("m", m) in out:
                         continue
-                    h2 = d.hom(omap[x], omap[y])
-                    options = list(mor_bijections(h1, h2))
-                    if not options:
-                        return False
-                    hom_maps.append(options)
+                    for role, y in (("src", cat.src[m]), ("dst", cat.dst[m])):
+                        if y != x and ("o", y) not in out:
+                            queue.append(y)
+                        out.add_edge(("o", y), ("m", m), role=role)
+                    for g, f in entries.get(m, ()):
+                        parts = (("g", g), ("f", f), ("g.f", cat.compose[(g, f)]))
+                        if all(("m", n) in out for _, n in parts):
+                            for role, n in parts:
+                                out.add_edge(("c", g, f), ("m", n), role=role)
+        for x in cat.objects:
+            out.add_node(("o", x), colour=cat.grades.get(x) if match_grades else None)
+        out.add_nodes_from((("m", m) for m in cat.morphisms), colour="morphism")
+        out.add_nodes_from((("c", g, f) for g, f in cat.compose), colour="entry")
+        return out
 
-            def assemble(k: int, mmap: dict):
-                if k == len(hom_maps):
-                    return all(
-                        d.compose[(mmap[g], mmap[f])] == mmap[gf]
-                        for (g, f), gf in c.compose.items()
-                    )
-                for option in hom_maps[k]:
-                    merged = {**mmap, **option}
-                    good = all(
-                        d.compose.get((merged[g], merged[f])) == merged.get(gf)
-                        for (g, f), gf in c.compose.items()
-                        if g in merged and f in merged and gf in merged
-                    )
-                    if good and assemble(k + 1, merged):
-                        return True
-                return False
-
-            return assemble(0, {})
-        x = order[i]
-        used = set(omap.values())
-        for y in d_by_sig[signature(c, x)]:
-            if y in used:
-                continue
-            ok = all(
-                len(c.hom(x, z)) == len(d.hom(y, omap[z]))
-                and len(c.hom(z, x)) == len(d.hom(omap[z], y))
-                for z in omap
-            )
-            if not ok:
-                continue
-            omap[x] = y
-            if extend(i + 1, omap):
-                return True
-            del omap[x]
-        return False
-
-    return extend(0, {})
+    iso = nx.algorithms.isomorphism
+    return iso.GraphMatcher(
+        graph(c),
+        graph(d),
+        node_match=iso.categorical_node_match("colour", None),
+        edge_match=iso.categorical_edge_match("role", None),
+    ).is_isomorphic()

@@ -211,18 +211,14 @@ def _computed_closed_flags(c: AcyclicCategory) -> dict[Obj, bool]:
 
 
 def make_css(
-    c: AcyclicCategory,
-    closed: dict[Obj, bool] | None = None,
-    ambient: CombinatorialCSS | None = None,
-    check: bool = True,
+    c: AcyclicCategory, closed: dict[Obj, bool] | None = None
 ) -> CombinatorialCSS:
     """Assemble and validate; closed flags are computed when omitted."""
     flags = dict(closed) if closed is not None else _computed_closed_flags(c)
-    x = CombinatorialCSS(c, flags, ambient)
-    if check:
-        bad = validate_total_normality(x)
-        if bad:
-            raise ValueError("not a totally normal encoding: " + "; ".join(bad))
+    x = CombinatorialCSS(c, flags)
+    bad = validate_total_normality(x)
+    if bad:
+        raise ValueError("not a totally normal encoding: " + "; ".join(bad))
     return x
 
 
@@ -273,8 +269,9 @@ def salvetti_partition(x: CombinatorialCSS) -> SalvettiPartition:
     return SalvettiPartition(dc, tuple(source), tuple(target))
 
 
-def _upper_height(c: AcyclicCategory, cell: Obj) -> int:
-    """Longest chain of non-identity morphisms out of a cell."""
+def _upper_heights(c: AcyclicCategory) -> dict[Obj, int]:
+    """Longest chain of non-identity morphisms out of each cell, in object
+    order. One memo serves every cell: O(|objects| + |morphisms|)."""
     memo: dict[Obj, int] = {}
 
     def h(v: Obj) -> int:
@@ -284,7 +281,7 @@ def _upper_height(c: AcyclicCategory, cell: Obj) -> int:
             )
         return memo[v]
 
-    return h(cell)
+    return {cell: h(cell) for cell in c.objects}
 
 
 def dual(x: CombinatorialCSS) -> CombinatorialCSS:
@@ -296,7 +293,7 @@ def dual(x: CombinatorialCSS) -> CombinatorialCSS:
     if bad:
         raise ValueError("invalid stratified space: " + "; ".join(bad))
     op = cat_ops.opposite_category(x.cat)
-    heights = {cell: _upper_height(x.cat, cell) for cell in x.cat.objects}
+    heights = _upper_heights(x.cat)
     op = AcyclicCategory(
         op.objects, op.morphisms, op.src, op.dst, op.compose, heights
     )

@@ -92,40 +92,36 @@ class HomologyResult:
 
 
 def chain_complex(k: DeltaComplex) -> ChainComplex:
-    """Boundary matrices of a Delta complex, with d.d = 0 verified."""
+    """Boundary matrices of a Delta complex, with d.d = 0 verified.
+
+    Each column of d_n is checked against the stored columns of d_{n-1}
+    as soon as it is built, with one integer-keyed accumulator per column.
+    """
     mats = []
+    prev: list[dict[int, int]] = []
     for n in range(1, k.dim() + 1):
-        mat: Matrix = {}
+        signs = [(-1) ** i for i in range(n + 1)]
+        faces = k.faces[n - 1]
+        cols = []
         for c in range(k.size(n)):
-            for i, f in enumerate(k.faces[n - 1][c]):
-                key = (f, c)
-                v = mat.get(key, 0) + (-1) ** i
+            col: dict[int, int] = {}
+            for f, s in zip(faces[c], signs):
+                v = col.get(f, 0) + s
                 if v:
-                    mat[key] = v
-                elif key in mat:
-                    del mat[key]
-        mats.append(mat)
-    cc = ChainComplex(f_vector(k), tuple(mats))
-    for n in range(2, len(cc.shape)):
-        if not _is_zero_product(cc.boundary(n - 1), cc.boundary(n)):
-            raise ValueError(f"boundary squared is nonzero in dimension {n}")
-    return cc
-
-
-def _is_zero_product(a: Matrix, b: Matrix) -> bool:
-    a_rows: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), v in a.items():
-        a_rows.setdefault(j, []).append((i, v))
-    prod: Matrix = {}
-    for (j, col), v in b.items():
-        for i, w in a_rows.get(j, ()):
-            key = (i, col)
-            nv = prod.get(key, 0) + v * w
-            if nv:
-                prod[key] = nv
-            elif key in prod:
-                del prod[key]
-    return not prod
+                    col[f] = v
+                else:
+                    del col[f]
+            if n > 1:
+                acc: dict[int, int] = {}
+                for f, v in col.items():
+                    for r, w in prev[f].items():
+                        acc[r] = acc.get(r, 0) + v * w
+                if any(acc.values()):
+                    raise ValueError(f"boundary squared is nonzero in dimension {n}")
+            cols.append(col)
+        mats.append({(f, c): v for c, col in enumerate(cols) for f, v in col.items()})
+        prev = cols
+    return ChainComplex(f_vector(k), tuple(mats))
 
 
 def _unit_reduce(

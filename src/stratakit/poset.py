@@ -12,7 +12,8 @@ accumulating down-sets as it goes, ValueError on a cycle), and
 ``_chain_layers`` the only chain enumerator (chains grown one layer at a
 time from a table of successors). ``Poset``, ``validate_poset``,
 ``order_complex``, and the nerve and ``sd_category`` in ``category``,
-are built on them.
+are built on them; ``_strict_down`` is also the cycle check of
+``validate_category``.
 """
 
 from __future__ import annotations
