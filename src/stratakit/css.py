@@ -123,8 +123,9 @@ def _diamond_ok(p: Poset) -> bool:
 
 def _closed_cell_link_ok(p: Poset, n: int, problems: list[str], tag: str):
     """Sphere, grade and diamond checks on a closed cell's link, and a
-    sphere check on each lower interval, built from the down-sets in
-    O(|interval relation|) each."""
+    sphere check on each lower interval. An interval is down-closed, so
+    its covers are the link's covers below its top: each is built from
+    them in O(|interval covers|)."""
     if not _sphere_homology_ok(p, n):
         problems.append(
             f"{tag}: link is not a homology ({n - 1})-sphere as required "
@@ -136,12 +137,15 @@ def _closed_cell_link_ok(p: Poset, n: int, problems: list[str], tag: str):
     if not _diamond_ok(p):
         problems.append(f"{tag}: link violates the diamond property")
     # each boundary cell of the domain must itself bound a sphere
+    covers_under = {e: [] for e in p.elements}
+    for a, b in p.covers:
+        covers_under[b].append((a, b))
     for e in p.elements:
         g = p.grades[e]
         below = sorted(p.down_set(e), key=repr)
         sub = Poset.from_relation(
             below,
-            [(a, b) for b in below for a in p.down_set(b)],
+            [ab for b in below for ab in covers_under[b]],
             {a: p.grades[a] for a in below},
         )
         if not _sphere_homology_ok(sub, g):

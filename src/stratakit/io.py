@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import jsonschema
-
 from .arrangement import Arrangement
 from .category import AcyclicCategory
 from .css import CombinatorialCSS
@@ -186,6 +184,14 @@ def detect_kind(payload: dict) -> str:
 
 
 def validate_payload(payload: dict, kind: str) -> list[str]:
+    """Schema violations of ``payload`` as ``kind``, each with its JSON
+    pointer path; empty iff valid.
+
+    jsonschema is imported here, not at module top, because it is most of
+    the import time of ``stratakit.cli`` and only this function uses it:
+    commands that validate no JSON input never load it."""
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
     return [
         f"{'/' + '/'.join(str(p) for p in err.absolute_path)}: {err.message}"

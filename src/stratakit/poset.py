@@ -59,6 +59,8 @@ class Poset:
 
         The relation is transitively closed and then reduced to its
         covering pairs, so callers may pass any generating set of pairs.
+        The closure is also the covers' closure, so it becomes the cached
+        ``_down``; with repeated elements it is left to ``validate_poset``.
         """
         elems = tuple(elements)
         down = _strict_down(elems, less)
@@ -68,12 +70,15 @@ class Poset:
             if below:
                 shadow = set().union(*map(down.__getitem__, below))
                 covers.extend((lo, hi) for lo in below - shadow)
-        return cls(
+        p = cls(
             elems,
             tuple(sorted(covers, key=repr)),
             dict(grades) if grades else {},
             dict(labels) if labels else {},
         )
+        if len(down) == len(elems):
+            p.__dict__["_down"] = {e: frozenset(s) for e, s in down.items()}
+        return p
 
     @cached_property
     def _down(self) -> dict[int, frozenset[int]]:
@@ -237,25 +242,28 @@ def product(p: Poset, q: Poset) -> Poset:
 def order_complex(p: Poset) -> DeltaComplex:
     """Delta complex whose k-cells are the strictly increasing (k+1)-chains.
 
-    The i-th face deletes the i-th chain entry.
+    The i-th face deletes the i-th chain entry. Chains grown from sorted
+    elements by sorted up-sets come out sorted, one layer per dimension.
+    A k-chain a + (y,) has last face a; for i < k its i-th face is
+    d_i(a) + (y,), looked up by (index of d_i(a), y). A vertex's one face
+    is the empty chain, index -1. Cost O(k) small-key lookups per k-chain.
     """
     bad = validate_poset(p)
     if bad:
         raise ValueError("invalid poset: " + "; ".join(bad))
-    by_dim = [sorted(layer) for layer in _chain_layers(p.elements, p._up)]
-    cells = tuple(tuple(c) for c in by_dim)
-    index = [{c: i for i, c in enumerate(layer)} for layer in by_dim]
-    faces = []
+    up = {e: sorted(v) for e, v in p._up.items()}
+    starts = sorted(p.elements)
+    by_dim = _chain_layers(starts, up)
+    index = {(-1, x): i for i, x in enumerate(starts)}
+    faces = [[(-1,)] * len(starts)]
     for n in range(1, len(by_dim)):
-        layer = []
-        for chain in by_dim[n]:
-            layer.append(
-                tuple(
-                    index[n - 1][chain[:i] + chain[i + 1 :]] for i in range(n + 1)
-                )
-            )
+        # (parent index, last element) of each n-chain, in layer order
+        keys = [(j, y) for j, a in enumerate(by_dim[n - 1]) for y in up[a[-1]]]
+        prev = faces[-1]
+        layer = [tuple([index[d, y] for d in prev[j]]) + (j,) for j, y in keys]
         faces.append(tuple(layer))
-    return DeltaComplex(cells, tuple(faces))
+        index = {key: i for i, key in enumerate(keys)}
+    return DeltaComplex(tuple(map(tuple, by_dim)), tuple(faces[1:]))
 
 
 def are_isomorphic(p: Poset, q: Poset) -> bool:

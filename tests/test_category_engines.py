@@ -541,7 +541,10 @@ class TestBoundarySquared:
 
 def test_cli_import_leaves_networkx_unloaded():
     src = os.path.dirname(os.path.dirname(stratakit.__file__))
-    code = "import sys, stratakit.cli; sys.exit('networkx' in sys.modules)"
+    code = (
+        "import sys, stratakit.cli; "
+        "sys.exit(sorted({'networkx', 'jsonschema'} & set(sys.modules)) or 0)"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
     assert done.returncode == 0, done.stderr

@@ -1,0 +1,96 @@
+"""The sphere-test kernels of the poset layer against copies of the code
+they replaced.
+
+``order_complex`` finds each face by (index of the parent chain's face,
+last element) and is compared with a copy of the construction that sorted
+every layer and looked faces up by the deleted-entry chain.
+``Poset.from_relation`` keeps the transitive closure it computes as the
+cached ``_down``; it must equal the closure of the covers, and
+``validate_poset`` must report what it reports on an uncached copy.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from stratakit.delta import DeltaComplex
+from stratakit.poset import (
+    Poset,
+    _chain_layers,
+    _strict_down,
+    order_complex,
+    validate_poset,
+)
+
+
+def order_complex_by_sorting(p):
+    """The construction order_complex used to run."""
+    by_dim = [sorted(layer) for layer in _chain_layers(p.elements, p._up)]
+    cells = tuple(tuple(c) for c in by_dim)
+    index = [{c: i for i, c in enumerate(layer)} for layer in by_dim]
+    faces = []
+    for n in range(1, len(by_dim)):
+        layer = []
+        for chain in by_dim[n]:
+            layer.append(
+                tuple(index[n - 1][chain[:i] + chain[i + 1 :]] for i in range(n + 1))
+            )
+        faces.append(tuple(layer))
+    return DeltaComplex(cells, tuple(faces))
+
+
+@st.composite
+def relations(draw, unique=True):
+    """Element ids (non-contiguous, possibly negative, in drawn order) and a
+    strict order on them: random, an antichain, a chain, or empty."""
+    n = draw(st.integers(0, 7))
+    ids = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=unique))
+    shape = draw(st.sampled_from(["random", "antichain", "chain"]))
+    if shape == "antichain":
+        less = []
+    elif shape == "chain":
+        less = list(zip(ids, ids[1:]))
+    else:
+        pos = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+        picks = draw(st.lists(pos, max_size=20)) if n else []
+        less = [(ids[i], ids[j]) for i, j in picks if i < j]
+    return ids, less
+
+
+class TestOrderComplex:
+    @settings(max_examples=300, deadline=None)
+    @given(relations())
+    def test_matches_sorting_construction(self, rel):
+        p = Poset.from_relation(*rel)
+        got = order_complex(p)
+        want = order_complex_by_sorting(Poset(p.elements, p.covers))
+        assert got.cells == want.cells
+        assert got.faces == want.faces
+        assert order_complex(Poset(p.elements, p.covers)) == got
+
+    def test_empty_poset(self):
+        assert order_complex(Poset((), ())) == DeltaComplex((), ())
+
+
+class TestFromRelationClosure:
+    @settings(max_examples=300, deadline=None)
+    @given(relations())
+    def test_cached_closure_is_that_of_the_covers(self, rel):
+        p = Poset.from_relation(*rel)
+        assert "_down" in p.__dict__
+        assert p._down == _strict_down(p.elements, p.covers)
+        assert list(p._down) == list(p.elements)
+
+    @settings(max_examples=300, deadline=None)
+    @given(relations(unique=False))
+    def test_validate_reports_as_on_an_uncached_copy(self, rel):
+        try:
+            p = Poset.from_relation(*rel)
+        except (KeyError, ValueError):
+            assume(False)
+        uncached = Poset(p.elements, p.covers, p.grades, p.labels)
+        assert validate_poset(p) == validate_poset(uncached)
+
+    def test_duplicate_ids_reported(self):
+        p = Poset.from_relation([3, -1, 3, 5], [(-1, 5)])
+        assert "_down" not in p.__dict__
+        assert validate_poset(p) == ["duplicate element id 3"]
