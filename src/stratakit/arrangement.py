@@ -23,7 +23,7 @@ from itertools import product as iproduct
 
 from .css import CombinatorialCSS, poset_to_css, salvetti_complex
 from .delta import DeltaComplex
-from .lp import Feasibility, rational_rank, strict_feasibility
+from .lp import rational_rank, strict_feasibility
 from .poset import Poset, order_complex
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 Sign = int  # -1, 0, +1
-Value = "int | tuple[int, int]"  # 0 or (sign, level)
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,6 @@ class Arrangement:
         if bad:
             raise ValueError("; ".join(bad))
         return arr
-
-    def evaluate(self, x) -> list[Fraction]:
-        return [
-            sum(ai * xi for ai, xi in zip(a, x)) + b for a, b in self.forms
-        ]
 
 
 def validate_arrangement(arr: Arrangement) -> list[str]:
@@ -148,7 +142,7 @@ def _sign_system(arr: Arrangement, signs, central: bool):
 
 def _level1_candidates(
     arr: Arrangement, central: bool
-) -> list[tuple[tuple[Sign, ...], int, Feasibility]]:
+) -> list[tuple[tuple[Sign, ...], int]]:
     """Realizable sign vectors in {-1,0,1}^k with their dimensions."""
     k = len(arr.forms)
     out = []
@@ -158,7 +152,7 @@ def _level1_candidates(
             continue
         zero_rows = [list(a) for s, (a, _) in zip(sigma, arr.forms) if s == 0]
         dim = arr.n - rational_rank(zero_rows) if zero_rows else arr.n
-        out.append((sigma, dim, feas))
+        out.append((sigma, dim))
     return out
 
 
@@ -184,38 +178,6 @@ def _level1_leq(a, b) -> bool:
     return all(x == 0 or x == y for x, y in zip(a, b))
 
 
-def faces_level1(arr: Arrangement) -> Poset:
-    """Face poset of the arrangement's own stratification of R^n.
-
-    Labels are sign tuples in {-1,0,1}^k; grades are face dimensions.
-    """
-    bad = validate_arrangement(arr)
-    if bad:
-        raise ValueError("; ".join(bad))
-    faces = {
-        sigma: dim for sigma, dim, _ in _level1_candidates(arr, central=False)
-    }
-    return _poset_from_faces(faces, _level1_leq)
-
-
-def _combine(affine: tuple[Sign, ...], centrals) -> tuple:
-    """Last-nonzero rule: level 1 is the affine face, levels 2..l the
-    central ones."""
-    k = len(affine)
-    out = []
-    for i in range(k):
-        value = 0
-        for level in range(len(centrals), 0, -1):
-            s = centrals[level - 1][i]
-            if s:
-                value = (s, level + 1)
-                break
-        if value == 0 and affine[i]:
-            value = (affine[i], 1)
-        out.append(value)
-    return tuple(out)
-
-
 def _higher_leq(a, b) -> bool:
     return all(_value_leq(v, w) for v, w in zip(a, b))
 
@@ -228,25 +190,42 @@ def _level_parts(arr: Arrangement, order: int):
     bad = validate_arrangement(arr)
     if bad:
         raise ValueError("; ".join(bad))
-    affine = [(s, d) for s, d, _ in _level1_candidates(arr, central=False)]
-    central = (
-        [(s, d) for s, d, _ in _level1_candidates(arr, central=True)]
-        if order > 1
-        else []
-    )
+    affine = _level1_candidates(arr, central=False)
+    central = _level1_candidates(arr, central=True) if order > 1 else []
     return iproduct(affine, *[central] * (order - 1))
+
+
+def _symmetric_strata(arr: Arrangement, order: int):
+    """Yield every stratum of the level-symmetric refinement once, as
+    (label, dim): the label gives each form its signs level by level, the
+    dimension is the sum over the levels. Every stratification of the
+    arrangement is read from this one enumeration."""
+    for parts in _level_parts(arr, order):
+        yield tuple(zip(*(s for s, _ in parts))), sum(d for _, d in parts)
+
+
+def faces_level1(arr: Arrangement) -> Poset:
+    """Face poset of the arrangement's own stratification of R^n.
+
+    Labels are sign tuples in {-1,0,1}^k; grades are face dimensions.
+    """
+    faces = {
+        tuple(s for (s,) in label): dim
+        for label, dim in _symmetric_strata(arr, 1)
+    }
+    return _poset_from_faces(faces, _level1_leq)
 
 
 def faces_higher(arr: Arrangement, order: int) -> Poset:
     """Face poset of the level-`order` stratification of R^n (x) R^order.
 
-    A stratum's dimension is the largest total dimension of a compatible
-    tuple of level-1 faces, one per level.
+    Its labels are the collapses of the symmetric labels; a stratum's
+    dimension is the largest total dimension of a compatible tuple of
+    level-1 faces, one per level.
     """
     faces: dict[tuple, int] = {}
-    for parts in _level_parts(arr, order):
-        label = _combine(parts[0][0], [p[0] for p in parts[1:]])
-        dim = sum(p[1] for p in parts)
+    for symmetric, dim in _symmetric_strata(arr, order):
+        label = symmetric_collapse(symmetric)
         if faces.get(label, -1) < dim:
             faces[label] = dim
     return _poset_from_faces(faces, _higher_leq)
@@ -291,12 +270,7 @@ def symmetric_subdivision(arr: Arrangement, order: int) -> Poset:
     Labels are per-form tuples of level signs (level 1 affine, levels
     >= 2 central); the symmetric group on the central levels acts by
     permuting coordinates."""
-    faces: dict[tuple, int] = {}
-    for parts in _level_parts(arr, order):
-        label = tuple(
-            tuple(p[0][i] for p in parts) for i in range(len(arr.forms))
-        )
-        faces[label] = sum(p[1] for p in parts)
+    faces = dict(_symmetric_strata(arr, order))
 
     def leq(a, b):
         return all(
@@ -311,12 +285,10 @@ def symmetric_collapse(label: tuple) -> tuple:
     level, applied formwise; maps symmetric labels onto level-l labels."""
     out = []
     for levels in label:
-        value = 0
-        for m in range(len(levels), 0, -1):
-            if levels[m - 1]:
-                value = (levels[m - 1], m)
-                break
-        out.append(value)
+        m = len(levels)
+        while m and not levels[m - 1]:
+            m -= 1
+        out.append((levels[m - 1], m) if m else 0)
     return tuple(out)
 
 
@@ -370,7 +342,9 @@ def closure_order_spotcheck(
     """
     p = faces_higher(arr, order)
     rng = random.Random(seed)
-    comparable = p.comparable_pairs()
+    # sorted, so the sample depends on the poset and the seed only, not
+    # on the order in which the down-sets were filled
+    comparable = sorted(p.comparable_pairs())
     if not comparable:
         return []
     problems = []
@@ -393,20 +367,16 @@ def closure_order_spotcheck(
 
 
 def _signs_at(arr: Arrangement, points) -> tuple:
-    """Level-l sign vector of a tuple of per-level points."""
-    out = []
-    for i, (a, b) in enumerate(arr.forms):
-        value = 0
-        for level in range(len(points), 0, -1):
-            x = points[level - 1]
-            v = sum(ai * xi for ai, xi in zip(a, x))
-            if level == 1:
-                v += b
-            if v:
-                value = (1 if v > 0 else -1, level)
-                break
-        out.append(value)
-    return tuple(out)
+    """Level-l sign vector of a tuple of per-level points: the collapse of
+    the signs at each level, the constant terms entering at level 1."""
+    levels = []
+    for level, x in enumerate(points, 1):
+        values = (
+            sum(ai * xi for ai, xi in zip(a, x)) + (b if level == 1 else 0)
+            for a, b in arr.forms
+        )
+        levels.append(tuple((v > 0) - (v < 0) for v in values))
+    return symmetric_collapse(tuple(zip(*levels)))
 
 
 def braid_arrangement(k: int) -> Arrangement:

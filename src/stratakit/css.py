@@ -58,10 +58,6 @@ class CombinatorialCSS:
     closed: dict[Obj, bool]
     ambient: "CombinatorialCSS | None" = None
 
-    @property
-    def dims(self) -> dict[Obj, int]:
-        return self.cat.grades
-
     def dim(self, x: Obj) -> int:
         return self.cat.grades[x]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 from typing import Hashable
 
-from .category import AcyclicCategory, GroupActionOnCategory
+from .category import AcyclicCategory, GroupActionOnCategory, _composable_pairs
 from .css import CombinatorialCSS, make_css, poset_to_css, quotient_css
 from .poset import Poset
 
@@ -57,12 +57,6 @@ class Graph:
 
     vertices: tuple[Hashable, ...]
     edges: tuple[tuple[Hashable, tuple[Hashable, Hashable]], ...]
-
-    def ends(self, eid) -> tuple[Hashable, Hashable]:
-        for e, ends in self.edges:
-            if e == eid:
-                return ends
-        raise KeyError(eid)
 
 
 def validate_graph(g: Graph) -> list[str]:
@@ -238,14 +232,10 @@ def conf_category(g: Graph, k: int) -> CombinatorialCSS:
             m = (cell, spec)
             mids.append(m)
             src[m], dst[m] = result, cell
-    out: dict[ConfCell, list] = {x: [] for x in cells}
-    for m in mids:
-        out[src[m]].append(m)
     comp = {}
     stored_mids = {m: m for m in mids}
-    for f in mids:
-        for b in out[dst[f]]:
-            comp[(b, f)] = stored_mids[(b[0], tuple(sorted(b[1] + f[1])))]
+    for f, b in _composable_pairs(mids, src, dst):
+        comp[(b, f)] = stored_mids[(b[0], tuple(sorted(b[1] + f[1])))]
     grades = {cell: cell.dim() for cell in cells}
     cat = AcyclicCategory(
         tuple(cells), tuple(mids), src, dst, comp, grades
@@ -356,10 +346,11 @@ def abrams_conditions(g: Graph, k: int) -> list[str]:
     problems = []
 
     # essential paths: maximal chains through degree-2 vertices whose
-    # endpoints both have valence > 2
+    # endpoints both have valence > 2; walked from the essential vertices
+    # in vertex order, so the messages do not depend on the hash seed
     essential = {v for v in g.vertices if degree[v] != 2}
     seen_edges = set()
-    for start in essential:
+    for start in (v for v in g.vertices if v in essential):
         for e0, nxt in adjacency[start]:
             if e0 in seen_edges:
                 continue

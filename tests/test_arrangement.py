@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import stratakit.arrangement as arrangement
 from stratakit.arrangement import (
     Arrangement,
     SignVector,
@@ -22,7 +23,7 @@ from stratakit.arrangement import (
 )
 from stratakit.delta import f_vector
 from stratakit.homology import chain_complex, homology
-from stratakit.poset import validate_poset
+from stratakit.poset import Poset, validate_poset
 
 
 def point_in_line():
@@ -261,3 +262,21 @@ def test_closure_order_spotcheck_clean():
     assert closure_order_spotcheck(point_in_line(), 2, seed=5) == []
     assert closure_order_spotcheck(braid_arrangement(2), 2, seed=5) == []
     assert closure_order_spotcheck(three_generic_lines(), 1, seed=5, pairs=10) == []
+
+
+def test_closure_order_spotcheck_sample_depends_on_the_poset(monkeypatch):
+    """The same poset built from all of its pairs (as faces_higher builds
+    it) and from its covers alone samples the same pairs for a seed."""
+    arr = braid_arrangement(3)
+    by_pairs = faces_higher(arr, 2)
+    by_covers = Poset.from_relation(
+        by_pairs.elements, by_pairs.covers, by_pairs.grades, by_pairs.labels
+    )
+    # without witnesses every sampled pair is reported, in sample order
+    monkeypatch.setattr(arrangement, "_witness", lambda arr, order, label: None)
+    samples = []
+    for p in (by_pairs, by_covers):
+        monkeypatch.setattr(arrangement, "faces_higher", lambda arr, order, p=p: p)
+        samples.append(closure_order_spotcheck(arr, 2, seed=0))
+    assert len(samples[0]) == 25
+    assert samples[0] == samples[1]

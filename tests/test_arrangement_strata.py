@@ -1,0 +1,277 @@
+"""The stratifications read from one enumeration of symmetric strata.
+
+`faces_level1`, `faces_higher`, `symmetric_subdivision`, `complement_poset`
+and `_signs_at` are checked against in-test copies of their earlier
+versions, which built each stratification in its own loop and wrote the
+collapse rule out separately: equal elements, covers, grades and labels,
+and the same sequence of LP systems.
+"""
+
+import sys
+from fractions import Fraction as F
+from itertools import product as iproduct
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stratakit.arrangement as arrangement
+from stratakit.arrangement import (
+    Arrangement,
+    braid_arrangement,
+    complement_poset,
+    faces_higher,
+    faces_level1,
+    symmetric_subdivision,
+    validate_arrangement,
+)
+from stratakit.lp import rational_rank, strict_feasibility
+from stratakit.poset import Poset
+
+# ---- reference copies of the earlier code --------------------------------
+
+
+def ref_sign_system(arr, signs, central):
+    eqs = []
+    stricts = []
+    for s, (a, b) in zip(signs, arr.forms):
+        if s is None:
+            continue
+        rhs = F(0) if central else -b
+        if s == 0:
+            eqs.append((list(a), rhs))
+        elif s > 0:
+            stricts.append((list(a), rhs))
+        else:
+            stricts.append(([-v for v in a], -rhs))
+    return eqs, stricts
+
+
+def ref_level1_candidates(arr, central):
+    out = []
+    for sigma in iproduct((-1, 0, 1), repeat=len(arr.forms)):
+        feas = strict_feasibility(*ref_sign_system(arr, sigma, central), arr.n)
+        if not feas.feasible:
+            continue
+        zero_rows = [list(a) for s, (a, _) in zip(sigma, arr.forms) if s == 0]
+        dim = arr.n - rational_rank(zero_rows) if zero_rows else arr.n
+        out.append((sigma, dim, feas))
+    return out
+
+
+def ref_poset_from_faces(faces, leq):
+    labels = sorted(faces, key=repr)
+    index = {lab: i for i, lab in enumerate(labels)}
+    less = [
+        (index[a], index[b])
+        for a in labels
+        for b in labels
+        if a != b and leq(a, b)
+    ]
+    return Poset.from_relation(
+        range(len(labels)),
+        less,
+        {index[lab]: faces[lab] for lab in labels},
+        {index[lab]: lab for lab in labels},
+    )
+
+
+def ref_value_leq(v, w):
+    if v == 0:
+        return True
+    if w == 0:
+        return False
+    return v[1] < w[1] or v == w
+
+
+def ref_level1_leq(a, b):
+    return all(x == 0 or x == y for x, y in zip(a, b))
+
+
+def ref_higher_leq(a, b):
+    return all(ref_value_leq(v, w) for v, w in zip(a, b))
+
+
+def ref_faces_level1(arr):
+    bad = validate_arrangement(arr)
+    if bad:
+        raise ValueError("; ".join(bad))
+    faces = {
+        sigma: dim for sigma, dim, _ in ref_level1_candidates(arr, central=False)
+    }
+    return ref_poset_from_faces(faces, ref_level1_leq)
+
+
+def ref_combine(affine, centrals):
+    out = []
+    for i in range(len(affine)):
+        value = 0
+        for level in range(len(centrals), 0, -1):
+            s = centrals[level - 1][i]
+            if s:
+                value = (s, level + 1)
+                break
+        if value == 0 and affine[i]:
+            value = (affine[i], 1)
+        out.append(value)
+    return tuple(out)
+
+
+def ref_level_parts(arr, order):
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    bad = validate_arrangement(arr)
+    if bad:
+        raise ValueError("; ".join(bad))
+    affine = [(s, d) for s, d, _ in ref_level1_candidates(arr, central=False)]
+    central = (
+        [(s, d) for s, d, _ in ref_level1_candidates(arr, central=True)]
+        if order > 1
+        else []
+    )
+    return iproduct(affine, *[central] * (order - 1))
+
+
+def ref_faces_higher(arr, order):
+    faces = {}
+    for parts in ref_level_parts(arr, order):
+        label = ref_combine(parts[0][0], [p[0] for p in parts[1:]])
+        dim = sum(p[1] for p in parts)
+        if faces.get(label, -1) < dim:
+            faces[label] = dim
+    return ref_poset_from_faces(faces, ref_higher_leq)
+
+
+def ref_complement_poset(arr, order):
+    p = ref_faces_higher(arr, order)
+    keep = [e for e in p.elements if all(v != 0 for v in p.labels[e])]
+    kept = set(keep)
+    return Poset.from_relation(
+        keep,
+        [(a, b) for a, b in p.covers if a in kept and b in kept],
+        {e: p.grades[e] for e in keep},
+        {e: p.labels[e] for e in keep},
+    )
+
+
+def ref_symmetric_subdivision(arr, order):
+    faces = {}
+    for parts in ref_level_parts(arr, order):
+        label = tuple(
+            tuple(p[0][i] for p in parts) for i in range(len(arr.forms))
+        )
+        faces[label] = sum(p[1] for p in parts)
+
+    def leq(a, b):
+        return all(
+            x == 0 or x == y for fa, fb in zip(a, b) for x, y in zip(fa, fb)
+        )
+
+    return ref_poset_from_faces(faces, leq)
+
+
+def ref_signs_at(arr, points):
+    out = []
+    for a, b in arr.forms:
+        value = 0
+        for level in range(len(points), 0, -1):
+            x = points[level - 1]
+            v = sum(ai * xi for ai, xi in zip(a, x))
+            if level == 1:
+                v += b
+            if v:
+                value = (1 if v > 0 else -1, level)
+                break
+        out.append(value)
+    return tuple(out)
+
+
+# ---- comparison ----------------------------------------------------------
+
+
+def shape(p):
+    return p.elements, p.covers, p.grades, p.labels
+
+
+def lp_systems(build, *args):
+    """The poset `build` returns and the LP systems it solves, in order.
+    Both bindings are wrapped, so the reference and the program are
+    recorded the same way."""
+    with mock.patch.object(
+        arrangement, "strict_feasibility", wraps=strict_feasibility
+    ) as program, mock.patch.object(
+        sys.modules[__name__], "strict_feasibility", wraps=strict_feasibility
+    ) as reference:
+        p = build(*args)
+    return shape(p), [c.args for c in program.call_args_list + reference.call_args_list]
+
+
+def assert_same(new, ref, *args):
+    assert lp_systems(new, *args) == lp_systems(ref, *args)
+
+
+PAIRS = (
+    (faces_higher, ref_faces_higher),
+    (complement_poset, ref_complement_poset),
+    (symmetric_subdivision, ref_symmetric_subdivision),
+)
+
+# symmetric_subdivision compares every pair of its strata, so an order is
+# drawn only while the strata number at most this many
+MAX_STRATA = 600
+
+
+@st.composite
+def arrangements(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4))
+    coefficient = st.integers(-2, 2)
+    forms = ()
+    for _ in range(k):
+        a = draw(st.lists(coefficient, min_size=n, max_size=n))
+        trial = forms + ((tuple(map(F, a)), F(draw(coefficient))),)
+        # a form with zero linear part or repeating a hyperplane is dropped
+        if not validate_arrangement(Arrangement(n, trial)):
+            forms = trial
+    return Arrangement(n, forms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements(), st.integers(1, 3))
+def test_stratifications_match_the_separate_loops(arr, order):
+    assert_same(faces_level1, ref_faces_level1, arr)
+    affine = len(arrangement._level1_candidates(arr, central=False))
+    central = len(arrangement._level1_candidates(arr, central=True))
+    while order > 1 and affine * central ** (order - 1) > MAX_STRATA:
+        order -= 1
+    for new, ref in PAIRS:
+        assert_same(new, ref, arr, order)
+
+
+def test_braid3_matches_the_separate_loops():
+    arr = braid_arrangement(3)
+    assert_same(faces_level1, ref_faces_level1, arr)
+    for order in (1, 2, 3):
+        assert_same(faces_higher, ref_faces_higher, arr, order)
+        assert_same(complement_poset, ref_complement_poset, arr, order)
+    for order in (1, 2):
+        assert_same(symmetric_subdivision, ref_symmetric_subdivision, arr, order)
+
+
+@st.composite
+def arrangements_with_points(draw):
+    arr = draw(arrangements())
+    levels = draw(st.integers(1, 3))
+    coordinate = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    points = [
+        tuple(draw(st.lists(coordinate, min_size=arr.n, max_size=arr.n)))
+        for _ in range(levels)
+    ]
+    return arr, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrangements_with_points())
+def test_signs_at_matches_the_separate_rule(case):
+    arr, points = case
+    assert arrangement._signs_at(arr, points) == ref_signs_at(arr, points)

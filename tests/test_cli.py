@@ -85,6 +85,38 @@ def test_abrams_command(capsys):
     assert r["homology"]["betti"][0] == 2
 
 
+def test_abrams_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # a theta graph with string vertex ids: two essential vertices joined
+    # by three paths, each too short for k = 2
+    payload = {
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [
+            {"id": "e1", "ends": ["a", "b"]},
+            {"id": "e2", "ends": ["a", "c"]},
+            {"id": "e3", "ends": ["c", "b"]},
+            {"id": "e4", "ends": ["a", "d"]},
+            {"id": "e5", "ends": ["d", "b"]},
+        ],
+    }
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(payload))
+    src = os.path.dirname(os.path.dirname(stratakit.__file__))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "stratakit.cli", "abrams", "--file", str(path), "--k", "2"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+        ).stdout
+        for seed in (0, 1, 2)
+    ]
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["oracle_conditions"] == [
+        "path of length 1 between essential vertices 'a' and 'b' (need >= 3)",
+        "path of length 2 between essential vertices 'a' and 'b' (need >= 3)",
+        "path of length 2 between essential vertices 'a' and 'b' (need >= 3)",
+    ]
+
+
 def test_dual_command(capsys):
     r = report(capsys, "dual", "--fixture", "simplex-2")
     assert r["cells_by_dim"] == {"0": 1, "1": 3, "2": 3}
@@ -195,6 +227,19 @@ def test_homology_of_poset_file(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     r = report(capsys, "homology", "--file", str(path))
     assert r["homology"]["betti"] == [1, 1]
+
+
+def test_homology_of_cyclic_poset_file(tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    path.write_text(
+        json.dumps({"elements": [{"id": 0}, {"id": 1}], "covers": [[0, 1], [1, 0]]})
+    )
+    code, out, err = run(capsys, "homology", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == (
+        "error: invalid poset: antisymmetry violation: "
+        "cover relation contains a cycle"
+    )
 
 
 def test_out_flag(tmp_path, capsys):

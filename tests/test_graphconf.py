@@ -139,7 +139,11 @@ class TestAbrams:
 
     def test_conditions_checker(self):
         assert abrams_conditions(loop_graph(), 2)  # girth 1 < 3
-        assert abrams_conditions(k5_graph(), 2)  # essential paths too short
+        assert abrams_conditions(k5_graph(), 2) == [  # essential paths too short
+            f"path of length 1 between essential vertices {i} and {j} (need >= 3)"
+            for i in range(5)
+            for j in range(i + 1, 5)
+        ]
         assert abrams_conditions(subdivide_graph(loop_graph(), 3), 2) == []
         assert abrams_conditions(subdivide_graph(k5_graph(), 3), 2) == []
         assert abrams_conditions(subdivide_graph(k5_graph(), 3), 3)  # k=3 needs more
