@@ -88,12 +88,17 @@ def link_poset(x: CombinatorialCSS, cell: Obj) -> Poset:
 def _sphere_homology_ok(p: Poset, n: int) -> bool:
     """Does the order complex of p have the homology of S^(n-1)?
 
-    n = 0 demands the empty poset (the boundary of a point)."""
+    n = 0 demands the empty poset (the boundary of a point). A
+    0-dimensional order complex (an antichain) is decided by its vertex
+    count: its homology is Z^vertices in degree 0, so it is S^0 iff n = 1
+    and there are 2 vertices."""
     if n == 0:
         return not p.elements
     if not p.elements:
         return False
     kom = order_complex(p)
+    if kom.dim() == 0:
+        return n == 1 and kom.size(0) == 2
     h = homology(chain_complex(kom))
     want = [0] * max(n, 1)
     want[0] += 1

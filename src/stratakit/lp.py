@@ -19,6 +19,10 @@ rhs_k*a_i (the scales cancel), so the pivots are the ones a Fraction
 tableau takes. A pivot costs O(rows*cols) multiply-subtracts of small
 integers plus one gcd per row, where a Fraction tableau pays a gcd and an
 object allocation for every entry. Fraction appears only at the boundary.
+The split x = x+ - x-, t = t+ - t- keeps only its x+ and t+ columns: the
+x- and t- columns are their negatives in every row and stay so under row
+operations, so Bland's rule reads them by a sign flip (_column), and a row
+update costs 2(nvars+1) fewer multiply-subtracts.
 
 Every result is checked before it is returned (_check), on the integer
 rows: a witness must satisfy every row and a certificate must prove the
@@ -95,25 +99,53 @@ def _reduced(vec: list[int], scale: int) -> tuple[list[int], int]:
     return vec, scale
 
 
-def _bland_simplex(tab, scale, basis, ncols):
+def _column(label: int, nfree: int) -> tuple[int, int]:
+    """Stored column and sign of a column label. Labels number x+ and t+
+    (0..nfree-1), then x- and t- (nfree..2*nfree-1), then slacks and
+    artificials. The tableau stores no x- or t- column: each is the
+    negated x+ or t+ column in every row, and stays so under row
+    operations."""
+    if label < nfree:
+        return label, 1
+    if label < 2 * nfree:
+        return label - nfree, -1
+    return label - nfree, 1
+
+
+def _entering(obj, nfree: int, ncore: int) -> int | None:
+    """Bland's entering label: the smallest improving label below ncore,
+    so x+ first, then the virtual x-, then the slacks."""
+    for j in range(nfree):
+        if obj[j] > 0:
+            return j
+    for j in range(nfree):
+        if obj[j] < 0:
+            return nfree + j
+    for j in range(nfree, ncore - nfree):
+        if obj[j] > 0:
+            return nfree + j
+    return None
+
+
+def _bland_simplex(tab, scale, basis, nfree, ncore):
     """Maximize the objective stored in the last tableau row.
 
-    tab is a list of integer rows [a_0..a_{ncols-1} | rhs], row i standing
+    tab is a list of integer rows [stored columns | rhs], row i standing
     for tab[i] / scale[i]; the last row holds reduced costs (entry > 0
-    means entering improves). Entering: smallest improving index; leaving:
-    smallest basis index among minimal ratios. Returns False when
-    unbounded.
+    means entering improves). Columns are named by label (see _column).
+    Entering: smallest improving label below ncore; leaving: smallest
+    basis label among minimal ratios. Returns False when unbounded.
     """
     m = len(tab) - 1
     while True:
-        obj = tab[-1]
-        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        enter = _entering(tab[-1], nfree, ncore)
         if enter is None:
             return True
+        col, sign = _column(enter, nfree)
         pivot_row = None
         for i in range(m):
             row = tab[i]
-            a = row[enter]
+            a = row[col] * sign
             if a > 0:
                 rhs = row[-1]
                 if pivot_row is None:
@@ -125,24 +157,25 @@ def _bland_simplex(tab, scale, basis, ncols):
                     pivot_row, best_rhs, best_a = i, rhs, a
         if pivot_row is None:
             return False
-        _pivot(tab, scale, basis, pivot_row, enter)
+        _pivot(tab, scale, basis, pivot_row, enter, nfree)
 
 
-def _pivot(tab, scale, basis, row, col):
+def _pivot(tab, scale, basis, row, label, nfree):
+    col, sign = _column(label, nfree)
     prow = tab[row]
-    if prow[col] < 0:
+    if prow[col] * sign < 0:
         prow = [-v for v in prow]
-    # the pivot row divided by its pivot entry has scale prow[col]
-    prow, p = _reduced(prow, prow[col])
+    # the pivot row divided by its pivot entry has scale prow[col] * sign
+    prow, p = _reduced(prow, prow[col] * sign)
     tab[row] = prow
     scale[row] = p
     for i, r in enumerate(tab):
-        f = r[col]
+        f = r[col] * sign
         if f and i != row:
             tab[i], scale[i] = _reduced(
                 [p * a - f * b for a, b in zip(r, prow)], p * scale[i]
             )
-    basis[row] = col
+    basis[row] = label
 
 
 def strict_feasibility(
@@ -159,27 +192,29 @@ def strict_feasibility(
 
 
 def _solve(rows, nvars: int) -> Feasibility:
-    # variables: x+ (nvars), t+, x- (nvars), t-, slacks, artificials
+    # column labels: x+ (nvars), t+, x- (nvars), t-, slacks, artificials;
+    # x- and t- are not stored (see _column), so label L >= nfree is
+    # stored at L - nfree
     nfree = nvars + 1  # x and t, both sign-free
     nslack = sum(kind != "eq" for *_, kind in rows)
     ncore = 2 * nfree + nslack
-    ncols = ncore + len(rows)  # + one artificial per row
+    nart = ncore - nfree  # stored index of the first artificial
+    ncols = nart + len(rows)
 
     tab: list[list[int]] = []
     scale: list[int] = []
     signs = []
     si = 0
     for ridx, (vec, d, kind) in enumerate(rows):
-        free = vec[:-1]
-        row = free + [-a for a in free] + [0] * (ncols - 2 * nfree) + vec[-1:]
+        row = vec[:-1] + [0] * (ncols - nfree) + vec[-1:]
         if kind != "eq":
-            row[2 * nfree + si] = -d if kind == "ge" else d
+            row[nfree + si] = -d if kind == "ge" else d
             si += 1
         sign = 1
         if row[-1] < 0:
             row = [-v for v in row]
             sign = -1
-        row[ncore + ridx] = d
+        row[nart + ridx] = d
         signs.append(sign)
         tab.append(row)
         scale.append(d)
@@ -193,49 +228,51 @@ def _solve(rows, nvars: int) -> Feasibility:
     for row, d in zip(tab, scale):
         f = common // d
         obj = [v + f * r for v, r in zip(obj, row)]
-    for j in range(ncore, ncols):
+    for j in range(nart, ncols):
         obj[j] = 0
     obj, s = _reduced(obj, common)
     tab.append(obj)
     scale.append(s)
-    _bland_simplex(tab, scale, basis, ncore)  # artificials never re-enter
+    _bland_simplex(tab, scale, basis, nfree, ncore)  # artificials never re-enter
     # objective value is -tab[-1][-1]; equalities are consistent iff it is 0
     obj, s = tab[-1], scale[-1]
     if obj[-1] > 0:
         cert = {
             "phase": 1,
-            "multipliers": [Fraction(-s - obj[ncore + i], s) for i in range(len(rows))],
+            "multipliers": [Fraction(-s - obj[nart + i], s) for i in range(len(rows))],
             "signs": list(signs),
         }
         return Feasibility(False, None, None, cert)
 
-    # drive any artificial still basic at zero level out of the basis
+    # drive any artificial still basic at zero level out of the basis; the
+    # first nonzero label is never an x- (its x+ comes first and is nonzero)
     for i in range(len(rows)):
         if basis[i] >= ncore:
-            enter = next((j for j in range(ncore) if tab[i][j] != 0), None)
-            if enter is not None:
-                _pivot(tab, scale, basis, i, enter)
+            j = next((j for j in range(nart) if tab[i][j] != 0), None)
+            if j is not None:
+                _pivot(tab, scale, basis, i, j if j < nfree else j + nfree, nfree)
 
     # phase 2: maximize t = t+ - t-; a basic t+ or t- is priced out with
     # its row, whose basic entry equals its scale
     obj = [0] * (ncols + 1)
     obj[nvars] = 1
-    obj[nfree + nvars] = -1
     s = 1
-    for i, col in enumerate(basis):
-        f = obj[col]
-        if col < ncore and f:
-            d = scale[i]
-            obj, s = _reduced([d * v - f * r for v, r in zip(obj, tab[i])], d * s)
+    for i, label in enumerate(basis):
+        if label < ncore:
+            col, sign = _column(label, nfree)
+            f = obj[col] * sign
+            if f:
+                d = scale[i]
+                obj, s = _reduced([d * v - f * r for v, r in zip(obj, tab[i])], d * s)
     tab[-1] = obj
     scale[-1] = s
-    if not _bland_simplex(tab, scale, basis, ncore):
+    if not _bland_simplex(tab, scale, basis, nfree, ncore):
         raise RuntimeError("slack-bounded program cannot be unbounded")
 
     values = [ZERO] * (2 * nfree)
-    for i, col in enumerate(basis):
-        if col < 2 * nfree:
-            values[col] = Fraction(tab[i][-1], scale[i])
+    for i, label in enumerate(basis):
+        if label < 2 * nfree:
+            values[label] = Fraction(tab[i][-1], scale[i])
     x = tuple(values[j] - values[nfree + j] for j in range(nvars))
     margin = values[nvars] - values[nfree + nvars]
     if margin > 0:
@@ -245,7 +282,7 @@ def _solve(rows, nvars: int) -> Feasibility:
     y = {}
     w = {}
     for ridx, (*_, kind) in enumerate(rows):
-        mult = Fraction(-obj[ncore + ridx] * signs[ridx], s)
+        mult = Fraction(-obj[nart + ridx] * signs[ridx], s)
         if kind == "eq":
             w[ridx] = mult
         else:

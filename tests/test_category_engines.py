@@ -4,8 +4,11 @@ replaced.
 ``categories_isomorphic`` runs networkx's graph matcher and is compared with
 a copy of the backtracking search it replaced; ``validate_category`` finds
 cycles with ``poset._strict_down`` and is compared with a copy of the
-depth-first search it replaced; ``chain_complex`` checks d.d = 0 column by
-column and is compared with a copy of the all-at-once construction.
+depth-first search it replaced; ``chain_complex`` certifies d.d = 0 by the
+simplicial identities and is compared with a copy of the all-at-once
+construction; ``_sphere_homology_ok`` decides 0-dimensional order complexes
+by their vertex count and is compared with a copy that takes homology of
+every one.
 """
 
 import os
@@ -25,14 +28,16 @@ from stratakit.category import (
     validate_category,
 )
 from stratakit.css import (
+    _sphere_homology_ok,
     identity_subdivision,
+    link_poset,
     poset_to_css,
     product_css,
     salvetti_complex,
     sd,
     subdivide,
 )
-from stratakit.delta import DeltaComplex, f_vector
+from stratakit.delta import DeltaComplex, f_vector, validate_delta
 from stratakit.fixtures import (
     CSS_FIXTURES,
     circle_minimal,
@@ -41,7 +46,7 @@ from stratakit.fixtures import (
     y_space,
 )
 from stratakit.graphconf import graph_to_css, loop_graph
-from stratakit.homology import ChainComplex, chain_complex
+from stratakit.homology import ChainComplex, chain_complex, homology
 from stratakit.poset import Poset, order_complex
 
 
@@ -537,6 +542,146 @@ class TestBoundarySquared:
     @pytest.mark.parametrize("name", sorted(CSS_FIXTURES))
     def test_fixture_nerves_match(self, name):
         assert_same_chain_complex(sd(CSS_FIXTURES[name]()))
+
+
+@st.composite
+def delta_complexes(draw):
+    """A Delta complex whose n-cells are words of length n + 1 over up to
+    four vertices, repeats allowed, closed under deleting a letter; d_i
+    deletes letter i, so the identities hold, and a word like (v, v, w)
+    has two equal faces and a loop (v, v) among them."""
+    nv = draw(st.integers(1, 4))
+    letters = st.integers(0, nv - 1)
+    drawn = draw(st.lists(st.lists(letters, min_size=1, max_size=4), max_size=8))
+    words = {tuple(w) for w in drawn} | {(v,) for v in range(nv)}
+    todo = list(words)
+    while todo:
+        w = todo.pop()
+        for i in range(len(w)) if len(w) > 1 else ():
+            face = w[:i] + w[i + 1 :]
+            if face not in words:
+                words.add(face)
+                todo.append(face)
+    top = max(map(len, words))
+    cells = tuple(sorted(w for w in words if len(w) == n + 1) for n in range(top))
+    index = [{w: c for c, w in enumerate(layer)} for layer in cells]
+    faces = tuple(
+        tuple(
+            tuple(index[n - 1][w[:i] + w[i + 1 :]] for i in range(n + 1))
+            for w in cells[n]
+        )
+        for n in range(1, top)
+    )
+    return DeltaComplex(tuple(map(tuple, cells)), faces)
+
+
+@st.composite
+def corrupted_delta_complexes(draw):
+    """A drawn Delta complex with up to three face entries redirected to
+    other cells of the right dimension."""
+    k = draw(delta_complexes())
+    faces = [[list(row) for row in table] for table in k.faces]
+    for _ in range(draw(st.integers(0, 3)) if faces else 0):
+        n = draw(st.integers(1, len(faces)))
+        c = draw(st.integers(0, len(faces[n - 1]) - 1))
+        i = draw(st.integers(0, n))
+        faces[n - 1][c][i] = draw(st.integers(0, k.size(n - 1) - 1))
+    return DeltaComplex(k.cells, tuple(tuple(map(tuple, t)) for t in faces))
+
+
+def build_or_error(build, k):
+    try:
+        return build(k), None
+    except ValueError as e:
+        return None, str(e)
+
+
+class TestFaceIdentityCertificate:
+    def test_failed_identity_with_zero_square_builds(self):
+        # vertices p, q; a runs p -> q (d_0 a = q, d_1 a = p), b is a loop
+        # at q; the 2-cell t has faces (a, a, b), so d_0 d_2 t = q but
+        # d_1 d_0 t = p, while d(t) = a - a + b = b and d(b) = 0
+        k = DeltaComplex(
+            (("p", "q"), ("a", "b"), ("t",)),
+            (((1, 0), (1, 1)), ((0, 0, 1),)),
+        )
+        assert validate_delta(k) == [
+            "2-cell 0: d_0 d_2 != d_1 d_0",
+            "2-cell 0: d_1 d_2 != d_1 d_1",
+        ]
+        assert chain_complex(k).boundaries == ({(1, 0): 1, (0, 0): -1}, {(1, 0): 1})
+        assert_same_chain_complex(k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(delta_complexes(), corrupted_delta_complexes()))
+    def test_matches_all_at_once(self, k):
+        cc, err = build_or_error(chain_complex, k)
+        ref, ref_err = build_or_error(chain_complex_all_at_once, k)
+        assert err == ref_err
+        if err is None:
+            assert cc == ref
+            for mat, ref_mat in zip(cc.boundaries, ref.boundaries):
+                assert list(mat.items()) == list(ref_mat.items())
+                assert len(mat) == len(ref_mat)
+
+
+def sphere_homology_by_chains(p, n):
+    """The sphere test that took homology of every order complex."""
+    if n == 0:
+        return not p.elements
+    if not p.elements:
+        return False
+    h = homology(chain_complex(order_complex(p)))
+    want = [0] * max(n, 1)
+    want[0] += 1
+    if n >= 1:
+        want[n - 1] += 1
+    betti = list(h.betti) + [0] * (len(want) - len(h.betti))
+    if len(betti) != len(want):
+        return False
+    return betti == want and all(not t for t in h.torsion)
+
+
+def fixture_links():
+    """Every link of every CSS fixture, and the lower interval under each
+    element of each link."""
+    out = []
+    for name in sorted(CSS_FIXTURES):
+        x = CSS_FIXTURES[name]()
+        for cell in x.cells():
+            lk = link_poset(x, cell)
+            out.append(lk)
+            for e in lk.elements:
+                below = sorted(lk.down_set(e))
+                covers = [(a, b) for a, b in lk.covers if b in lk.down_set(e)]
+                out.append(Poset.from_relation(below, covers))
+    return out
+
+
+SMALL_POSETS = [Poset.from_relation(range(m), []) for m in range(4)] + [
+    Poset.from_relation(range(m), [(i, i + 1) for i in range(m - 1)])
+    for m in range(2, 4)
+]
+FIXED_POSETS = fixture_links() + SMALL_POSETS
+
+
+class TestSphereVerdict:
+    def test_fixed_posets(self):
+        assert len(FIXED_POSETS) > 100
+        for p in FIXED_POSETS:
+            for n in range(5):
+                assert _sphere_homology_ok(p, n) == sphere_homology_by_chains(p, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from(FIXED_POSETS),
+            orders().map(lambda p: Poset(p.elements, p.covers)),
+        ),
+        st.integers(0, 4),
+    )
+    def test_matches_homology_of_every_complex(self, p, n):
+        assert _sphere_homology_ok(p, n) == sphere_homology_by_chains(p, n)
 
 
 def test_cli_import_leaves_networkx_unloaded():
