@@ -85,13 +85,21 @@ def link_poset(x: CombinatorialCSS, cell: Obj) -> Poset:
     return Poset.from_relation(range(len(mids)), less, grades, labels)
 
 
-def _sphere_homology_ok(p: Poset, n: int) -> bool:
+def _sphere_homology_ok(p: Poset, n: int, memo: dict | None = None) -> bool:
     """Does the order complex of p have the homology of S^(n-1)?
 
     n = 0 demands the empty poset (the boundary of a point). A
     0-dimensional order complex (an antichain) is decided by its vertex
     count: its homology is Z^vertices in degree 0, so it is S^0 iff n = 1
-    and there are 2 vertices."""
+    and there are 2 vertices.
+
+    ``memo`` maps (vertex count, face table) of an order complex to its
+    ``HomologyResult``; the caller owns it for one validation. The chain
+    complex, and so its homology, is a pure function of that key, so a
+    hit is exact; the order complex and its chain complex (with the
+    d.d = 0 check) are still built on every call, and only ``homology``
+    is skipped. The result is stored rather than the verdict, so the
+    comparison with n stays here. Without a memo nothing is reused."""
     if n == 0:
         return not p.elements
     if not p.elements:
@@ -99,7 +107,13 @@ def _sphere_homology_ok(p: Poset, n: int) -> bool:
     kom = order_complex(p)
     if kom.dim() == 0:
         return n == 1 and kom.size(0) == 2
-    h = homology(chain_complex(kom))
+    cc = chain_complex(kom)
+    if memo is None:
+        memo = {}
+    key = (kom.size(0), kom.faces)
+    h = memo.get(key)
+    if h is None:
+        h = memo[key] = homology(cc)
     want = [0] * max(n, 1)
     want[0] += 1
     if n >= 1:
@@ -122,12 +136,17 @@ def _diamond_ok(p: Poset) -> bool:
     return True
 
 
-def _closed_cell_link_ok(p: Poset, n: int, problems: list[str], tag: str):
+def _closed_cell_link_ok(
+    p: Poset, n: int, problems: list[str], tag: str, memo: dict
+):
     """Sphere, grade and diamond checks on a closed cell's link, and a
     sphere check on each lower interval. An interval is down-closed, so
     its covers are the link's covers below its top: each is built from
-    them in O(|interval covers|)."""
-    if not _sphere_homology_ok(p, n):
+    them in O(|interval covers|). ``memo`` is the caller's homology memo
+    (see ``_sphere_homology_ok``): links and intervals repeat across the
+    cells of one space, and each distinct order complex has its homology
+    computed once."""
+    if not _sphere_homology_ok(p, n, memo):
         problems.append(
             f"{tag}: link is not a homology ({n - 1})-sphere as required "
             "for a closed cell"
@@ -149,7 +168,7 @@ def _closed_cell_link_ok(p: Poset, n: int, problems: list[str], tag: str):
             [ab for b in below for ab in covers_under[b]],
             {a: p.grades[a] for a in below},
         )
-        if not _sphere_homology_ok(sub, g):
+        if not _sphere_homology_ok(sub, g, memo):
             problems.append(
                 f"{tag}: lower interval under a grade-{g} boundary cell is "
                 "not a homology sphere"
@@ -164,6 +183,10 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
     cell dimension; cells flagged closed have sphere links (homology,
     diamond property, spherical lower intervals); flags cover all cells.
     Failures name the offending cell.
+
+    Homology is computed once per distinct link order complex in one call:
+    a memo keyed by the complex's vertex count and face table, which
+    determine its chain complex exactly, lives for this call only.
     """
     problems = cat_ops.validate_category(x.cat)
     if problems:
@@ -183,6 +206,7 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
             )
     if problems:
         return problems
+    memo: dict = {}
     for cell in c.objects:
         n = c.grades[cell]
         lk = link_poset(x, cell)
@@ -196,19 +220,21 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
             problems.append(f"cell {cell!r}: 0-cell with nonempty boundary")
             continue
         if x.closed[cell]:
-            _closed_cell_link_ok(lk, n, problems, f"cell {cell!r}")
+            _closed_cell_link_ok(lk, n, problems, f"cell {cell!r}", memo)
     return problems
 
 
 def _computed_closed_flags(c: AcyclicCategory) -> dict[Obj, bool]:
-    """Flag each cell closed iff its link passes the sphere tests."""
+    """Flag each cell closed iff its link passes the sphere tests, with
+    one homology memo for the whole call."""
     probe = CombinatorialCSS(c, {cell: False for cell in c.objects})
     flags = {}
+    memo: dict = {}
     for cell in c.objects:
         lk = link_poset(probe, cell)
         trial: list[str] = []
-        if _sphere_homology_ok(lk, c.grades[cell]):
-            _closed_cell_link_ok(lk, c.grades[cell], trial, "probe")
+        if _sphere_homology_ok(lk, c.grades[cell], memo):
+            _closed_cell_link_ok(lk, c.grades[cell], trial, "probe", memo)
             flags[cell] = not trial
         else:
             flags[cell] = False

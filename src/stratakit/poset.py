@@ -60,7 +60,11 @@ class Poset:
         The relation is transitively closed and then reduced to its
         covering pairs, so callers may pass any generating set of pairs.
         The closure is also the covers' closure, so it becomes the cached
-        ``_down``; with repeated elements it is left to ``validate_poset``.
+        ``_down``, and the poset is marked ``_order_valid``: its covers
+        name known elements, are irreflexive, acyclic and no transitive
+        shortcut, so ``validate_poset`` checks only its grades (which
+        are taken as given). With repeated elements both are left to
+        ``validate_poset``.
         """
         elems = tuple(elements)
         down = _strict_down(elems, less)
@@ -78,6 +82,7 @@ class Poset:
         )
         if len(down) == len(elems):
             p.__dict__["_down"] = {e: frozenset(s) for e, s in down.items()}
+            p.__dict__["_order_valid"] = True
         return p
 
     @cached_property
@@ -162,29 +167,36 @@ def _chain_layers(starts, after) -> list[list[tuple]]:
 
 
 def validate_poset(p: Poset) -> list[str]:
-    """Diagnostic check of the poset invariants; empty list iff valid."""
-    problems = []
-    seen = set()
-    for e in p.elements:
-        if e in seen:
-            problems.append(f"duplicate element id {e}")
-        seen.add(e)
-    for lo, hi in p.covers:
-        if lo not in seen or hi not in seen:
-            problems.append(f"cover ({lo},{hi}) references unknown element")
-            return problems
-        if lo == hi:
-            problems.append(f"reflexive cover ({lo},{hi})")
+    """Diagnostic check of the poset invariants; empty list iff valid.
 
-    # antisymmetry == acyclicity of the cover digraph
-    try:
-        down = p._down
-    except ValueError:
-        problems.append("antisymmetry violation: cover relation contains a cycle")
-        return problems
-    for lo, hi in p.covers:
-        if any(lo in down[mid] for mid in down[hi]):
-            problems.append(f"cover ({lo},{hi}) is a transitive shortcut")
+    A poset that ``from_relation`` marked ``_order_valid`` skips the
+    element and cover checks, which cannot fail on it, saving their
+    O(sum over covers of |down(hi)|); its grades are checked as any."""
+    problems = []
+    if not p.__dict__.get("_order_valid"):
+        seen = set()
+        for e in p.elements:
+            if e in seen:
+                problems.append(f"duplicate element id {e}")
+            seen.add(e)
+        for lo, hi in p.covers:
+            if lo not in seen or hi not in seen:
+                problems.append(f"cover ({lo},{hi}) references unknown element")
+                return problems
+            if lo == hi:
+                problems.append(f"reflexive cover ({lo},{hi})")
+
+        # antisymmetry == acyclicity of the cover digraph
+        try:
+            down = p._down
+        except ValueError:
+            problems.append(
+                "antisymmetry violation: cover relation contains a cycle"
+            )
+            return problems
+        for lo, hi in p.covers:
+            if any(lo in down[mid] for mid in down[hi]):
+                problems.append(f"cover ({lo},{hi}) is a transitive shortcut")
     if p.grades:
         missing = [e for e in p.elements if e not in p.grades]
         if missing:

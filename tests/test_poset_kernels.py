@@ -6,9 +6,13 @@ last element) and is compared with a copy of the construction that sorted
 every layer and looked faces up by the deleted-entry chain.
 ``Poset.from_relation`` keeps the transitive closure it computes as the
 cached ``_down``; it must equal the closure of the covers, and
-``validate_poset`` must report what it reports on an uncached copy.
+``validate_poset`` must report what it reports on an uncached copy. Such a
+poset is also marked valid as an order, so ``validate_poset`` checks only
+its grades; it is compared with a copy of the function that checked
+everything, on drawn grades that may be partial or not increase.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -94,3 +98,99 @@ class TestFromRelationClosure:
         p = Poset.from_relation([3, -1, 3, 5], [(-1, 5)])
         assert "_down" not in p.__dict__
         assert validate_poset(p) == ["duplicate element id 3"]
+
+
+def validate_poset_checking_everything(p):
+    """The validate_poset that checked the order on every poset."""
+    problems = []
+    seen = set()
+    for e in p.elements:
+        if e in seen:
+            problems.append(f"duplicate element id {e}")
+        seen.add(e)
+    for lo, hi in p.covers:
+        if lo not in seen or hi not in seen:
+            problems.append(f"cover ({lo},{hi}) references unknown element")
+            return problems
+        if lo == hi:
+            problems.append(f"reflexive cover ({lo},{hi})")
+    try:
+        down = p._down
+    except ValueError:
+        problems.append("antisymmetry violation: cover relation contains a cycle")
+        return problems
+    for lo, hi in p.covers:
+        if any(lo in down[mid] for mid in down[hi]):
+            problems.append(f"cover ({lo},{hi}) is a transitive shortcut")
+    if p.grades:
+        missing = [e for e in p.elements if e not in p.grades]
+        if missing:
+            problems.append(f"partial grading: elements {sorted(missing)} ungraded")
+        else:
+            for lo, hi in p.covers:
+                if p.grades[lo] >= p.grades[hi]:
+                    problems.append(
+                        f"grade does not increase along cover ({lo},{hi})"
+                    )
+    return problems
+
+
+@st.composite
+def graded_relations(draw):
+    """A relation with grades on a drawn subset of its elements: by height
+    (valid), arbitrary (often not increasing along a cover), or none."""
+    ids, less = draw(relations(unique=draw(st.booleans())))
+    how = draw(st.sampled_from(["height", "arbitrary", "none"]))
+    if how == "none":
+        return ids, less, {}
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    else:
+        keep = [True] * len(ids)
+    if how == "height":
+        try:
+            down = _strict_down(set(ids), less)
+        except ValueError:
+            down = {e: () for e in ids}
+        grade = {e: len(down[e]) for e in ids}
+    else:
+        grade = {e: draw(st.integers(-2, 3)) for e in ids}
+    return ids, less, {e: grade[e] for e, k in zip(ids, keep) if k}
+
+
+class TestValidOrderSkipsOrderChecks:
+    @settings(max_examples=400, deadline=None)
+    @given(graded_relations())
+    def test_reports_as_the_full_check(self, rel):
+        ids, less, grades = rel
+        try:
+            p = Poset.from_relation(ids, less, grades)
+        except (KeyError, ValueError):
+            assume(False)
+        assert p.__dict__.get("_order_valid", False) == (len(set(ids)) == len(ids))
+        want = validate_poset_checking_everything(
+            Poset(p.elements, p.covers, p.grades, p.labels)
+        )
+        assert validate_poset(p) == want
+        if want:
+            with pytest.raises(ValueError) as raised:
+                order_complex(p)
+            assert str(raised.value) == "invalid poset: " + "; ".join(want)
+        else:
+            order_complex(p)
+
+    def test_bad_grades_still_raise(self):
+        p = Poset.from_relation([0, 1, 2], [(0, 1), (1, 2)], {0: 0, 1: 2, 2: 1})
+        assert p.__dict__["_order_valid"]
+        with pytest.raises(ValueError) as raised:
+            order_complex(p)
+        assert str(raised.value) == (
+            "invalid poset: grade does not increase along cover (1,2)"
+        )
+        partial = Poset.from_relation([0, 1], [(0, 1)], {1: 1})
+        assert validate_poset(partial) == ["partial grading: elements [0] ungraded"]
+
+    def test_hand_built_posets_are_checked_in_full(self):
+        shortcut = Poset((0, 1, 2), ((0, 1), (1, 2), (0, 2)))
+        assert "_order_valid" not in shortcut.__dict__
+        assert validate_poset(shortcut) == ["cover (0,2) is a transitive shortcut"]
