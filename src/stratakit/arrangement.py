@@ -182,9 +182,9 @@ def _higher_leq(a, b) -> bool:
     return all(_value_leq(v, w) for v, w in zip(a, b))
 
 
-def _level_parts(arr: Arrangement, order: int):
-    """Every tuple of level-1 faces, one per level, as (sign vector, dim)
-    pairs: the affine face first, then order - 1 central ones."""
+def _level_faces(arr: Arrangement, order: int):
+    """The level-1 faces of each level as (sign vector, dim) pairs: the
+    affine faces, then order - 1 times the one list of central faces."""
     if order < 1:
         raise ValueError("order must be >= 1")
     bad = validate_arrangement(arr)
@@ -192,16 +192,29 @@ def _level_parts(arr: Arrangement, order: int):
         raise ValueError("; ".join(bad))
     affine = _level1_candidates(arr, central=False)
     central = _level1_candidates(arr, central=True) if order > 1 else []
-    return iproduct(affine, *[central] * (order - 1))
+    return [affine] + [central] * (order - 1)
 
 
-def _symmetric_strata(arr: Arrangement, order: int):
+def _symmetric_strata(levels):
     """Yield every stratum of the level-symmetric refinement once, as
-    (label, dim): the label gives each form its signs level by level, the
-    dimension is the sum over the levels. Every stratification of the
-    arrangement is read from this one enumeration."""
-    for parts in _level_parts(arr, order):
+    (label, dim), from the faces of each level (``_level_faces``): the
+    label gives each form its signs level by level, the dimension is the
+    sum over the levels. Every stratification of the arrangement is read
+    from this one enumeration."""
+    for parts in iproduct(*levels):
         yield tuple(zip(*(s for s, _ in parts))), sum(d for _, d in parts)
+
+
+def _level1_covers(faces) -> dict:
+    """Lower covers of each level-1 face, from (sign vector, dim) pairs,
+    by a test of every pair of faces of one level."""
+    signs = [s for s, _ in faces]
+    down = {a: [b for b in signs if b != a and _level1_leq(b, a)] for a in signs}
+    below = {a: set(bs) for a, bs in down.items()}
+    return {
+        a: [b for b in bs if not any(b in below[m] for m in bs)]
+        for a, bs in down.items()
+    }
 
 
 def faces_level1(arr: Arrangement) -> Poset:
@@ -211,7 +224,7 @@ def faces_level1(arr: Arrangement) -> Poset:
     """
     faces = {
         tuple(s for (s,) in label): dim
-        for label, dim in _symmetric_strata(arr, 1)
+        for label, dim in _symmetric_strata(_level_faces(arr, 1))
     }
     return _poset_from_faces(faces, _level1_leq)
 
@@ -224,7 +237,7 @@ def faces_higher(arr: Arrangement, order: int) -> Poset:
     level-1 faces, one per level.
     """
     faces: dict[tuple, int] = {}
-    for symmetric, dim in _symmetric_strata(arr, order):
+    for symmetric, dim in _symmetric_strata(_level_faces(arr, order)):
         label = symmetric_collapse(symmetric)
         if faces.get(label, -1) < dim:
             faces[label] = dim
@@ -269,15 +282,34 @@ def symmetric_subdivision(arr: Arrangement, order: int) -> Poset:
 
     Labels are per-form tuples of level signs (level 1 affine, levels
     >= 2 central); the symmetric group on the central levels acts by
-    permuting coordinates."""
-    faces = dict(_symmetric_strata(arr, order))
+    permuting coordinates.
 
-    def leq(a, b):
-        return all(
-            x == 0 or x == y for fa, fb in zip(a, b) for x, y in zip(fa, fb)
-        )
-
-    return _poset_from_faces(faces, leq)
+    The order is the product of the level-1 face orders, one factor per
+    level, so it is generated by the pairs "one level's face replaced by
+    one of its lower covers, the other levels fixed": O(strata x levels x
+    covers) pairs, where a test of every ordered pair of strata took
+    31.6M tests for braid(4) at order 2."""
+    levels = _level_faces(arr, order)
+    # level 0 is affine and every later level central: two cover tables
+    lower_covers = [_level1_covers(faces) for faces in levels[:2]]
+    faces = dict(_symmetric_strata(levels))
+    labels = sorted(faces, key=repr)
+    index = {lab: i for i, lab in enumerate(labels)}
+    less = []
+    for hi, label in enumerate(labels):
+        for level in range(order):
+            signs = tuple(v[level] for v in label)
+            for lower in lower_covers[min(level, 1)][signs]:
+                below = tuple(
+                    v[:level] + (x,) + v[level + 1 :] for v, x in zip(label, lower)
+                )
+                less.append((index[below], hi))
+    return Poset.from_relation(
+        range(len(labels)),
+        less,
+        {i: faces[lab] for i, lab in enumerate(labels)},
+        dict(enumerate(labels)),
+    )
 
 
 def symmetric_collapse(label: tuple) -> tuple:

@@ -54,8 +54,9 @@ class AcyclicCategory:
     ``compose[(g, f)] = g . f`` for every composable pair of non-identity
     morphisms (dst(f) == src(g)). ``grades`` optionally assigns an integer
     to each object (the cell dimension, for face categories). Instances
-    are immutable after construction: adjacency and the diagnostics of
-    ``validate_category`` are computed once and cached.
+    are immutable after construction: adjacency, the diagnostics of
+    ``validate_category`` and the link of each object asked for are
+    computed once and cached.
     """
 
     objects: tuple[Obj, ...]
@@ -82,6 +83,31 @@ class AcyclicCategory:
     @cached_property
     def _problems(self) -> tuple[str, ...]:
         return tuple(_category_problems(self))
+
+    @cached_property
+    def _links(self) -> dict[Obj, tuple[int, ...]]:
+        """The link table: ``_link(x)`` of each object asked for so far."""
+        return {}
+
+    def _link(self, x: Obj) -> tuple[int, ...]:
+        """The link of x as one flat tuple of ints, computed once per
+        object and kept in ``_links``. With k = len(_in[x]), entries
+        0..k-1 are the source grades of the morphisms into x, in ``_in``
+        order; the rest are pairs (i, j) of indices into ``_in[x]`` with
+        b_i = b_j . c for a morphism c into src(b_j), one pair per such c.
+        Labels are not stored: ``_in[x]`` gives them. Cost of the first
+        call O(sum over b into x of |in(src b)|) composition lookups."""
+        flat = self._links.get(x)
+        if flat is None:
+            mids = self._in[x]
+            index = {m: i for i, m in enumerate(mids)}
+            grades, src, compose = self.grades, self.src, self.compose
+            out = [grades[src[m]] for m in mids]
+            for j, b in enumerate(mids):
+                for piece in self._in[src[b]]:
+                    out += (index[compose[(b, piece)]], j)
+            flat = self._links[x] = tuple(out)
+        return flat
 
     def hom(self, x: Obj, y: Obj) -> tuple[Mid, ...]:
         return tuple(m for m in self._out.get(x, ()) if self.dst[m] == y)

@@ -72,17 +72,24 @@ def link_poset(x: CombinatorialCSS, cell: Obj) -> Poset:
     b' <= b iff b' = b . c for some morphism c; graded by source
     dimension. Total normality makes these biject with the boundary cells
     of the domain.
+
+    The grades and the relation are read from the category's link table
+    (``AcyclicCategory._link``), filled on the first call for the cell.
+    Before the table every call rebuilt an index of the morphisms and
+    looked up one composite per pair; now that is paid once per cell and
+    category, and a call costs O(|relation|) integer reads plus
+    ``from_relation``.
     """
     c = x.cat
-    mids = list(c.in_morphisms(cell))
-    index = {m: i for i, m in enumerate(mids)}
-    less = []
-    for b in mids:
-        for piece in c.in_morphisms(c.src[b]):
-            less.append((index[c.compose[(b, piece)]], index[b]))
-    grades = {index[m]: c.grades[c.src[m]] for m in mids}
-    labels = {index[m]: m for m in mids}
-    return Poset.from_relation(range(len(mids)), less, grades, labels)
+    mids = c.in_morphisms(cell)
+    flat = c._link(cell)
+    k = len(mids)
+    return Poset.from_relation(
+        range(k),
+        list(zip(flat[k::2], flat[k + 1 :: 2])),
+        dict(enumerate(flat[:k])),
+        dict(enumerate(mids)),
+    )
 
 
 def _sphere_homology_ok(p: Poset, n: int, memo: dict | None = None) -> bool:
@@ -142,10 +149,11 @@ def _closed_cell_link_ok(
     """Sphere, grade and diamond checks on a closed cell's link, and a
     sphere check on each lower interval. An interval is down-closed, so
     its covers are the link's covers below its top: each is built from
-    them in O(|interval covers|). ``memo`` is the caller's homology memo
-    (see ``_sphere_homology_ok``): links and intervals repeat across the
-    cells of one space, and each distinct order complex has its homology
-    computed once."""
+    them in O(|interval covers|). Its elements are sorted by value (the
+    order complex, and so the verdict, does not depend on their order).
+    ``memo`` is the caller's homology memo (see ``_sphere_homology_ok``):
+    links and intervals repeat across the cells of one space, and each
+    distinct order complex has its homology computed once."""
     if not _sphere_homology_ok(p, n, memo):
         problems.append(
             f"{tag}: link is not a homology ({n - 1})-sphere as required "
@@ -162,7 +170,7 @@ def _closed_cell_link_ok(
         covers_under[b].append((a, b))
     for e in p.elements:
         g = p.grades[e]
-        below = sorted(p.down_set(e), key=repr)
+        below = sorted(p.down_set(e))
         sub = Poset.from_relation(
             below,
             [ab for b in below for ab in covers_under[b]],
@@ -226,7 +234,12 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
 
 def _computed_closed_flags(c: AcyclicCategory) -> dict[Obj, bool]:
     """Flag each cell closed iff its link passes the sphere tests, with
-    one homology memo for the whole call."""
+    one homology memo for the whole call. On an invalid category (its
+    cached diagnostics, so no counted ``validate_category`` call) every
+    flag is False: its links may be undefined, and the validation that
+    follows reports the problem."""
+    if c._problems:
+        return {cell: False for cell in c.objects}
     probe = CombinatorialCSS(c, {cell: False for cell in c.objects})
     flags = {}
     memo: dict = {}

@@ -216,8 +216,8 @@ PAIRS = (
     (symmetric_subdivision, ref_symmetric_subdivision),
 )
 
-# symmetric_subdivision compares every pair of its strata, so an order is
-# drawn only while the strata number at most this many
+# the reference symmetric_subdivision compares every pair of its strata, so
+# an order is drawn only while the strata number at most this many
 MAX_STRATA = 600
 
 
