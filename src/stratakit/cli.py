@@ -115,10 +115,15 @@ def _graph_input(args):
     return value, payload
 
 
-def _homology_report(dc, rank_only: bool = False) -> dict:
+def _checked_delta(dc):
+    """A Delta complex from a file, validated once where it comes in."""
     bad = validate_delta(dc)
     if bad:
         raise CliError("invalid complex: " + "; ".join(bad), EXIT_INVALID)
+    return dc
+
+
+def _homology_report(dc, rank_only: bool = False) -> dict:
     h = homology(chain_complex(dc), rank_only=rank_only)
     return {
         "fvector": list(f_vector(dc)),
@@ -160,12 +165,14 @@ def cmd_validate(args) -> int:
 
 def cmd_facecat(args) -> int:
     x, payload = _css_input(args)
+    ids = list(enumerate(x.cells()))
+    # a cell without a dimension or flag is left out; the diagnostics say so
     report = {
         "operation": "facecat",
         "digest": _digest(payload),
         "category": sio.dump_category(x.cat),
-        "dims": {str(i): x.cat.grades[v] for i, v in enumerate(x.cells())},
-        "closed": {str(i): x.closed[v] for i, v in enumerate(x.cells())},
+        "dims": {str(i): x.cat.grades[v] for i, v in ids if v in x.cat.grades},
+        "closed": {str(i): x.closed[v] for i, v in ids if v in x.closed},
         "diagnostics": validate_total_normality(x),
     }
     _emit(report, args)
@@ -199,7 +206,7 @@ def cmd_sd(args) -> int:
 def cmd_homology(args) -> int:
     kind, value, payload = _load_checked(args.file)
     if kind == "delta":
-        dc = value
+        dc = _checked_delta(value)
     elif kind == "poset":
         dc = order_complex(value)
     elif kind == "css":
@@ -278,7 +285,7 @@ def cmd_arrangement(args) -> int:
 
 def cmd_conf(args) -> int:
     g, payload = _graph_input(args)
-    if args.subdivide > 1:
+    if args.subdivide != 1:  # subdivide_graph rejects counts below 1
         g = subdivide_graph(g, args.subdivide)
     if args.oracle:
         x = abrams_complex(g, args.k)
@@ -398,7 +405,7 @@ def cmd_export(args) -> int:
         if kind == "css":
             text = _off_sd(sd(value))
         elif kind == "delta":
-            text = _off_sd(value)
+            text = _off_sd(_checked_delta(value))
         else:
             raise CliError(f"no OFF export for {kind}", EXIT_INVALID)
     if getattr(args, "out", None):

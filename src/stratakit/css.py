@@ -200,18 +200,7 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
     if problems:
         return [f"face category: {p}" for p in problems]
     c = x.cat
-    for cell in c.objects:
-        if cell not in c.grades:
-            problems.append(f"cell {cell!r}: no dimension assigned")
-        if cell not in x.closed:
-            problems.append(f"cell {cell!r}: no closedness flag")
-    if problems:
-        return problems
-    for m in c.morphisms:
-        if c.grades[c.src[m]] >= c.grades[c.dst[m]]:
-            problems.append(
-                f"morphism {m!r}: lift does not strictly raise dimension"
-            )
+    problems = _grading_problems(c, x.closed)
     if problems:
         return problems
     memo: dict = {}
@@ -232,15 +221,37 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
     return problems
 
 
+def _grading_problems(
+    c: AcyclicCategory, closed: dict[Obj, bool]
+) -> list[str]:
+    """On a valid category: the cells without a dimension or a closed flag,
+    else the lifts that do not strictly raise dimension. Links are defined
+    only when there are none."""
+    problems = []
+    for cell in c.objects:
+        if cell not in c.grades:
+            problems.append(f"cell {cell!r}: no dimension assigned")
+        if cell not in closed:
+            problems.append(f"cell {cell!r}: no closedness flag")
+    if problems:
+        return problems
+    return [
+        f"morphism {m!r}: lift does not strictly raise dimension"
+        for m in c.morphisms
+        if c.grades[c.src[m]] >= c.grades[c.dst[m]]
+    ]
+
+
 def _computed_closed_flags(c: AcyclicCategory) -> dict[Obj, bool]:
     """Flag each cell closed iff its link passes the sphere tests, with
-    one homology memo for the whole call. On an invalid category (its
-    cached diagnostics, so no counted ``validate_category`` call) every
-    flag is False: its links may be undefined, and the validation that
-    follows reports the problem."""
-    if c._problems:
-        return {cell: False for cell in c.objects}
+    one homology memo for the whole call. When the category is invalid
+    (its cached diagnostics, so no counted ``validate_category`` call) or
+    its grading is (``_grading_problems``), every flag is False: its links
+    may be undefined, and the validation that follows reports the
+    problem."""
     probe = CombinatorialCSS(c, {cell: False for cell in c.objects})
+    if c._problems or _grading_problems(c, probe.closed):
+        return probe.closed
     flags = {}
     memo: dict = {}
     for cell in c.objects:

@@ -2,8 +2,9 @@
 
 Cells in dimension n carry opaque keys (chains, sign vectors, ...) for
 readability; face maps are stored positionally as index tuples into the
-dimension below. The defining identities d_i d_j = d_{j-1} d_i (i < j)
-are checkable exhaustively.
+dimension below. ``_identity_failures`` is the one check of the defining
+identities d_i d_j = d_{j-1} d_i (i < j), behind both ``validate_delta``
+and ``homology.chain_complex``.
 """
 
 from __future__ import annotations
@@ -62,16 +63,39 @@ def validate_delta(k: DeltaComplex) -> list[str]:
     if problems:
         return problems
     for n in range(2, k.dim() + 1):
-        for c in range(k.size(n)):
-            for j in range(1, n + 1):
-                for i in range(j):
-                    lhs = k.face(n - 1, k.face(n, c, j), i)
-                    rhs = k.face(n - 1, k.face(n, c, i), j - 1)
-                    if lhs != rhs:
-                        problems.append(
-                            f"{n}-cell {c}: d_{i} d_{j} != d_{j - 1} d_{i}"
-                        )
+        for c, j, i in _identity_failures(k, n):
+            problems.append(f"{n}-cell {c}: d_{i} d_{j} != d_{j - 1} d_{i}")
     return problems
+
+
+def _identity_failures(k: DeltaComplex, n: int) -> list | None:
+    """Sorted (c, j, i) with d_i d_j c != d_{j-1} d_i c, i < j, compared
+    on the transposed face tables. None when a table's length is not its
+    cell count, a row is short or an index too large."""
+    faces = k.faces[n - 1]
+    if len(faces) != k.size(n):
+        return None
+    if n == 1 or not faces:
+        return []
+    lower = k.faces[n - 2]
+    if len(lower) != k.size(n - 1):
+        return None
+    # zip truncates to the shortest row: a short row leaves too few columns
+    d = list(zip(*faces))
+    low = list(zip(*lower))
+    failures = []
+    try:
+        for j in range(1, n + 1):
+            for i in range(j):
+                lhs = list(map(low[i].__getitem__, d[j]))
+                rhs = list(map(low[j - 1].__getitem__, d[i]))
+                if lhs != rhs:
+                    failures += [
+                        (c, j, i) for c, a in enumerate(lhs) if a != rhs[c]
+                    ]
+    except (IndexError, TypeError):
+        return None
+    return sorted(failures)
 
 
 def f_vector(k: DeltaComplex) -> tuple[int, ...]:

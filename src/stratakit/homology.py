@@ -27,13 +27,13 @@ before -> after: all |C_n| = rank d_n + rank d_{n+1} + beta_n columns ->
 about rank d_n + beta_n columns plus the non-unit part of d_{n+1}.
 
 ``chain_complex`` certifies d . d = 0 by the simplicial identities
-d_i d_j = d_{j-1} d_i (i < j) on the integer face table: they pair the
-terms of d(d(c)) so that they cancel. Cost per n-cell, before -> after:
-(n+1)*n dict updates, multiplying its column into the columns of d_{n-1}
--> n(n+1)/2 integer comparisons. Where an identity fails the columns of
-that dimension are multiplied out as before, so exactly the complexes
-with d . d != 0 raise. The matrices are held as their columns, which the
-unit elimination reads directly.
+d_i d_j = d_{j-1} d_i (i < j), which pair the terms of d(d(c)) so that
+they cancel; ``delta.py`` owns their check. Cost per n-cell, before ->
+after: (n+1)*n dict updates, multiplying its column into the columns of
+d_{n-1} -> n(n+1)/2 integer comparisons. Where an identity fails the
+columns of that dimension are multiplied out as before, so exactly the
+complexes with d . d != 0 raise. The matrices are held as their columns,
+which the unit elimination reads directly.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Container, Mapping
 from dataclasses import dataclass
 
-from .delta import DeltaComplex, f_vector
+from .delta import DeltaComplex, _identity_failures, f_vector
 from .lp import _rank
 
 __all__ = [
@@ -106,12 +106,10 @@ def chain_complex(k: DeltaComplex) -> ChainComplex:
     """Boundary matrices of a Delta complex, with d.d = 0 verified.
 
     d.d = 0 is certified one dimension at a time by the simplicial
-    identities d_i d_j = d_{j-1} d_i (i < j), compared on the integer face
-    table: they pair the n(n+1) terms of d(d(c)) into cancelling pairs.
-    Cost per n-cell, before -> after: (n+1)*n dict updates, multiplying
-    its column into the columns of d_{n-1} -> n(n+1)/2 integer
-    comparisons. Only in a dimension where an identity fails (or the table
-    is ragged) is each column multiplied out, so a complex whose identities
+    identities (``delta._identity_failures``): they pair the n(n+1) terms
+    of d(d(c)) into cancelling pairs; the module docstring gives the
+    cost. Only in a dimension where an identity fails (or the table is
+    ragged) is each column multiplied out, so a complex whose identities
     fail but whose boundary still squares to zero builds, and the first
     column with d(d(c)) != 0 raises ValueError.
     """
@@ -120,7 +118,7 @@ def chain_complex(k: DeltaComplex) -> ChainComplex:
     for n in range(1, k.dim() + 1):
         signs = [(-1) ** i for i in range(n + 1)]
         faces = k.faces[n - 1]
-        if _face_identities_hold(k, n):
+        if _identity_failures(k, n) == []:  # None: a malformed table
             cols = [dict(zip(row, signs)) for row in faces]
             for c, col in enumerate(cols):
                 if len(col) <= n:  # a repeated (or missing) face
@@ -154,36 +152,6 @@ def _column(faces: tuple[int, ...], signs: list[int]) -> dict[int, int]:
         else:
             del col[f]
     return col
-
-
-def _face_identities_hold(k: DeltaComplex, n: int) -> bool:
-    """d_i d_j = d_{j-1} d_i for all i < j on every n-cell (none for n = 1).
-
-    Compared column by column of the transposed face tables, one list per
-    identity. False also when a face table's length is not its cell count,
-    a row is short or an index is out of range; the caller then multiplies
-    the columns out."""
-    faces = k.faces[n - 1]
-    if len(faces) != k.size(n):
-        return False
-    if n == 1 or not faces:
-        return True
-    lower = k.faces[n - 2]
-    if len(lower) != k.size(n - 1):
-        return False
-    # zip truncates to the shortest row: a short row leaves too few columns
-    d = list(zip(*faces))
-    low = list(zip(*lower))
-    try:
-        for j in range(1, n + 1):
-            for i in range(j):
-                if list(map(low[i].__getitem__, d[j])) != list(
-                    map(low[j - 1].__getitem__, d[i])
-                ):
-                    return False
-    except (IndexError, TypeError):
-        return False
-    return True
 
 
 class _Columns(Mapping):

@@ -311,10 +311,20 @@ def dump_delta(k: DeltaComplex) -> dict:
     }
 
 
+def _rational(v, pointer: str) -> Fraction:
+    try:
+        return Fraction(str(v))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{pointer}: not a rational number: {v!r}") from exc
+
+
 def load_arrangement(payload: dict) -> Arrangement:
     rows = [
-        ([Fraction(str(v)) for v in h["a"]], Fraction(str(h["b"])))
-        for h in payload["hyperplanes"]
+        (
+            [_rational(v, f"/hyperplanes/{k}/a/{i}") for i, v in enumerate(h["a"])],
+            _rational(h["b"], f"/hyperplanes/{k}/b"),
+        )
+        for k, h in enumerate(payload["hyperplanes"])
     ]
     return Arrangement.from_lists(payload["n"], rows)
 

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import stratakit
 from stratakit.cli import main
 
@@ -249,3 +251,104 @@ def test_out_flag(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["fvector"] == [2, 2]
+
+
+# A triangle whose d_2 names an edge that does not exist, and one whose
+# faces break d_0 d_2 = d_1 d_0 and d_1 d_2 = d_1 d_1 while d(d(t)) = 0.
+BAD_DELTAS = [
+    (
+        {"cells": [[0, 1], [0], [0]], "faces": {"1": [[1, 0]], "2": [[0, 0, 5]]}},
+        "error: invalid complex: 2-cell 0: face d_2 out of range",
+    ),
+    (
+        {
+            "cells": [["p", "q"], ["a", "b"], ["t"]],
+            "faces": {"1": [[1, 0], [1, 1]], "2": [[0, 0, 1]]},
+        },
+        "error: invalid complex: 2-cell 0: d_0 d_2 != d_1 d_0; "
+        "2-cell 0: d_1 d_2 != d_1 d_1",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", [["homology"], ["export", "off"]])
+@pytest.mark.parametrize("payload, message", BAD_DELTAS)
+def test_delta_file_is_checked_at_entry(
+    tmp_path, capsys, command, payload, message
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == message
+    assert "Traceback" not in err
+
+
+def test_built_complexes_are_not_validated_again(tmp_path, capsys, monkeypatch):
+    import stratakit.cli as cli
+
+    checked = []
+    monkeypatch.setattr(cli, "validate_delta", lambda k: checked.append(k) or [])
+    report(capsys, "sd", "--fixture", "torus")
+    report(capsys, "conf", "--fixture", "loop", "--k", "2")
+    report(capsys, "dual", "--fixture", "rp2")
+    assert checked == []
+    body = report(capsys, "export", "json", "--fixture", "circle-minimal")["body"]
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(body))
+    report(capsys, "homology", "--file", str(path))
+    assert checked == []  # a CSS file is validated by sd, not as a complex
+    path.write_text(json.dumps({"cells": [[0, 1], [0]], "faces": {"1": [[1, 0]]}}))
+    report(capsys, "homology", "--file", str(path))
+    assert len(checked) == 1
+
+
+ARRANGEMENT_COMMANDS = ["faces", "complement", "salvetti", "symmetric"]
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"]] + [["arrangement", s] for s in ARRANGEMENT_COMMANDS]
+)
+def test_zero_denominator_in_an_arrangement(tmp_path, capsys, command):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"n": 1, "hyperplanes": [{"a": ["1/0"], "b": "0"}]}))
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == (
+        "error: /hyperplanes/0/a/0: not a rational number: '1/0'"
+    )
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize("extra", [[], ["--oracle"], ["--unordered"]])
+def test_conf_rejects_a_subdivision_count_below_one(capsys, count, extra):
+    argv = ["conf", "--fixture", "loop", "--k", "2", "--subdivide", count, *extra]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == "error: subdivision count must be >= 1"
+
+
+def test_facecat_reports_an_ungraded_cell(tmp_path, capsys, monkeypatch):
+    import stratakit.cli as cli
+
+    calls = []
+    validate = cli.validate_total_normality
+    monkeypatch.setattr(
+        cli, "validate_total_normality", lambda x: calls.append(x) or validate(x)
+    )
+    payload = {
+        "objects": [{"id": 0}, {"id": 1}],
+        "morphisms": [{"id": 0, "src": 0, "dst": 1}],
+        "compose": [],
+        "dims": {"0": 0},
+        "closed": {"0": True, "1": True},
+    }
+    path = tmp_path / "ungraded.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "facecat", "--file", str(path))
+    assert code == 2
+    r = json.loads(out)
+    assert r["diagnostics"] == ["cell 1: no dimension assigned"]
+    assert r["dims"] == {"0": 0} and r["closed"] == {"0": True, "1": True}
+    assert "error" not in err
+    assert len(calls) == 1

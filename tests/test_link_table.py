@@ -11,7 +11,8 @@ first filled by the computed closed flags of ``make_css``.
 ``order_complex`` on an antichain, skip the closure and the chain layers;
 both are compared with copies of the general path, also on repeated ids,
 partial grades and the empty poset. ``make_css`` without flags on an
-invalid face category raises the validation's ValueError.
+invalid face category, or on a valid one with a cell without a dimension
+or a lift that lowers dimension, raises the validation's ValueError.
 """
 
 import functools
@@ -311,6 +312,47 @@ class TestComputedFlagsOnAnInvalidCategory:
         c = self.interval_without_composite()
         assert css._computed_closed_flags(c) == dict.fromkeys(c.objects, False)
         assert calls == []
+
+
+class TestComputedFlagsOnABadGrading:
+    """A valid face category whose grading is not: a cell without a
+    dimension, or a lift that lowers dimension inside a link."""
+
+    CASES = [
+        (
+            AcyclicCategory(
+                ("a", "b"), ("ab",), {"ab": "a"}, {"ab": "b"}, {}, {"a": 0}
+            ),
+            "cell 'b': no dimension assigned",
+        ),
+        (
+            AcyclicCategory(
+                ("x", "y", "z"),
+                ("xy", "yz", "xz"),
+                {"xy": "x", "yz": "y", "xz": "x"},
+                {"xy": "y", "yz": "z", "xz": "z"},
+                {("yz", "xy"): "xz"},
+                {"x": 1, "y": 0, "z": 2},
+            ),
+            "morphism 'xy': lift does not strictly raise dimension",
+        ),
+    ]
+
+    @pytest.mark.parametrize("c, problem", CASES)
+    def test_make_css_raises_the_validation_error(self, c, problem):
+        assert cat_ops.validate_category(c) == []
+        for closed in (None, {cell: False for cell in c.objects}):
+            with pytest.raises(ValueError) as err:
+                make_css(c, closed)
+            assert str(err.value) == "not a totally normal encoding: " + problem
+
+    @pytest.mark.parametrize("c, problem", CASES)
+    def test_flags_are_false_without_a_link(self, c, problem, monkeypatch):
+        def no_link(*args):
+            raise AssertionError("link_poset called")
+
+        monkeypatch.setattr(css, "link_poset", no_link)
+        assert css._computed_closed_flags(c) == dict.fromkeys(c.objects, False)
 
 
 # --- constant-cost trivial posets ---------------------------------------------
