@@ -12,6 +12,16 @@ convention), never by an LP in the thickened space.
 Sign values are encoded as 0 or (sign, level); the pointwise order on
 sign vectors is taken as the closure order, with a rational segment
 spot-check available as a validator.
+
+The face posets test that order on every ordered pair of labels. Each
+label is first encoded as two ints over 2*order bits per form
+(``_order_masks``): a value (s, l) is the bit 2(l-1) + (s < 0) of its
+form, ``below`` sets the bit of each value and ``above`` also every bit
+of the lower levels, and v <= w iff ``below(v) & ~above(w) == 0``. A pair
+costs one AND of ints, where comparing the k values made O(k)
+interpreted comparisons; the n(n-1) pairs remain. The LP systems of one
+enumeration append prebuilt rows: each form's row at -1, 0 and +1 is
+built once per call (``_sign_rows``).
 """
 
 from __future__ import annotations
@@ -121,22 +131,29 @@ def _value_leq(v, w) -> bool:
     return v[1] < w[1] or v == w
 
 
-def _sign_system(arr: Arrangement, signs, central: bool):
+def _sign_rows(arr: Arrangement, central: bool) -> list[tuple]:
+    """The row table of a call: each form's (coeffs, rhs) row indexed by
+    its sign, at 0 the equality a.x = rhs, at +1 the strict a.x > rhs and
+    at -1 the strict -a.x > -rhs, rhs = -b (0 for a central system). Every
+    sign system of the call appends these rows, never copies of them."""
+    table = []
+    for a, b in arr.forms:
+        rhs = Fraction(0) if central else -b
+        row = (list(a), rhs)
+        table.append((row, row, ([-v for v in a], -rhs)))
+    return table
+
+
+def _sign_system(rows: list[tuple], signs):
     """The (equalities, stricts) putting form i at signs[i]: 0 on its
-    hyperplane, +-1 strictly on that side, None unconstrained. A central
-    system drops the constant terms."""
+    hyperplane, +-1 strictly on that side, None unconstrained; rows is the
+    table of ``_sign_rows``."""
     eqs = []
     stricts = []
-    for s, (a, b) in zip(signs, arr.forms):
+    for s, row in zip(signs, rows):
         if s is None:
             continue
-        rhs = Fraction(0) if central else -b
-        if s == 0:
-            eqs.append((list(a), rhs))
-        elif s > 0:
-            stricts.append((list(a), rhs))
-        else:
-            stricts.append(([-v for v in a], -rhs))
+        (stricts if s else eqs).append(row[s])
     return eqs, stricts
 
 
@@ -145,41 +162,66 @@ def _level1_candidates(
 ) -> list[tuple[tuple[Sign, ...], int]]:
     """Realizable sign vectors in {-1,0,1}^k with their dimensions."""
     k = len(arr.forms)
+    rows = _sign_rows(arr, central)
     out = []
     for sigma in iproduct((-1, 0, 1), repeat=k):
-        feas = strict_feasibility(*_sign_system(arr, sigma, central), arr.n)
+        feas = strict_feasibility(*_sign_system(rows, sigma), arr.n)
         if not feas.feasible:
             continue
-        zero_rows = [list(a) for s, (a, _) in zip(sigma, arr.forms) if s == 0]
+        zero_rows = [row[0][0] for s, row in zip(sigma, rows) if s == 0]
         dim = arr.n - rational_rank(zero_rows) if zero_rows else arr.n
         out.append((sigma, dim))
     return out
 
 
-def _poset_from_faces(faces: dict, leq) -> Poset:
-    """faces: label -> dim; order induced by the given comparison."""
+def _order_masks(labels, order: int) -> tuple[list[int], list[int]]:
+    """Bit masks (below, not above) of each label, such that a <= b iff
+    ``below[a] & not_above[b] == 0``. Form i owns the 2*order bits from
+    2*order*i; a value (s, l) is the bit 2(l-1) + (s < 0) of its form,
+    and a level-1 sign s is read as (s, 1). ``below`` holds the value's
+    own bit, ``above`` that bit and both bits of every lower level: the
+    values _value_leq puts below it."""
+    width = 2 * order
+    below = []
+    not_above = []
+    for label in labels:
+        lo = hi = 0
+        for i, v in enumerate(label):
+            if not v:
+                continue
+            s, level = v if type(v) is tuple else (v, 1)
+            base = width * i + 2 * (level - 1)
+            bit = 1 << (base + (s < 0))
+            lo |= bit
+            hi |= bit | ((1 << base) - (1 << (width * i)))
+        below.append(lo)
+        not_above.append(~hi)
+    return below, not_above
+
+
+def _poset_from_faces(faces: dict, order: int) -> Poset:
+    """faces: label -> dim, labels in S_order^k (plain signs at order 1);
+    ordered pointwise by _value_leq.
+
+    Each label becomes two ints once (``_order_masks``), and the test of
+    an ordered pair is ``below[a] & not_above[b]``: one AND of ints of
+    2*order*k bits, where ``_value_leq`` on every form made O(k)
+    interpreted comparisons per pair. There are still n(n-1) tests for n
+    labels."""
     labels = sorted(faces, key=repr)
-    index = {lab: i for i, lab in enumerate(labels)}
+    below, not_above = _order_masks(labels, order)
     less = [
-        (index[a], index[b])
-        for a in labels
-        for b in labels
-        if a != b and leq(a, b)
+        (a, b)
+        for a, lo in enumerate(below)
+        for b, hi in enumerate(not_above)
+        if not lo & hi and a != b
     ]
     return Poset.from_relation(
         range(len(labels)),
         less,
-        {index[lab]: faces[lab] for lab in labels},
-        {index[lab]: lab for lab in labels},
+        {i: faces[lab] for i, lab in enumerate(labels)},
+        dict(enumerate(labels)),
     )
-
-
-def _level1_leq(a, b) -> bool:
-    return all(x == 0 or x == y for x, y in zip(a, b))
-
-
-def _higher_leq(a, b) -> bool:
-    return all(_value_leq(v, w) for v, w in zip(a, b))
 
 
 def _level_faces(arr: Arrangement, order: int):
@@ -207,9 +249,13 @@ def _symmetric_strata(levels):
 
 def _level1_covers(faces) -> dict:
     """Lower covers of each level-1 face, from (sign vector, dim) pairs,
-    by a test of every pair of faces of one level."""
+    by a mask test (``_order_masks``) of every pair of faces of one level."""
     signs = [s for s, _ in faces]
-    down = {a: [b for b in signs if b != a and _level1_leq(b, a)] for a in signs}
+    lows, highs = _order_masks(signs, 1)
+    down = {
+        a: [b for b, lo in zip(signs, lows) if not lo & hi and b != a]
+        for a, hi in zip(signs, highs)
+    }
     below = {a: set(bs) for a, bs in down.items()}
     return {
         a: [b for b in bs if not any(b in below[m] for m in bs)]
@@ -226,7 +272,7 @@ def faces_level1(arr: Arrangement) -> Poset:
         tuple(s for (s,) in label): dim
         for label, dim in _symmetric_strata(_level_faces(arr, 1))
     }
-    return _poset_from_faces(faces, _level1_leq)
+    return _poset_from_faces(faces, 1)
 
 
 def faces_higher(arr: Arrangement, order: int) -> Poset:
@@ -241,7 +287,7 @@ def faces_higher(arr: Arrangement, order: int) -> Poset:
         label = symmetric_collapse(symmetric)
         if faces.get(label, -1) < dim:
             faces[label] = dim
-    return _poset_from_faces(faces, _higher_leq)
+    return _poset_from_faces(faces, order)
 
 
 def complement_poset(arr: Arrangement, order: int) -> Poset:
@@ -346,6 +392,7 @@ def euler_sum(p: Poset) -> int:
 def _witness(arr: Arrangement, order: int, label: tuple):
     """A rational point of R^n x ... x R^n realizing a level-`order`
     stratum, built from per-level witnesses."""
+    affine, central = _sign_rows(arr, False), _sign_rows(arr, True)
     points = []
     for level in range(1, order + 1):
         signs = []
@@ -356,7 +403,8 @@ def _witness(arr: Arrangement, order: int, label: tuple):
                 signs.append(value[0])
             else:
                 signs.append(None)  # unconstrained below its own level
-        feas = strict_feasibility(*_sign_system(arr, signs, level > 1), arr.n)
+        rows = central if level > 1 else affine
+        feas = strict_feasibility(*_sign_system(rows, signs), arr.n)
         if not feas.feasible:
             return None
         points.append(feas.witness)

@@ -163,18 +163,37 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not diagnostics else EXIT_INVALID
 
 
+def _check_dumpable(kind: str, value) -> None:
+    """Exit 2 with the diagnostics of an invalid category or face
+    category, which has no dump. They are read from the check each
+    category caches, so this validates nothing twice."""
+    if kind == "css" and value.cat._problems:
+        raise CliError(
+            "invalid stratified space: "
+            + "; ".join(f"face category: {p}" for p in value.cat._problems),
+            EXIT_INVALID,
+        )
+    if kind == "category" and value._problems:
+        raise CliError("invalid category: " + "; ".join(value._problems), EXIT_INVALID)
+
+
 def cmd_facecat(args) -> int:
     x, payload = _css_input(args)
-    ids = list(enumerate(x.cells()))
-    # a cell without a dimension or flag is left out; the diagnostics say so
     report = {
         "operation": "facecat",
         "digest": _digest(payload),
-        "category": sio.dump_category(x.cat),
-        "dims": {str(i): x.cat.grades[v] for i, v in ids if v in x.cat.grades},
-        "closed": {str(i): x.closed[v] for i, v in ids if v in x.closed},
         "diagnostics": validate_total_normality(x),
     }
+    # an invalid face category has no dump: its diagnostics are the report
+    if not x.cat._problems:
+        ids = list(enumerate(x.cells()))
+        # a cell without a dimension or flag is left out; the diagnostics
+        # say so
+        report["category"] = sio.dump_category(x.cat)
+        report["dims"] = {
+            str(i): x.cat.grades[v] for i, v in ids if v in x.cat.grades
+        }
+        report["closed"] = {str(i): x.closed[v] for i, v in ids if v in x.closed}
     _emit(report, args)
     return EXIT_OK if not report["diagnostics"] else EXIT_INVALID
 
@@ -385,6 +404,7 @@ def cmd_export(args) -> int:
         value = x
     else:
         kind, value, payload = _load_checked(args.file)
+    _check_dumpable(kind, value)
     if args.format == "json":
         _, dump = _codec(kind)
         body = dump(value)

@@ -58,7 +58,10 @@ def validate_delta(k: DeltaComplex) -> list[str]:
                 problems.append(f"{n}-cell {c}: expected {n + 1} faces")
                 continue
             for i, f in enumerate(row):
-                if not 0 <= f < k.size(n - 1):
+                # 2.0 is an integer to a JSON schema, but no index
+                if type(f) is not int:
+                    problems.append(f"{n}-cell {c}: face d_{i} is not an int")
+                elif not 0 <= f < k.size(n - 1):
                     problems.append(f"{n}-cell {c}: face d_{i} out of range")
     if problems:
         return problems

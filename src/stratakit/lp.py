@@ -269,12 +269,15 @@ def _solve(rows, nvars: int) -> Feasibility:
     if not _bland_simplex(tab, scale, basis, nfree, ncore):
         raise RuntimeError("slack-bounded program cannot be unbounded")
 
-    values = [ZERO] * (2 * nfree)
+    # x_j and t are read from the one basic row of x+ or x- (t+ or t-):
+    # the two columns are negatives of each other, so never both basic
+    values = [ZERO] * nfree
     for i, label in enumerate(basis):
         if label < 2 * nfree:
-            values[label] = Fraction(tab[i][-1], scale[i])
-    x = tuple(values[j] - values[nfree + j] for j in range(nvars))
-    margin = values[nvars] - values[nfree + nvars]
+            col, sign = _column(label, nfree)
+            values[col] = Fraction(sign * tab[i][-1], scale[i])
+    x = tuple(values[:nvars])
+    margin = values[nvars]
     if margin > 0:
         return Feasibility(True, x, margin, None)
     # dual multipliers from the reduced costs of the artificial columns

@@ -2,9 +2,11 @@
 
 `faces_level1`, `faces_higher`, `symmetric_subdivision`, `complement_poset`
 and `_signs_at` are checked against in-test copies of their earlier
-versions, which built each stratification in its own loop and wrote the
-collapse rule out separately: equal elements, covers, grades and labels,
-and the same sequence of LP systems.
+versions, which built each stratification in its own loop, wrote the
+collapse rule out separately, compared labels value by value and built
+every LP system row by row: equal elements, covers, grades and labels,
+and the same sequence of LP systems. The bit-mask order of labels is
+checked against the value-by-value comparisons.
 """
 
 import sys
@@ -236,9 +238,7 @@ def arrangements(draw):
     return Arrangement(n, forms)
 
 
-@settings(max_examples=60, deadline=None)
-@given(arrangements(), st.integers(1, 3))
-def test_stratifications_match_the_separate_loops(arr, order):
+def assert_matches_references(arr, order):
     assert_same(faces_level1, ref_faces_level1, arr)
     affine = len(arrangement._level1_candidates(arr, central=False))
     central = len(arrangement._level1_candidates(arr, central=True))
@@ -246,6 +246,86 @@ def test_stratifications_match_the_separate_loops(arr, order):
         order -= 1
     for new, ref in PAIRS:
         assert_same(new, ref, arr, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements(), st.integers(1, 3))
+def test_stratifications_match_the_separate_loops(arr, order):
+    assert_matches_references(arr, order)
+
+
+# how each form of a drawn arrangement is placed: anywhere, through the
+# origin, through one common point, or parallel to the first form; a
+# "mixed" arrangement draws the rule form by form
+PLACEMENTS = ("generic", "central", "concurrent", "parallel")
+
+
+@st.composite
+def typed_arrangements(draw):
+    """Two to four forms in R^1..R^3 with fractional coefficients, of one
+    drawn combinatorial type: generic, central, concurrent, parallel or
+    mixed (the benchmark's draws are all three concurrent forms and one
+    parallel to one of them). A form that repeats a hyperplane is dropped,
+    so in R^1 fewer may remain."""
+    n = draw(st.sampled_from((2, 3, 1)))
+    kind = draw(st.sampled_from(PLACEMENTS + ("mixed",)))
+    q = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+    point = draw(st.lists(q, min_size=n, max_size=n))
+    forms = ()
+    for _ in range(draw(st.sampled_from((4, 3, 2)))):
+        rule = draw(st.sampled_from(PLACEMENTS)) if kind == "mixed" else kind
+        if rule == "parallel" and forms:
+            a = forms[0][0]
+        else:
+            a = tuple(draw(st.lists(q, min_size=n, max_size=n)))
+        if rule == "central":
+            b = F(0)
+        elif rule == "concurrent":
+            b = -sum(x * p for x, p in zip(a, point))
+        else:
+            b = draw(q)
+        trial = forms + ((a, b),)
+        # a form with zero linear part or repeating a hyperplane is dropped
+        if not validate_arrangement(Arrangement(n, trial)):
+            forms = trial
+    return Arrangement(n, forms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(typed_arrangements(), st.integers(1, 3))
+def test_typed_fractional_arrangements_match_the_references(arr, order):
+    assert_matches_references(arr, order)
+
+
+@st.composite
+def label_pairs(draw):
+    """(order, plain, a, b): two labels of k <= 8 forms at order 1..4,
+    as plain signs (order 1 only, as faces_level1 labels them) or as
+    values 0 / (sign, level). b keeps each value of a with probability
+    about one half, so that comparable pairs are common."""
+    order = draw(st.integers(1, 4))
+    plain = order == 1 and draw(st.booleans())
+    if plain:
+        value = st.sampled_from((-1, 0, 1))
+    else:
+        value = st.one_of(
+            st.just(0), st.tuples(st.sampled_from((-1, 1)), st.integers(1, order))
+        )
+    k = draw(st.integers(0, 8))
+    a = tuple(draw(st.lists(value, min_size=k, max_size=k)))
+    b = tuple(draw(st.one_of(st.just(v), value)) for v in a)
+    return order, plain, a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(label_pairs())
+def test_mask_order_is_the_value_order(case):
+    order, plain, a, b = case
+    (lo_a, lo_b), (hi_a, hi_b) = arrangement._order_masks([a, b], order)
+    leq = ref_level1_leq if plain else ref_higher_leq
+    assert (not lo_a & hi_b) == leq(a, b)
+    assert (not lo_b & hi_a) == leq(b, a)
+    assert not lo_a & hi_a
 
 
 def test_braid3_matches_the_separate_loops():

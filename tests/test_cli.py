@@ -253,8 +253,9 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(target.read_text())["fvector"] == [2, 2]
 
 
-# A triangle whose d_2 names an edge that does not exist, and one whose
-# faces break d_0 d_2 = d_1 d_0 and d_1 d_2 = d_1 d_1 while d(d(t)) = 0.
+# A triangle whose d_2 names an edge that does not exist, one whose faces
+# break d_0 d_2 = d_1 d_0 and d_1 d_2 = d_1 d_1 while d(d(t)) = 0, and one
+# whose d_0 is 2.0, which the schema takes for an integer.
 BAD_DELTAS = [
     (
         {"cells": [[0, 1], [0], [0]], "faces": {"1": [[1, 0]], "2": [[0, 0, 5]]}},
@@ -267,6 +268,13 @@ BAD_DELTAS = [
         },
         "error: invalid complex: 2-cell 0: d_0 d_2 != d_1 d_0; "
         "2-cell 0: d_1 d_2 != d_1 d_1",
+    ),
+    (
+        {
+            "cells": [[0, 1, 2], ["a", "b", "c"], ["t"]],
+            "faces": {"1": [[1, 0], [2, 0], [2, 1]], "2": [[2.0, 1, 0]]},
+        },
+        "error: invalid complex: 2-cell 0: face d_0 is not an int",
     ),
 ]
 
@@ -352,3 +360,54 @@ def test_facecat_reports_an_ungraded_cell(tmp_path, capsys, monkeypatch):
     assert r["dims"] == {"0": 0} and r["closed"] == {"0": True, "1": True}
     assert "error" not in err
     assert len(calls) == 1
+
+
+# one object and a morphism into an object that does not exist
+UNDEFINED_ENDPOINT = {
+    "objects": [{"id": 0}],
+    "morphisms": [{"id": 0, "src": 0, "dst": 7}],
+    "compose": [],
+}
+ENDPOINT_PROBLEM = "morphism 0 has undefined endpoints"
+
+
+def test_facecat_reports_an_invalid_face_category(tmp_path, capsys, monkeypatch):
+    import stratakit.category as category
+
+    validations = []
+    validate = category.validate_category
+    monkeypatch.setattr(
+        category, "validate_category", lambda c: validations.append(c) or validate(c)
+    )
+    path = tmp_path / "space.json"
+    path.write_text(
+        json.dumps({**UNDEFINED_ENDPOINT, "dims": {"0": 0}, "closed": {"0": True}})
+    )
+    code, out, err = run(capsys, "facecat", "--file", str(path))
+    assert code == 2
+    r = json.loads(out)
+    assert r["diagnostics"] == [f"face category: {ENDPOINT_PROBLEM}"]
+    assert "category" not in r and "dims" not in r
+    assert "error" not in err
+    # the face category is checked once, by validate_total_normality
+    assert len(validations) == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "off"])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {**UNDEFINED_ENDPOINT, "dims": {"0": 0}, "closed": {"0": True}},
+            f"error: invalid stratified space: face category: {ENDPOINT_PROBLEM}",
+        ),
+        (UNDEFINED_ENDPOINT, f"error: invalid category: {ENDPOINT_PROBLEM}"),
+    ],
+)
+def test_export_reports_an_invalid_category(tmp_path, capsys, fmt, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "export", fmt, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == message
+    assert "Traceback" not in err
