@@ -5,26 +5,50 @@ with d_i deleting the i-th chain entry, so exports are reproducible
 bit-for-bit. All arithmetic is arbitrary-precision: SNF pivots blow up
 quickly on complexes with a few hundred cells.
 
-The SNF pipeline first eliminates +-1 pivots in one descending sweep
-over the columns of a sparse representation (``_unit_reduce``; a pivot
-costs O(|column| * |row|), and an ascending sweep doubles the fill-in on
-RP^2 x S^2). Nerve boundary matrices are sparse with unit entries, so
-this typically removes well over 90% of the cells; a dense SNF runs on
-the small residue. A rank-only mode over the rationals is available for
-fast Betti numbers; torsion mode is the default.
+The SNF pipeline first eliminates +-1 pivots by left-looking column
+reduction (``_unit_reduce``): each column is reduced by the stored
+pivot columns while its largest row is a pivot row, becomes the pivot
+of that row if the entry there is +-1, and otherwise goes to a residual,
+which is cleared of every pivot row at the end. Nerve boundary matrices
+are sparse with unit entries, so this typically removes well over 90%
+of the cells; a dense SNF runs on the small residual. A rank-only mode
+over the rationals is available for fast Betti numbers; torsion mode is
+the default.
+
+Block argument. Every step adds an integer multiple of one column to
+another, so it is unimodular. A pivot column is +-e_p plus entries in
+rows r < p, and a residual column is zero on every pivot row. With
+pivot rows and columns first, both ordered by p, the matrix is
+[[T, 0], [B, R]] with T unit upper triangular, hence invertible over
+the integers. Column operations by T^-1 make that block the identity,
+whose rows then clear the block below it by row operations, so
+SNF = (1, ..., 1) + SNF(R), one 1 per pivot.
+
+Cost, before -> after: a right-looking sweep that, per pivot, updated
+every other row of its column and kept a row table and a column-to-rows
+table in step, O(|column| * |row|) dict updates and table edits per
+pivot -> one pass over the columns, where a reduction step costs
+O(|pivot column|) dict updates and O(log) heap operations, and only the
+pivot columns are stored. The heap matters where a column is reduced
+many times: a column that ends as a cycle walks its whole support, and
+a scan for its largest row at every step made the homology of braid(5)'s
+order-2 order complex take 123 s instead of 6.7 s.
 
 ``homology`` reduces the boundary maps jointly, from d_top down to d_1,
 and clears: before d_n is reduced, the columns of the n-cells that were
-unit-pivot rows of d_{n+1} are deleted. Each unit pivot (b, a) of d_{n+1}
-is a reduction pair (Kaczynski-Mrozek-Slusarek, "Homology computation by
-reduction of chain complexes", 1998; the "clearing" of Chen-Kerber,
-"Persistent homology computation with a twist", 2011). Row operations on
-d_{n+1} are column operations on d_n that only add into the pivot-row
-columns, and since d_n . d_{n+1} = 0 those columns end up zero; so every
-rank and invariant factor of d_n is unchanged. The precondition is
-d . d = 0, which ``chain_complex`` verifies. Cost of the sweep of d_n,
-before -> after: all |C_n| = rank d_n + rank d_{n+1} + beta_n columns ->
-about rank d_n + beta_n columns plus the non-unit part of d_{n+1}.
+unit-pivot rows of d_{n+1} are deleted (Chen-Kerber, "Persistent
+homology computation with a twist", 2011; each unit pivot is a
+reduction pair in the sense of Kaczynski-Mrozek-Slusarek, "Homology
+computation by reduction of chain complexes", 1998). Clearing argument:
+the reduced pivot column of row p is a boundary +-e_p + sum_{r<p} c_r e_r,
+so d_n . d_{n+1} = 0 makes d_n(e_p) an integer combination of the
+columns d_n(e_r) with r < p, and by induction on p a combination of
+columns that are not cleared. The columns kept span the same lattice as
+all of d_n, so every rank and invariant factor of d_n is unchanged. The
+precondition is d . d = 0, which ``chain_complex`` verifies. Cost of the
+reduction of d_n, before -> after: all |C_n| = rank d_n + rank d_{n+1} +
+beta_n columns -> about rank d_n + beta_n columns plus the non-unit part
+of d_{n+1}.
 
 ``chain_complex`` certifies d . d = 0 by the simplicial identities
 d_i d_j = d_{j-1} d_i (i < j), which pair the terms of d(d(c)) so that
@@ -40,6 +64,7 @@ from __future__ import annotations
 
 from collections.abc import Container, Mapping
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .delta import DeltaComplex, _identity_failures, f_vector
 from .lp import _rank
@@ -186,19 +211,23 @@ class _Columns(Mapping):
 def _unit_reduce(
     mat: Matrix, skip: Container[int]
 ) -> tuple[list[int], list[list[int]]]:
-    """Eliminate +-1 pivots in one column sweep, ignoring the columns in
-    ``skip``; returns the pivot rows, in pivot order, and the dense
-    residual (remaining rows by non-empty columns, sorted).
+    """Eliminate +-1 pivots by left-looking column reduction, ignoring the
+    columns in ``skip``; returns the pivot rows, in pivot order, and the
+    dense residual (remaining rows, sorted, by remaining columns).
 
-    Each column is visited once, in descending index, and pivots on the
-    +-1 entry of its shortest row (ties to the smaller row index). Unit
-    pivots are unimodular, so each adds an invariant factor 1 and the
-    residual carries the rest. A pivot costs O(|column| * |row|) dict
-    updates, with no priority queue. The sweep is descending because an
-    ascending one fills in more: on the sd boundary maps of RP^2 x S^2 it
-    doubles the reduction's peak memory (3.4 -> 6.8 MB under tracemalloc).
-    The row and column tables are built from the stored columns of a
-    matrix from ``chain_complex``; a plain dict is grouped by column first.
+    Each column not in ``skip`` is read once, in stored order, as a copy.
+    While its largest row p is a pivot row, p's stored column times the
+    entry is subtracted; a pivot column is kept scaled to +1 at p, with
+    every other entry in a smaller row, so each step is exact and clears
+    p. A column whose largest row then holds +-1 is stored as the pivot
+    of that row; any other nonzero column goes to the residual. Last,
+    each residual column is cleared of every pivot row, largest first.
+    The rows of the column are kept on a max-heap, so a step costs
+    O(|pivot column|) dict updates and heap pushes, not a scan of the
+    column, and no row table is kept. Pivots are chosen by row index
+    alone, so the result does not depend on the hash seed. Columns come
+    from the stored columns of a matrix from ``chain_complex``; a plain
+    dict is grouped by column first, columns ascending.
     """
     if isinstance(mat, _Columns):
         columns = enumerate(mat.columns)
@@ -207,63 +236,70 @@ def _unit_reduce(
         for (i, j), v in mat.items():
             if v:
                 by_col.setdefault(j, {})[i] = v
-        columns = by_col.items()
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for j, column in columns:
-        if column and j not in skip:
-            cols[j] = set(column)
-            for i, v in column.items():
-                row = rows.get(i)
-                if row is None:
-                    rows[i] = {j: v}
-                else:
-                    row[j] = v
+        columns = sorted(by_col.items())
+    below: dict[int, dict[int, int]] = {}  # pivot row -> its column's rest
     pivots = []
-    for j in sorted(cols, reverse=True):
-        col = cols[j]
-        p = None
-        best = 0
-        for i in col:
-            row = rows[i]
-            if row[j] in (1, -1):
-                size = len(row)
-                if p is None or size < best or (size == best and i < p):
-                    p, best = i, size
-        if p is None:
+    rest = []
+    for j, column in columns:
+        if not column or j in skip:
             continue
-        pivot = rows.pop(p)
-        v = pivot.pop(j)
-        col.discard(p)
-        for j2 in pivot:
-            cols[j2].discard(p)
-        for i in col:
-            row = rows[i]
-            factor = row.pop(j) * v  # row[j] / v since v is a unit
-            for j2, u in pivot.items():
-                w = row.get(j2)
-                if w is None:
-                    row[j2] = -factor * u
-                    cols[j2].add(i)
-                else:
-                    w -= factor * u
-                    if w:
-                        row[j2] = w
-                    else:
-                        del row[j2]
-                        cols[j2].discard(i)
-            if not row:
-                del rows[i]
-        col.clear()
-        pivots.append(p)
-    col_pos = {j: c for c, j in enumerate(j for j in sorted(cols) if cols[j])}
-    residual = []
-    for i in sorted(rows):
-        dense = [0] * len(col_pos)
-        for j, v in rows[i].items():
-            dense[col_pos[j]] = v
-        residual.append(dense)
+        col = dict(column)
+        heap = [-i for i in col]
+        heapify(heap)
+        low = _pop_low(col, heap)
+        while low in below:
+            _subtract(col, col.pop(low), below[low], heap)
+            low = _pop_low(col, heap)
+        if low is None:
+            continue
+        v = col[low]
+        if v == 1 or v == -1:
+            del col[low]
+            below[low] = col if v == 1 else {i: -u for i, u in col.items()}
+            pivots.append(low)
+        else:
+            heappush(heap, -low)
+            rest.append((col, heap))
+    for col, heap in rest:
+        # pivot p adds only into rows below p, so once the heap has passed
+        # a row, no subtraction reaches it again
+        while (p := _pop_low(col, heap)) is not None:
+            if p in below:
+                _subtract(col, col.pop(p), below[p], heap)
+    rest = [col for col, _ in rest if col]
+    row_pos = {i: r for r, i in enumerate(sorted({i for col in rest for i in col}))}
+    residual = [[0] * len(rest) for _ in row_pos]
+    for c, col in enumerate(rest):
+        for i, v in col.items():
+            residual[row_pos[i]][c] = v
     return pivots, residual
+
+
+def _pop_low(col: dict[int, int], heap: list[int]) -> int | None:
+    """Pop the largest row of col from heap, a heap of negated rows that
+    may also hold rows no longer in col; None once col has no row left
+    on the heap."""
+    while heap:
+        i = -heappop(heap)
+        if i in col:
+            return i
+    return None
+
+
+def _subtract(
+    col: dict[int, int], f: int, tail: Mapping[int, int], heap: list[int]
+) -> None:
+    """col -= f * tail, in place, dropping entries that become zero; each
+    row new to col is pushed onto heap."""
+    for i, u in tail.items():
+        w = col.get(i)
+        if w is None:
+            col[i] = -f * u
+            heappush(heap, -i)
+        elif w != f * u:
+            col[i] = w - f * u
+        else:
+            del col[i]
 
 
 def _dense_snf(rows: list[list[int]]) -> list[int]:
@@ -343,18 +379,22 @@ def homology(cc: ChainComplex, rank_only: bool = False) -> HomologyResult:
 
     The maps are reduced from the top down, d_top first. The n-cells that
     were unit-pivot rows of d_{n+1} are cleared: their columns of d_n are
-    never read. Each such pivot (b, a) is a reduction pair, and removing
-    it changes no rank and no invariant factor of d_n; this needs
-    d_n . d_{n+1} = 0, which ``chain_complex`` verifies and a hand-built
-    ``ChainComplex`` must satisfy. The sweep of d_n then visits about
-    rank d_n + beta_n columns plus the non-unit part, instead of all
-    |C_n| = rank d_n + rank d_{n+1} + beta_n. A negative Betti number,
-    that is rank d_n + rank d_{n+1} > |C_n|, raises RuntimeError: it is
-    what a complex with d . d != 0 or a wrong clearing can give.
+    never read. Each such pivot column is a boundary, so removing the
+    column of its row changes no rank and no invariant factor of d_n (the
+    module docstring gives the argument); this needs d_n . d_{n+1} = 0,
+    which ``chain_complex`` verifies and a hand-built ``ChainComplex``
+    must satisfy. The reduction of d_n then reads about rank d_n + beta_n
+    columns plus the non-unit part, instead of all |C_n| = rank d_n +
+    rank d_{n+1} + beta_n. A plain-dict map with an entry outside its
+    shape (a row or column that is not a cell) raises ValueError naming
+    the map and the index. A negative Betti number, that is rank d_n +
+    rank d_{n+1} > |C_n|, raises RuntimeError: it is what a complex with
+    d . d != 0 or a wrong clearing can give.
 
     With rank_only=True, torsion is skipped and ranks are computed over
     the rationals (after unit-pivot elimination).
     """
+    _check_shape(cc)
     top = len(cc.shape) - 1
     ranks = [0] * (top + 2)  # ranks[n] = rank d_n; d_0 = 0
     torsion: list[tuple[int, ...]] = [()] * (top + 1)
@@ -376,3 +416,25 @@ def homology(cc: ChainComplex, rank_only: bool = False) -> HomologyResult:
                 "the boundary maps do not compose to zero"
             )
     return HomologyResult(betti, tuple(torsion))
+
+
+def _check_shape(cc: ChainComplex) -> None:
+    """Raise ValueError at the first entry of a plain-dict boundary map
+    whose row or column is not a cell of the dimension it indexes. The
+    ``_Columns`` that ``chain_complex`` builds fit by construction and are
+    not read."""
+    shape = cc.shape
+    for n, mat in enumerate(cc.boundaries, start=1):
+        if isinstance(mat, _Columns):
+            continue
+        rows = shape[n - 1] if n - 1 < len(shape) else 0
+        cols = shape[n] if n < len(shape) else 0
+        for i, j in mat:
+            if not 0 <= i < rows:
+                raise ValueError(
+                    f"d_{n} has an entry in row {i}, but |C_{n - 1}| = {rows}"
+                )
+            if not 0 <= j < cols:
+                raise ValueError(
+                    f"d_{n} has an entry in column {j}, but |C_{n}| = {cols}"
+                )

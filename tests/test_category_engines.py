@@ -8,9 +8,11 @@ depth-first search it replaced; ``chain_complex`` certifies d.d = 0 by the
 simplicial identities and is compared with a copy of the all-at-once
 construction; ``_sphere_homology_ok`` decides 0-dimensional order complexes
 by their vertex count and is compared with a copy that takes homology of
-every one.
+every one; ``nondegenerate_nerve`` finds each face from the chain's parent
+and is compared with a copy that hashes the merged chain of every face.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -22,17 +24,23 @@ from hypothesis import strategies as st
 import stratakit
 from stratakit.category import (
     AcyclicCategory,
+    _chains_by_length,
+    _comma_over,
+    _comma_under,
     categories_isomorphic,
     grothendieck,
+    nondegenerate_nerve,
     product_category,
     validate_category,
 )
 from stratakit.css import (
     _sphere_homology_ok,
+    dual,
     identity_subdivision,
     link_poset,
     poset_to_css,
     product_css,
+    quotient_css,
     salvetti_complex,
     sd,
     subdivide,
@@ -40,12 +48,22 @@ from stratakit.css import (
 from stratakit.delta import DeltaComplex, f_vector, validate_delta
 from stratakit.fixtures import (
     CSS_FIXTURES,
+    boundary_simplex,
     circle_minimal,
     punctured_torus,
+    rp2,
     simplex,
     y_space,
 )
-from stratakit.graphconf import graph_to_css, loop_graph
+from stratakit.graphconf import (
+    conf_category,
+    graph_to_css,
+    k5_graph,
+    loop_graph,
+    sigma_action,
+    unordered_conf,
+    y_graph,
+)
 from stratakit.homology import ChainComplex, chain_complex, homology
 from stratakit.poset import Poset, order_complex
 
@@ -693,3 +711,92 @@ def test_cli_import_leaves_networkx_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
     assert done.returncode == 0, done.stderr
+
+
+def nerve_by_merged_chains(c):
+    """The nondegenerate nerve as built before faces were found from the
+    parent chain: every face is a merged chain, looked up by hashing it."""
+    layers = _chains_by_length(c)
+    cells = [tuple(c.objects)]
+    cells.extend(tuple(layer) for layer in layers)
+    obj_index = {x: i for i, x in enumerate(c.objects)}
+    indexes = [{ch: i for i, ch in enumerate(layer)} for layer in layers]
+    faces = []
+    for n, layer in enumerate(layers, start=1):
+        rows = []
+        for chain in layer:
+            row = []
+            for i in range(n + 1):
+                if n == 1:
+                    row.append(
+                        obj_index[c.dst[chain[0]] if i == 0 else c.src[chain[0]]]
+                    )
+                elif i == 0:
+                    row.append(indexes[n - 2][chain[1:]])
+                elif i == n:
+                    row.append(indexes[n - 2][chain[:-1]])
+                else:
+                    merged = (
+                        chain[: i - 1]
+                        + (c.compose[(chain[i], chain[i - 1])],)
+                        + chain[i + 1 :]
+                    )
+                    row.append(indexes[n - 2][merged])
+            rows.append(tuple(row))
+        faces.append(tuple(rows))
+    return DeltaComplex(tuple(cells), tuple(faces))
+
+
+def assert_same_nerve(c):
+    dc = nondegenerate_nerve(c)
+    assert dc == nerve_by_merged_chains(c)
+    assert validate_delta(dc) == []
+
+
+@functools.lru_cache(maxsize=None)
+def nerve_spaces():
+    """The CSS fixtures, the products of the torsion benchmark, the dual and
+    Salvetti complex of each fixture, configuration spaces and a quotient."""
+    spaces = {name: make() for name, make in CSS_FIXTURES.items()}
+    for name, make in CSS_FIXTURES.items():
+        spaces["dual " + name] = dual(make())
+        spaces["salvetti " + name] = salvetti_complex(make())
+    spaces["rp2 x rp2"] = product_css(rp2(), rp2())
+    spaces["rp2 x s2"] = product_css(rp2(), boundary_simplex(3))
+    for name, g, k in (("loop", loop_graph(), 2), ("y", y_graph(), 3)):
+        conf = conf_category(g, k)
+        spaces[f"conf_{k} {name}"] = conf
+        spaces[f"conf_{k} {name} / S_{k}"] = quotient_css(conf, sigma_action(conf, k))
+    spaces["unordered conf_2 K5"] = unordered_conf(k5_graph(), 2)
+    return spaces
+
+
+class TestNerveAgainstCopy:
+    @pytest.mark.parametrize("name", sorted(nerve_spaces()))
+    def test_spaces(self, name):
+        assert_same_nerve(nerve_spaces()[name].cat)
+
+    @pytest.mark.parametrize("name", sorted(CSS_FIXTURES))
+    def test_link_comma_categories(self, name):
+        # the comma categories whose nerves are the upper and lower stars
+        # and links of each cell
+        c = CSS_FIXTURES[name]().cat
+        for x in c.objects:
+            for comma in (_comma_under, _comma_over):
+                for include_identity in (False, True):
+                    assert_same_nerve(comma(c, x, include_identity))
+
+    def test_no_morphisms(self):
+        c = AcyclicCategory(("a", "b"), (), {}, {}, {})
+        assert_same_nerve(c)
+        assert nondegenerate_nerve(c).cells == (("a", "b"),)
+
+    def test_empty_category(self):
+        c = AcyclicCategory((), (), {}, {}, {})
+        assert_same_nerve(c)
+        assert nondegenerate_nerve(c) == DeltaComplex(((),), ())
+
+    @settings(max_examples=150, deadline=None)
+    @given(categories())
+    def test_drawn_categories(self, c):
+        assert_same_nerve(c)

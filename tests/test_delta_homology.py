@@ -13,7 +13,8 @@ from stratakit.delta import (
     f_vector,
     validate_delta,
 )
-from stratakit.css import product_css, sd
+from stratakit.arrangement import braid_arrangement, complement_poset
+from stratakit.css import product_css, salvetti_complex, sd
 from stratakit.fixtures import (
     CSS_FIXTURES,
     boundary_simplex,
@@ -22,10 +23,12 @@ from stratakit.fixtures import (
     rp2,
     simplex,
 )
+from stratakit.graphconf import conf_category, k5_graph
 from stratakit.homology import (
     ChainComplex,
     _dense_snf,
     _rank,
+    _unit_reduce,
     chain_complex,
     homology,
     integer_rank,
@@ -279,12 +282,81 @@ def sparse_matrices(draw):
     return draw(st.dictionaries(key, value, max_size=min(m * n, 120)))
 
 
+# nerves and an order complex beyond the CSS fixtures: the Salvetti
+# complex (double dual) of each fixture, Conf_2(K5), and the order
+# complex of braid(4)'s order-2 complement (2688 edges, 5952 triangles)
+MORE_COMPLEXES = {
+    **{
+        f"salvetti {name}": (lambda make=make: sd(salvetti_complex(make())))
+        for name, make in CSS_FIXTURES.items()
+    },
+    "conf_2 K5": lambda: sd(conf_category(k5_graph(), 2)),
+    "braid(4) order 2": lambda: order_complex(
+        complement_poset(braid_arrangement(4), 2)
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def more_chains(name):
+    return chain_complex(MORE_COMPLEXES[name]())
+
+
+def assert_unit_reduce_matches(mat, skip=()):
+    """_unit_reduce of mat, skipping columns, against the heap elimination
+    of mat without those columns."""
+    kept = {(i, j): v for (i, j), v in mat.items() if j not in skip}
+    pivots, residual = _unit_reduce(mat, skip)
+    assert [1] * len(pivots) + _dense_snf(residual) == ref_snf_diagonal(kept)
+    assert len(pivots) + _rank(residual) == ref_integer_rank(kept)
+
+
+# Fixed matrices that reach each branch of the left-looking reduction. Each
+# is also reduced with every single column skipped.
+BRANCH_MATRICES = {
+    # column 0's largest row holds 2 while a smaller row holds 1, so it
+    # goes to the residual; so does column 1 (largest row 0 holds 2)
+    "non-unit low over a unit": ({(0, 0): 1, (1, 0): 2, (0, 1): 2}, [1, 4]),
+    # column 0 = 2 e_0 goes to the residual; column 1 then pivots on row 0,
+    # and the final clearing must zero column 0
+    "residual cleared by a later pivot": ({(0, 0): 2, (0, 1): 1}, [1]),
+    # column 0 = 2 e_2; column 1 = e_1 + e_2 pivots on row 2 and column
+    # 2 = e_1 on row 1; clearing column 0 of row 2 puts -2 into row 1, a
+    # pivot row too, which must be cleared next
+    "clearing reaches a smaller pivot row": (
+        {(2, 0): 2, (1, 1): 1, (2, 1): 1, (1, 2): 1},
+        [1, 1],
+    ),
+    # column 1's largest row is column 0's pivot row; subtracting that
+    # pivot (stored with entry -1) leaves 3 e_0, which goes to the residual
+    "reduced by a pivot scaled from -1": (
+        {(0, 0): 1, (1, 0): -1, (0, 1): 2, (1, 1): 1},
+        [1, 3],
+    ),
+}
+
+
 class TestUnitReduction:
+    @pytest.mark.parametrize("name", sorted(BRANCH_MATRICES))
+    def test_branch_matrices(self, name):
+        mat, expected = BRANCH_MATRICES[name]
+        assert snf_diagonal(mat) == expected
+        columns = sorted({j for _, j in mat})
+        for skip in [()] + [{j} for j in columns]:
+            assert_unit_reduce_matches(mat, skip)
+
+    @pytest.mark.parametrize("name", sorted(MORE_COMPLEXES))
+    def test_more_boundary_maps(self, name):
+        for mat in more_chains(name).boundaries:
+            assert snf_diagonal(mat) == ref_snf_diagonal(mat)
+            assert integer_rank(mat) == ref_integer_rank(mat)
+
     @settings(max_examples=300, deadline=None)
-    @given(sparse_matrices())
-    def test_matches_heap_elimination(self, mat):
+    @given(sparse_matrices(), st.sets(st.integers(0, 24), max_size=8))
+    def test_matches_heap_elimination(self, mat, skip):
         assert snf_diagonal(mat) == ref_snf_diagonal(mat)
         assert integer_rank(mat) == ref_integer_rank(mat)
+        assert_unit_reduce_matches(mat, skip)
 
     def test_fixture_boundary_maps(self):
         spaces = [make() for make in CSS_FIXTURES.values()]
@@ -380,6 +452,33 @@ class TestClearing:
         h = homology(cc)
         assert h.betti == (1, 1, 0, 0, 0, 0)
         assert h.torsion == ((), (2, 2), (2, 2, 2), (2, 2), (2,), ())
+
+    @pytest.mark.parametrize("name", sorted(MORE_COMPLEXES))
+    def test_more_complexes_match_per_matrix_homology(self, name):
+        assert_same_as_reference(more_chains(name))
+
+    def test_braid4_order2_complement(self):
+        # Orlik-Solomon: prod_{j<4} (1 + j t) = 1 + 6t + 11t^2 + 6t^3
+        h = homology(more_chains("braid(4) order 2"))
+        assert h.betti == (1, 6, 11, 6) and not any(h.torsion)
+
+    def test_conf2_k5(self):
+        h = homology(more_chains("conf_2 K5"))
+        assert h.betti == (1, 12, 1) and not any(h.torsion)
+
+    def test_row_outside_shape_raises(self):
+        # the edge's boundary names vertex 5, but there is only vertex 0
+        cc = ChainComplex((1, 1), ({(5, 0): 1},))
+        for rank_only in (False, True):
+            with pytest.raises(ValueError, match=r"d_1 .* row 5"):
+                homology(cc, rank_only=rank_only)
+
+    def test_map_above_top_raises(self):
+        # a d_2 with an entry, but no C_2 for its column to name
+        cc = ChainComplex((1, 1), ({(0, 0): 1}, {(0, 0): 1}))
+        for rank_only in (False, True):
+            with pytest.raises(ValueError, match=r"d_2 .* column 0"):
+                homology(cc, rank_only=rank_only)
 
     def test_negative_betti_raises(self):
         # d1 . d2 = 2, not 0: rank d1 + rank d2 = 2 > |C_1| = 1
