@@ -55,8 +55,9 @@ class AcyclicCategory:
     morphisms (dst(f) == src(g)). ``grades`` optionally assigns an integer
     to each object (the cell dimension, for face categories). Instances
     are immutable after construction: adjacency, the diagnostics of
-    ``validate_category`` and the link of each object asked for are
-    computed once and cached.
+    ``validate_category``, the link of each object asked for and the
+    homology of each link order complex tested are computed once and
+    cached.
     """
 
     objects: tuple[Obj, ...]
@@ -87,6 +88,14 @@ class AcyclicCategory:
     @cached_property
     def _links(self) -> dict[Obj, tuple[int, ...]]:
         """The link table: ``_link(x)`` of each object asked for so far."""
+        return {}
+
+    @cached_property
+    def _spheres(self) -> dict:
+        """The sphere-homology memo of ``css._sphere_homology_ok``: the
+        ``HomologyResult`` of each link or lower-interval order complex
+        tested so far, keyed by (vertex count, face table). Every
+        validation of a space over this category shares it."""
         return {}
 
     def _link(self, x: Obj) -> tuple[int, ...]:

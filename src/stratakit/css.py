@@ -101,12 +101,14 @@ def _sphere_homology_ok(p: Poset, n: int, memo: dict | None = None) -> bool:
     and there are 2 vertices.
 
     ``memo`` maps (vertex count, face table) of an order complex to its
-    ``HomologyResult``; the caller owns it for one validation. The chain
-    complex, and so its homology, is a pure function of that key, so a
-    hit is exact; the order complex and its chain complex (with the
-    d.d = 0 check) are still built on every call, and only ``homology``
-    is skipped. The result is stored rather than the verdict, so the
-    comparison with n stays here. Without a memo nothing is reused."""
+    ``HomologyResult``; the validation path passes the face category's
+    ``AcyclicCategory._spheres``, so it lasts as long as the category.
+    The chain complex, and so its homology, is a pure function of that
+    key, so a hit is exact; the order complex and its chain complex (with
+    the d.d = 0 check) are still built on every call, and only
+    ``homology`` is skipped, with the column dicts that only it reads.
+    The result is stored rather than the verdict, so the comparison with
+    n stays here. Without a memo nothing is reused."""
     if n == 0:
         return not p.elements
     if not p.elements:
@@ -134,12 +136,32 @@ def _sphere_homology_ok(p: Poset, n: int, memo: dict | None = None) -> bool:
 def _diamond_ok(p: Poset) -> bool:
     """Every rank-2 interval has exactly two intermediate elements.
 
-    Cost O(sum over rank-2 pairs (a, b) of |down(b)|)."""
-    for a, b in p.comparable_pairs():
-        if p.grades[b] - p.grades[a] == 2:
-            middles = [m for m in p.down_set(b) if p.less(a, m)]
-            if len(middles) != 2:
+    Grades must rise strictly along covers, as they do in the link of a
+    cell whose lifts passed ``_grading_problems``. Then the elements
+    strictly between a and b, two grades apart, are the m with a covered
+    by m and m covered by b, and an a two grades below b with a < b is
+    either covered by b itself (no middle) or reached by such a chain of
+    two covers. So for each b the two-cover chains down from b are
+    counted per end a, and each a two grades below b must be counted
+    exactly twice; a cover across two grades fails at once. Cost,
+    before -> after: O(sum over comparable pairs two grades apart of
+    |down(b)|) ``less`` calls -> O(sum over b of sum over covers m of b
+    of |covers under m|) dict updates."""
+    under: dict = {}
+    for a, b in p.covers:
+        under.setdefault(b, []).append(a)
+    grades = p.grades
+    for b, mids in under.items():
+        two_below = grades[b] - 2
+        count: dict = {}
+        for m in mids:
+            if grades[m] == two_below:
                 return False
+            for a in under.get(m, ()):
+                if grades[a] == two_below:
+                    count[a] = count.get(a, 0) + 1
+        if any(k != 2 for k in count.values()):
+            return False
     return True
 
 
@@ -151,7 +173,7 @@ def _closed_cell_link_ok(
     its covers are the link's covers below its top: each is built from
     them in O(|interval covers|). Its elements are sorted by value (the
     order complex, and so the verdict, does not depend on their order).
-    ``memo`` is the caller's homology memo (see ``_sphere_homology_ok``):
+    ``memo`` is the category's homology memo (see ``_sphere_homology_ok``):
     links and intervals repeat across the cells of one space, and each
     distinct order complex has its homology computed once."""
     if not _sphere_homology_ok(p, n, memo):
@@ -192,9 +214,11 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
     diamond property, spherical lower intervals); flags cover all cells.
     Failures name the offending cell.
 
-    Homology is computed once per distinct link order complex in one call:
-    a memo keyed by the complex's vertex count and face table, which
-    determine its chain complex exactly, lives for this call only.
+    Homology is computed once per distinct link order complex and face
+    category: the memo ``AcyclicCategory._spheres``, keyed by the
+    complex's vertex count and face table, which determine its chain
+    complex exactly, is shared with ``make_css``'s flag pass and with
+    every later validation of a space over the same category.
     """
     problems = cat_ops.validate_category(x.cat)
     if problems:
@@ -203,7 +227,7 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
     problems = _grading_problems(c, x.closed)
     if problems:
         return problems
-    memo: dict = {}
+    memo = c._spheres
     for cell in c.objects:
         n = c.grades[cell]
         lk = link_poset(x, cell)
@@ -244,7 +268,8 @@ def _grading_problems(
 
 def _computed_closed_flags(c: AcyclicCategory) -> dict[Obj, bool]:
     """Flag each cell closed iff its link passes the sphere tests, with
-    one homology memo for the whole call. When the category is invalid
+    the category's homology memo (``AcyclicCategory._spheres``), which
+    the validation that follows reads too. When the category is invalid
     (its cached diagnostics, so no counted ``validate_category`` call) or
     its grading is (``_grading_problems``), every flag is False: its links
     may be undefined, and the validation that follows reports the
@@ -253,7 +278,7 @@ def _computed_closed_flags(c: AcyclicCategory) -> dict[Obj, bool]:
     if c._problems or _grading_problems(c, probe.closed):
         return probe.closed
     flags = {}
-    memo: dict = {}
+    memo = c._spheres
     for cell in c.objects:
         lk = link_poset(probe, cell)
         trial: list[str] = []

@@ -32,7 +32,11 @@ O(|pivot column|) dict updates and O(log) heap operations, and only the
 pivot columns are stored. The heap matters where a column is reduced
 many times: a column that ends as a cycle walks its whole support, and
 a scan for its largest row at every step made the homology of braid(5)'s
-order-2 order complex take 123 s instead of 6.7 s.
+order-2 order complex take 123 s instead of 6.7 s. A column's rows go
+on a heap only once its largest row, found by one scan, is a pivot row
+(or when a residual column is cleared): heaps, before -> after, one per
+column -> one per column that needs a reduction step. Most nerve
+columns become pivots at once and cost one scan of their n + 1 rows.
 
 ``homology`` reduces the boundary maps jointly, from d_top down to d_1,
 and clears: before d_n is reduced, the columns of the n-cells that were
@@ -57,7 +61,12 @@ after: (n+1)*n dict updates, multiplying its column into the columns of
 d_{n-1} -> n(n+1)/2 integer comparisons. Where an identity fails the
 columns of that dimension are multiplied out as before, so exactly the
 complexes with d . d != 0 raise. The matrices are held as their columns,
-which the unit elimination reads directly.
+which the unit elimination reads directly. Where the identities hold,
+a map keeps the face table and the signs and builds its column dicts
+on the first read: columns, before -> after, built at construction ->
+built on first read. A chain complex made only for its d . d = 0
+certificate, as in a sphere test whose homology is already known,
+builds none.
 """
 
 from __future__ import annotations
@@ -136,34 +145,35 @@ def chain_complex(k: DeltaComplex) -> ChainComplex:
     cost. Only in a dimension where an identity fails (or the table is
     ragged) is each column multiplied out, so a complex whose identities
     fail but whose boundary still squares to zero builds, and the first
-    column with d(d(c)) != 0 raises ValueError.
+    column with d(d(c)) != 0 raises ValueError, here and not on a later
+    read. Where the identities hold, the map is returned as a ``_Columns``
+    over the face table and the signs, and its column dicts are built on
+    the first read. Cost of a call whose maps are never read, before ->
+    after: the identity check plus one dict per cell -> the identity
+    check alone.
     """
-    mats = []
-    prev: list[dict[int, int]] = []
+    mats: list[_Columns] = []
     for n in range(1, k.dim() + 1):
         signs = [(-1) ** i for i in range(n + 1)]
         faces = k.faces[n - 1]
         if _identity_failures(k, n) == []:  # None: a malformed table
-            cols = [dict(zip(row, signs)) for row in faces]
-            for c, col in enumerate(cols):
-                if len(col) <= n:  # a repeated (or missing) face
-                    cols[c] = _column(faces[c], signs)
-        else:
-            cols = []
-            for c in range(k.size(n)):
-                col = _column(faces[c], signs)
-                if n > 1:
-                    acc: dict[int, int] = {}
-                    for f, v in col.items():
-                        for r, w in prev[f].items():
-                            acc[r] = acc.get(r, 0) + v * w
-                    if any(acc.values()):
-                        raise ValueError(
-                            f"boundary squared is nonzero in dimension {n}"
-                        )
-                cols.append(col)
-        mats.append(_Columns(cols))
-        prev = cols
+            mats.append(_Columns(faces, signs))
+            continue
+        prev = mats[-1].columns if mats else []
+        cols = []
+        for c in range(k.size(n)):
+            col = _column(faces[c], signs)
+            if n > 1:
+                acc: dict[int, int] = {}
+                for f, v in col.items():
+                    for r, w in prev[f].items():
+                        acc[r] = acc.get(r, 0) + v * w
+                if any(acc.values()):
+                    raise ValueError(
+                        f"boundary squared is nonzero in dimension {n}"
+                    )
+            cols.append(col)
+        mats.append(_Columns(faces, signs, cols))
     return ChainComplex(f_vector(k), tuple(mats))
 
 
@@ -181,16 +191,48 @@ def _column(faces: tuple[int, ...], signs: list[int]) -> dict[int, int]:
 
 class _Columns(Mapping):
     """A sparse integer matrix held as its columns: columns[j] maps row
-    indices to nonzero entries. It reads as the {(row, col): value} map,
-    columns in order; its length is the number of nonzero entries."""
+    indices to nonzero entries, column j being sum_i signs[i] * faces[j][i].
+    It reads as the {(row, col): value} map, columns in order; its length
+    is the number of nonzero entries.
 
-    __slots__ = ("columns", "_nnz")
+    The column dicts are built on the first read (``columns``, ``len``,
+    iteration, ``[]``, ``repr``) and kept; until then only the face table
+    and the signs are held. Cost of construction, before -> after: one
+    dict per cell -> O(1).
+    """
 
-    def __init__(self, columns: list[dict[int, int]]):
-        self.columns = columns
+    __slots__ = ("_faces", "_signs", "_columns", "_nnz")
+
+    def __init__(self, faces, signs: list[int], columns=None):
+        self._faces = faces
+        self._signs = signs
+        self._columns: list[dict[int, int]] | None = None
+        if columns is not None:
+            self._store(columns)
+
+    def _store(self, columns: list[dict[int, int]]) -> None:
+        self._columns = columns
         self._nnz = sum(map(len, columns))
+        self._faces = self._signs = None
+
+    def _build(self) -> None:
+        faces, signs = self._faces, self._signs
+        n = len(signs) - 1
+        cols = [dict(zip(row, signs)) for row in faces]
+        for c, col in enumerate(cols):
+            if len(col) <= n:  # a repeated (or missing) face
+                cols[c] = _column(faces[c], signs)
+        self._store(cols)
+
+    @property
+    def columns(self) -> list[dict[int, int]]:
+        if self._columns is None:
+            self._build()
+        return self._columns
 
     def __len__(self) -> int:
+        if self._columns is None:
+            self._build()
         return self._nnz
 
     def __iter__(self):
@@ -200,9 +242,10 @@ class _Columns(Mapping):
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
-        if not 0 <= j < len(self.columns):
+        columns = self.columns
+        if not 0 <= j < len(columns):
             raise KeyError(key)
-        return self.columns[j][i]
+        return columns[j][i]
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -222,11 +265,16 @@ def _unit_reduce(
     p. A column whose largest row then holds +-1 is stored as the pivot
     of that row; any other nonzero column goes to the residual. Last,
     each residual column is cleared of every pivot row, largest first.
-    The rows of the column are kept on a max-heap, so a step costs
-    O(|pivot column|) dict updates and heap pushes, not a scan of the
-    column, and no row table is kept. Pivots are chosen by row index
-    alone, so the result does not depend on the hash seed. Columns come
-    from the stored columns of a matrix from ``chain_complex``; a plain
+    The largest row of a column is found by one scan. Only when it is a
+    pivot row do the column's rows go on a max-heap, so a reduction step
+    costs O(|pivot column|) dict updates and heap pushes, not a scan of
+    the column, and no row table is kept; a residual column gets its heap
+    for the clearing. Heaps, before -> after: one per column -> one per
+    column that needs a reduction step or a clearing; a nerve column that
+    is a pivot at once costs one scan of its n + 1 rows. Pivots are
+    chosen by row index alone, so the result does not depend on the hash
+    seed. Columns come from the stored columns of a matrix from
+    ``chain_complex`` (``mat.columns``, built on this first read); a plain
     dict is grouped by column first, columns ascending.
     """
     if isinstance(mat, _Columns):
@@ -244,35 +292,42 @@ def _unit_reduce(
         if not column or j in skip:
             continue
         col = dict(column)
-        heap = [-i for i in col]
-        heapify(heap)
-        low = _pop_low(col, heap)
-        while low in below:
-            _subtract(col, col.pop(low), below[low], heap)
-            low = _pop_low(col, heap)
-        if low is None:
-            continue
+        low = max(col)
+        if low in below:
+            heap = _heap(col)
+            while low in below:
+                _subtract(col, col.pop(low), below[low], heap)
+                low = _pop_low(col, heap)
+            if low is None:
+                continue
         v = col[low]
         if v == 1 or v == -1:
             del col[low]
             below[low] = col if v == 1 else {i: -u for i, u in col.items()}
             pivots.append(low)
         else:
-            heappush(heap, -low)
-            rest.append((col, heap))
-    for col, heap in rest:
+            rest.append(col)
+    for col in rest:
         # pivot p adds only into rows below p, so once the heap has passed
         # a row, no subtraction reaches it again
+        heap = _heap(col)
         while (p := _pop_low(col, heap)) is not None:
             if p in below:
                 _subtract(col, col.pop(p), below[p], heap)
-    rest = [col for col, _ in rest if col]
+    rest = [col for col in rest if col]
     row_pos = {i: r for r, i in enumerate(sorted({i for col in rest for i in col}))}
     residual = [[0] * len(rest) for _ in row_pos]
     for c, col in enumerate(rest):
         for i, v in col.items():
             residual[row_pos[i]][c] = v
     return pivots, residual
+
+
+def _heap(col: dict[int, int]) -> list[int]:
+    """A max-heap of the rows of col, as negated rows."""
+    heap = [-i for i in col]
+    heapify(heap)
+    return heap
 
 
 def _pop_low(col: dict[int, int], heap: list[int]) -> int | None:

@@ -271,6 +271,9 @@ def load_css(payload: dict) -> CombinatorialCSS:
     for key, v in payload["dims"].items():
         if key not in by_key:
             raise ValueError(f"/dims/{key}: unknown object")
+        # 2.0 (and true) pass the schema's integer type, but no dimension
+        if type(v) is not int:
+            raise ValueError(f"/dims/{key}: dimension is not an int: {v!r}")
         dims[by_key[key]] = v
     for key, v in payload["closed"].items():
         if key not in by_key:
@@ -319,6 +322,9 @@ def _rational(v, pointer: str) -> Fraction:
 
 
 def load_arrangement(payload: dict) -> Arrangement:
+    n = payload["n"]
+    if type(n) is not int:  # 2.0 passes the schema's integer type
+        raise ValueError(f"/n: ambient dimension is not an int: {n!r}")
     rows = [
         (
             [_rational(v, f"/hyperplanes/{k}/a/{i}") for i, v in enumerate(h["a"])],
@@ -326,7 +332,7 @@ def load_arrangement(payload: dict) -> Arrangement:
         )
         for k, h in enumerate(payload["hyperplanes"])
     ]
-    return Arrangement.from_lists(payload["n"], rows)
+    return Arrangement.from_lists(n, rows)
 
 
 def dump_arrangement(arr: Arrangement) -> dict:

@@ -411,3 +411,48 @@ def test_export_reports_an_invalid_category(tmp_path, capsys, fmt, payload, mess
     assert code == 2 and out == ""
     assert err.splitlines()[0] == message
     assert "Traceback" not in err
+
+
+def css_payload_with_dim(capsys, value):
+    """The JSON export of circle-minimal with one dimension replaced."""
+    body = report(capsys, "export", "json", "--fixture", "circle-minimal")["body"]
+    key = sorted(body["dims"])[-1]
+    body["dims"][key] = value
+    return body, key
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"], ["sd"], ["homology"], ["dual"], ["facecat"]]
+)
+def test_a_float_dimension_is_rejected(tmp_path, capsys, command):
+    # 2.0 is an integer to the schema; it used to reach the sphere tests
+    # and die there with a TypeError
+    body, key = css_payload_with_dim(capsys, 1.0)
+    path = tmp_path / "css.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == (
+        f"error: /dims/{key}: dimension is not an int: 1.0"
+    )
+    assert "Traceback" not in err
+
+
+def test_a_bool_dimension_is_rejected(capsys):
+    import stratakit.io as sio
+
+    body, key = css_payload_with_dim(capsys, True)
+    with pytest.raises(ValueError, match=f"^/dims/{key}: dimension is not an int"):
+        sio.load_css(body)
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"]] + [["arrangement", s] for s in ARRANGEMENT_COMMANDS]
+)
+def test_a_float_ambient_dimension_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"n": 2.0, "hyperplanes": [{"a": ["1", "0"], "b": "0"}]}))
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == "error: /n: ambient dimension is not an int: 2.0"
+    assert "Traceback" not in err

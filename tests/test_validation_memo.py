@@ -1,13 +1,16 @@
-"""One homology per distinct link complex in each validation.
+"""One homology per distinct link complex and face category.
 
-``validate_total_normality`` and ``make_css`` keep, for one call, a memo
-from an order complex's (vertex count, face table) to its homology. They
-are compared with copies of the functions as they were before the memo on
-fixtures, products, duals, Salvetti complexes, configuration spaces and
-perturbed inputs: a flipped closed flag, a dropped boundary morphism and a
-disk with a broken lower interval. On RP^2 x RP^2 the memo computes each
-distinct homology once, while every link poset, order complex and chain
-complex is still built as before.
+``validate_total_normality`` and ``make_css`` share a memo, cached on the
+face category (``AcyclicCategory._spheres``), from an order complex's
+(vertex count, face table) to its homology. They are compared with copies
+of the functions as they were before the memo on fixtures, products,
+duals, Salvetti complexes, configuration spaces and perturbed inputs: a
+flipped closed flag, a dropped boundary morphism and a disk with a broken
+lower interval. On RP^2 x RP^2 the memo computes each distinct homology
+once per category, while every link poset, order complex and chain
+complex is still built as before. ``_diamond_ok``, which counts chains of
+two covers, is compared with a copy of the check by comparable pairs on
+link posets and on perturbed and random graded posets.
 """
 
 import functools
@@ -29,6 +32,7 @@ from stratakit.css import (
     make_css,
     product_css,
     salvetti_complex,
+    sd,
     validate_total_normality,
 )
 from stratakit.fixtures import CSS_FIXTURES, rp2
@@ -350,9 +354,12 @@ class TestDiagnosticsUnchanged:
 
 
 class TestMemoHitsAndCountedCalls:
-    """On RP^2 x RP^2: each distinct (size(0), faces) key has its homology
-    computed once per validation, and the counted calls are those of the
-    code before the memo (pinned)."""
+    """On RP^2 x RP^2: the homology memo belongs to the face category
+    (``AcyclicCategory._spheres``). Each distinct (size(0), faces) key has
+    its homology computed once across the flag pass, ``make_css``'s check
+    and ``sd``'s check, none in a repeat validation, and once again on a
+    fresh copy of the category; the counted calls are those of the code
+    before the memo (pinned)."""
 
     # calls of (link_poset, order_complex, chain_complex, Poset.from_relation)
     BEFORE = {
@@ -405,22 +412,42 @@ class TestMemoHitsAndCountedCalls:
             for k in ("link_poset", "order_complex", "chain_complex", "from_relation")
         )
 
-    def test_validate(self, counted):
+    @staticmethod
+    def fresh(c):
+        """The same category with empty caches."""
+        return AcyclicCategory(
+            c.objects, c.morphisms, c.src, c.dst, c.compose, c.grades
+        )
+
+    def test_one_memo_per_category(self, counted):
+        x, counts, key_of, homology_keys = counted
+        y = make_css(self.fresh(x.cat))
+        assert y.closed == x.closed
+        assert self.calls(counts) == self.BEFORE["make_css"]
+        sd(y)
+        assert self.calls(counts) == tuple(
+            m + v for m, v in zip(self.BEFORE["make_css"], self.BEFORE["validate"])
+        )
+        # the flag pass, make_css's check and sd's check: once per key
+        distinct = {key for _, key in key_of.values()}
+        assert Counter(homology_keys) == {key: 1 for key in distinct}
+        assert len(homology_keys) < counts["chain_complex"]
+        # a repeat validation reads every homology from the memo
+        counts.clear()
+        del homology_keys[:]
+        assert validate_total_normality(y) == []
+        assert self.calls(counts) == self.BEFORE["validate"]
+        assert homology_keys == []
+
+    def test_a_fresh_copy_computes_each_key_again(self, counted):
         x, counts, key_of, homology_keys = counted
         assert validate_total_normality(x) == []
-        assert self.calls(counts) == self.BEFORE["validate"]
+        assert homology_keys == []  # product_css validated it
+        copy = CombinatorialCSS(self.fresh(x.cat), x.closed)
+        assert validate_total_normality(copy) == []
+        assert self.calls(counts) == tuple(2 * v for v in self.BEFORE["validate"])
         distinct = {key for _, key in key_of.values()}
-        assert len(homology_keys) == len(set(homology_keys)) == len(distinct)
-        assert set(homology_keys) == distinct
-        assert len(homology_keys) < counts["chain_complex"]
-
-    def test_make_css_with_computed_flags(self, counted):
-        # computing the flags and validating are two calls, one memo each
-        x, counts, key_of, homology_keys = counted
-        assert make_css(x.cat).closed == x.closed
-        assert self.calls(counts) == self.BEFORE["make_css"]
-        distinct = {key for _, key in key_of.values()}
-        assert Counter(homology_keys) == {key: 2 for key in distinct}
+        assert Counter(homology_keys) == {key: 1 for key in distinct}
 
     def test_two_argument_call_memoises_nothing(self, counted):
         _, _, _, homology_keys = counted
@@ -428,3 +455,120 @@ class TestMemoHitsAndCountedCalls:
         for _ in range(2):
             assert css._sphere_homology_ok(p, 2)
         assert len(homology_keys) == 2
+
+
+# --- the diamond check ----------------------------------------------------
+
+
+def diamond_ok_before(p):
+    for a, b in p.comparable_pairs():
+        if p.grades[b] - p.grades[a] == 2:
+            middles = [m for m in p.down_set(b) if p.less(a, m)]
+            if len(middles) != 2:
+                return False
+    return True
+
+
+LINK_SPACES = sorted(
+    name for name in BASES if name.startswith(("fixture", "product", "conf"))
+)
+
+
+def rank_two_pairs(p):
+    return [
+        (a, b)
+        for a, b in p.comparable_pairs()
+        if p.grades[b] - p.grades[a] == 2
+    ]
+
+
+def rebuilt(p, drop=(), extra=(), grades=()):
+    """p without the elements in drop, with the pairs in extra added to
+    its order and the grades of new elements."""
+    keep = [e for e in p.elements if e not in drop]
+    less = [(a, b) for a, b in p.comparable_pairs() if a not in drop and b not in drop]
+    new = dict(grades)
+    return Poset.from_relation(
+        keep + list(new),
+        less + list(extra),
+        {**{e: p.grades[e] for e in keep}, **new},
+    )
+
+
+def one_middle(p, i):
+    """Drop one of the two middles of a rank-2 interval."""
+    pairs = rank_two_pairs(p)
+    if not pairs:
+        return p
+    a, b = pairs[i % len(pairs)]
+    m = min(m for m in p.down_set(b) if p.less(a, m))
+    return rebuilt(p, drop={m})
+
+
+def three_middles(p, i):
+    """Add a third middle to a rank-2 interval."""
+    pairs = rank_two_pairs(p)
+    if not pairs:
+        return p
+    a, b = pairs[i % len(pairs)]
+    m = max(p.elements) + 1
+    return rebuilt(p, extra=[(a, m), (m, b)], grades={m: p.grades[a] + 1})
+
+
+def jump_two_grades(p, i):
+    """Drop both middles of a rank-2 interval, so its ends form a cover
+    across two grades."""
+    pairs = rank_two_pairs(p)
+    if not pairs:
+        return p
+    a, b = pairs[i % len(pairs)]
+    return rebuilt(p, drop={m for m in p.down_set(b) if p.less(a, m)})
+
+
+POSET_PERTURBATIONS = {
+    "none": lambda p, i: p,
+    "one middle": one_middle,
+    "three middles": three_middles,
+    "a cover across two grades": jump_two_grades,
+}
+
+
+@st.composite
+def graded_relations(draw):
+    """A poset whose order only rises in grade, from random pairs."""
+    grades = draw(st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    n = len(grades)
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)
+    )
+    less = [(a, b) for a, b in pairs if grades[a] < grades[b]]
+    return Poset.from_relation(range(n), less, dict(enumerate(grades)))
+
+
+class TestDiamondFromCovers:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(LINK_SPACES),
+        st.sampled_from(sorted(POSET_PERTURBATIONS)),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    )
+    def test_link_posets(self, name, how, cell, i):
+        x = base(name)
+        p = link_poset(x, x.cells()[cell % len(x.cells())])
+        q = POSET_PERTURBATIONS[how](p, i)
+        assert _diamond_ok(q) == diamond_ok_before(q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graded_relations())
+    def test_random_graded_posets(self, p):
+        assert _diamond_ok(p) == diamond_ok_before(p)
+
+    @pytest.mark.parametrize("how", sorted(set(POSET_PERTURBATIONS) - {"none"}))
+    def test_each_perturbation_breaks_a_diamond(self, how):
+        x = fixture("simplex-3")
+        cell = max(x.cells(), key=x.dim)
+        p = link_poset(x, cell)
+        assert _diamond_ok(p) and rank_two_pairs(p)
+        q = POSET_PERTURBATIONS[how](p, 0)
+        assert not _diamond_ok(q) and not diamond_ok_before(q)
