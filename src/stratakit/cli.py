@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Every command reads JSON (or a named fixture), performs one operation,
-and writes a deterministic RunReport to stdout: byte-identical for
-identical inputs. Timing goes to stderr so it never perturbs the report
-or its digest. Exit codes: 0 success, 2 validation failure, 1 I/O or
-parse error.
+Every command reads JSON (or a named fixture) and performs one
+operation. It returns the payload it read (a fixture's payload is its
+name) and its report, or, for ``export dot`` and ``export off``, the
+text to write. ``main`` is the one path out: it adds the operation and
+the payload's digest to a report, writes it as sorted JSON to stdout or
+``--out``, and exits 2 when the report has diagnostics. Reports are
+byte-identical for identical inputs. Timing goes to stderr so it never
+perturbs the report or its digest. Exit codes: 0 success, 2 validation
+failure, 1 I/O or parse error (a file that cannot be read, or is not
+UTF-8 JSON).
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ def _read_payload(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot parse {path}: {exc}", EXIT_IO) from exc
 
 
@@ -69,16 +74,17 @@ def _digest(payload) -> str:
     return hashlib.sha256(sio.canonical_json(payload).encode()).hexdigest()
 
 
-def _codec(kind: str):
-    """The JSON loader and dumper of an input kind."""
+def _kinds() -> dict:
+    """Each input kind's JSON loader, dumper and diagnostics. Built on
+    each call, so a module global replaced at run time is the one used."""
     return {
-        "poset": (sio.load_poset, sio.dump_poset),
-        "category": (sio.load_category, sio.dump_category),
-        "css": (sio.load_css, sio.dump_css),
-        "delta": (sio.load_delta, sio.dump_delta),
-        "arrangement": (sio.load_arrangement, sio.dump_arrangement),
-        "graph": (sio.load_graph, sio.dump_graph),
-    }[kind]
+        "poset": (sio.load_poset, sio.dump_poset, validate_poset),
+        "category": (sio.load_category, sio.dump_category, validate_category),
+        "css": (sio.load_css, sio.dump_css, validate_total_normality),
+        "delta": (sio.load_delta, sio.dump_delta, validate_delta),
+        "arrangement": (sio.load_arrangement, sio.dump_arrangement, lambda a: []),
+        "graph": (sio.load_graph, sio.dump_graph, validate_graph),
+    }
 
 
 def _load_checked(path: str, kind: str | None = None):
@@ -89,29 +95,31 @@ def _load_checked(path: str, kind: str | None = None):
         raise CliError(
             "schema violations: " + "; ".join(problems), EXIT_INVALID
         )
-    loader, _ = _codec(actual)
+    loader = _kinds()[actual][0]
     try:
         return actual, loader(payload), payload
     except (ValueError, KeyError) as exc:
         raise CliError(str(exc), EXIT_INVALID) from exc
 
 
+def _source(args, graphs: bool = False):
+    """Kind, value and payload of the input named by ``--file`` or
+    ``--fixture``: a graph fixture for the graph commands, else a space.
+    A file of a graph command is read as a graph; any other file is read
+    as the kind its keys name. The payload of a fixture is its name."""
+    if getattr(args, "fixture", None):
+        if graphs:
+            return "graph", graph_fixture(args.fixture), {"fixture": args.fixture}
+        return "css", css_fixture(args.fixture), {"fixture": args.fixture}
+    return _load_checked(args.file, "graph" if graphs else None)
+
+
 def _css_input(args):
-    if args.fixture:
-        x = css_fixture(args.fixture)
-        return x, {"fixture": args.fixture}
-    kind, value, payload = _load_checked(args.file)
+    kind, value, payload = _source(args)
     if kind == "graph":
         return graph_to_css(value), payload
     if kind != "css":
         raise CliError(f"expected a stratified space, got {kind}", EXIT_INVALID)
-    return value, payload
-
-
-def _graph_input(args):
-    if args.fixture:
-        return graph_fixture(args.fixture), {"fixture": args.fixture}
-    kind, value, payload = _load_checked(args.file, "graph")
     return value, payload
 
 
@@ -133,34 +141,11 @@ def _homology_report(dc, rank_only: bool = False) -> dict:
     }
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def cmd_validate(args) -> int:
-    kind, value, payload = _load_checked(args.file)
-    diagnostics = {
-        "poset": validate_poset,
-        "category": validate_category,
-        "css": validate_total_normality,
-        "delta": validate_delta,
-        "graph": validate_graph,
-        "arrangement": lambda a: [],
-    }[kind](value)
-    report = {
-        "operation": "validate",
-        "kind": kind,
-        "digest": _digest(payload),
-        "diagnostics": diagnostics,
-        "valid": not diagnostics,
-    }
-    _emit(report, args)
-    return EXIT_OK if not diagnostics else EXIT_INVALID
+def cmd_validate(args) -> tuple[dict, dict]:
+    kind, value, payload = _source(args)
+    diagnostics = _kinds()[kind][2](value)
+    report = {"kind": kind, "diagnostics": diagnostics, "valid": not diagnostics}
+    return payload, report
 
 
 def _check_dumpable(kind: str, value) -> None:
@@ -177,13 +162,9 @@ def _check_dumpable(kind: str, value) -> None:
         raise CliError("invalid category: " + "; ".join(value._problems), EXIT_INVALID)
 
 
-def cmd_facecat(args) -> int:
+def cmd_facecat(args) -> tuple[dict, dict]:
     x, payload = _css_input(args)
-    report = {
-        "operation": "facecat",
-        "digest": _digest(payload),
-        "diagnostics": validate_total_normality(x),
-    }
+    report = {"diagnostics": validate_total_normality(x)}
     # an invalid face category has no dump: its diagnostics are the report
     if not x.cat._problems:
         ids = list(enumerate(x.cells()))
@@ -194,53 +175,28 @@ def cmd_facecat(args) -> int:
             str(i): x.cat.grades[v] for i, v in ids if v in x.cat.grades
         }
         report["closed"] = {str(i): x.closed[v] for i, v in ids if v in x.closed}
-    _emit(report, args)
-    return EXIT_OK if not report["diagnostics"] else EXIT_INVALID
+    return payload, report
 
 
-def cmd_sd(args) -> int:
+def cmd_sd(args) -> tuple[dict, dict]:
     x, payload = _css_input(args)
     diagnostics = validate_total_normality(x)
     if diagnostics:
-        _emit(
-            {
-                "operation": "sd",
-                "digest": _digest(payload),
-                "diagnostics": diagnostics,
-            },
-            args,
-        )
-        return EXIT_INVALID
-    dc = sd(x)
-    report = {
-        "operation": "sd",
-        "digest": _digest(payload),
-        "diagnostics": [],
-        **_homology_report(dc, rank_only=args.rank_only),
-    }
-    _emit(report, args)
-    return EXIT_OK
+        return payload, {"diagnostics": diagnostics}
+    return payload, {"diagnostics": [], **_homology_report(sd(x), args.rank_only)}
 
 
-def cmd_homology(args) -> int:
-    kind, value, payload = _load_checked(args.file)
-    if kind == "delta":
-        dc = _checked_delta(value)
-    elif kind == "poset":
-        dc = order_complex(value)
-    elif kind == "css":
-        dc = sd(value)
-    elif kind == "category":
-        dc = nondegenerate_nerve(value)
-    else:
+def cmd_homology(args) -> tuple[dict, dict]:
+    kind, value, payload = _source(args)
+    complex_of = {
+        "delta": _checked_delta,
+        "poset": order_complex,
+        "css": sd,
+        "category": nondegenerate_nerve,
+    }.get(kind)
+    if complex_of is None:
         raise CliError(f"no homology for inputs of kind {kind}", EXIT_INVALID)
-    report = {
-        "operation": "homology",
-        "digest": _digest(payload),
-        **_homology_report(dc, rank_only=args.rank_only),
-    }
-    _emit(report, args)
-    return EXIT_OK
+    return payload, _homology_report(complex_of(value), args.rank_only)
 
 
 def _cells_by_dim(x) -> dict[str, int]:
@@ -251,59 +207,60 @@ def _cells_by_dim(x) -> dict[str, int]:
     return counts
 
 
-def _dual_command(args, op_name, op) -> int:
+def _dual_command(args, op) -> tuple[dict, dict]:
     x, payload = _css_input(args)
     y = op(x)
-    report = {
-        "operation": op_name,
-        "digest": _digest(payload),
+    return payload, {
         "cells_by_dim": _cells_by_dim(y),
         "css": sio.dump_css(y),
         **_homology_report(sd(y)),
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_dual(args) -> int:
-    return _dual_command(args, "dual", dual)
+def cmd_dual(args) -> tuple[dict, dict]:
+    return _dual_command(args, dual)
 
 
-def cmd_salvetti(args) -> int:
-    return _dual_command(args, "salvetti", salvetti_complex)
+def cmd_salvetti(args) -> tuple[dict, dict]:
+    return _dual_command(args, salvetti_complex)
 
 
-def cmd_arrangement(args) -> int:
-    kind, arr, payload = _load_checked(args.file, "arrangement")
-    report: dict = {
-        "operation": f"arrangement {args.subcommand}",
-        "digest": _digest(payload),
-        "order": args.order,
-    }
-    if args.subcommand == "faces":
-        p = faces_level1(arr) if args.order == 1 else faces_higher(arr, args.order)
-        report["strata"] = len(p.elements)
-        report["euler_sum"] = euler_sum(p)
-        report["poset"] = sio.dump_poset(p)
-    elif args.subcommand == "complement":
-        p = complement_poset(arr, args.order)
-        report["strata"] = len(p.elements)
-        report["poset"] = sio.dump_poset(p)
-        report.update(_homology_report(order_complex(p)))
-    elif args.subcommand == "salvetti":
+def cmd_arrangement(args) -> tuple[dict, dict]:
+    _, arr, payload = _load_checked(args.file, "arrangement")
+    report: dict = {"order": args.order}
+    if args.subcommand == "salvetti":
         report["cells_by_dim"] = _cells_by_dim(salvetti_cellular(arr, args.order))
         report.update(_homology_report(higher_salvetti(arr, args.order)))
-    else:
+        return payload, report
+    if args.subcommand == "complement":
+        p = complement_poset(arr, args.order)
+    elif args.subcommand == "symmetric":
         p = symmetric_subdivision(arr, args.order)
-        report["strata"] = len(p.elements)
+    else:
+        p = faces_level1(arr) if args.order == 1 else faces_higher(arr, args.order)
+    report["strata"] = len(p.elements)
+    report["poset"] = sio.dump_poset(p)
+    if args.subcommand == "complement":
+        report.update(_homology_report(order_complex(p)))
+    else:
         report["euler_sum"] = euler_sum(p)
-        report["poset"] = sio.dump_poset(p)
-    _emit(report, args)
-    return EXIT_OK
+    return payload, report
 
 
-def cmd_conf(args) -> int:
-    g, payload = _graph_input(args)
+def _conf_report(args, x, conditions: list, **keys) -> dict:
+    """The report of a configuration space ``x`` of a graph: its cells,
+    the Abrams conditions and the homology of its subdivision."""
+    return {
+        **keys,
+        "k": args.k,
+        "cells": len(x.cells()),
+        "oracle_conditions": conditions,
+        **_homology_report(sd(x), args.rank_only),
+    }
+
+
+def cmd_conf(args) -> tuple[dict, dict]:
+    _, g, payload = _source(args, graphs=True)
     if args.subdivide != 1:  # subdivide_graph rejects counts below 1
         g = subdivide_graph(g, args.subdivide)
     if args.oracle:
@@ -318,61 +275,49 @@ def cmd_conf(args) -> int:
         x = conf_category(g, args.k)
         model = "ordered"
         conditions = []
-    report = {
-        "operation": "conf",
-        "model": model,
-        "k": args.k,
-        "digest": _digest(payload),
-        "cells": len(x.cells()),
-        "oracle_conditions": conditions,
-        **_homology_report(sd(x), rank_only=args.rank_only),
-    }
-    _emit(report, args)
-    return EXIT_OK
+    return payload, _conf_report(args, x, conditions, model=model)
 
 
-def cmd_abrams(args) -> int:
-    g, payload = _graph_input(args)
+def cmd_abrams(args) -> tuple[dict, dict]:
+    _, g, payload = _source(args, graphs=True)
     x = abrams_complex(g, args.k, args.subdivide)
-    report = {
-        "operation": "abrams",
-        "k": args.k,
-        "subdivide": args.subdivide,
-        "digest": _digest(payload),
-        "cells": len(x.cells()),
-        "oracle_conditions": abrams_conditions(
-            subdivide_graph(g, args.subdivide), args.k
-        ),
-        **_homology_report(sd(x), rank_only=args.rank_only),
-    }
-    _emit(report, args)
-    return EXIT_OK
+    conditions = abrams_conditions(subdivide_graph(g, args.subdivide), args.k)
+    return payload, _conf_report(args, x, conditions, subdivide=args.subdivide)
 
 
-def _dot_poset(p) -> str:
-    lines = ["digraph hasse {"]
-    for e in p.elements:
-        label = str(p.labels.get(e, e)).replace('"', "'")
-        lines.append(f'  n{e} [label="{label}"];')
-    for lo, hi in p.covers:
-        lines.append(f"  n{lo} -> n{hi};")
+def _dot(kind: str, value) -> str:
+    """The Hasse diagram of a poset, or the diagram of the category of a
+    category, stratified space or graph, in DOT. A node is named by its
+    element or its object's index, and a morphism edge is labelled."""
+    if kind == "graph":
+        kind, value = "css", graph_to_css(value)
+    if kind == "css":
+        kind, value = "category", value.cat
+    if kind == "poset":
+        name = "hasse"
+        nodes = [(e, value.labels.get(e, e)) for e in value.elements]
+        edges = [(lo, hi, None) for lo, hi in value.covers]
+    elif kind == "category":
+        oid = {x: i for i, x in enumerate(value.objects)}
+        name = "facecat"
+        nodes = [(oid[x], x) for x in value.objects]
+        edges = [
+            (oid[value.src[m]], oid[value.dst[m]], m) for m in value.morphisms
+        ]
+    else:
+        raise CliError(f"no DOT export for {kind}", EXIT_INVALID)
+    lines = [f"digraph {name} {{"]
+    for i, label in nodes:
+        lines.append(f'  n{i} [label="{_dot_label(label)}"];')
+    for lo, hi, label in edges:
+        attrs = "" if label is None else f' [label="{_dot_label(label)}"]'
+        lines.append(f"  n{lo} -> n{hi}{attrs};")
     lines.append("}")
     return "\n".join(lines)
 
 
-def _dot_category(c) -> str:
-    oid = {x: i for i, x in enumerate(c.objects)}
-    lines = ["digraph facecat {"]
-    for x in c.objects:
-        label = str(x).replace('"', "'")
-        lines.append(f'  n{oid[x]} [label="{label}"];')
-    for m in c.morphisms:
-        label = str(m).replace('"', "'")
-        lines.append(
-            f'  n{oid[c.src[m]]} -> n{oid[c.dst[m]]} [label="{label}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines)
+def _dot_label(value) -> str:
+    return str(value).replace('"', "'")
 
 
 def _off_sd(dc) -> str:
@@ -396,44 +341,18 @@ def _off_sd(dc) -> str:
     return "\n".join(lines)
 
 
-def cmd_export(args) -> int:
-    if args.fixture:
-        x = css_fixture(args.fixture)
-        payload: dict = {"fixture": args.fixture}
-        kind = "css"
-        value = x
-    else:
-        kind, value, payload = _load_checked(args.file)
+def cmd_export(args) -> tuple[dict, dict] | str:
+    kind, value, payload = _source(args)
     _check_dumpable(kind, value)
     if args.format == "json":
-        _, dump = _codec(kind)
-        body = dump(value)
-        _emit({"operation": "export json", "digest": _digest(payload), "body": body}, args)
-        return EXIT_OK
+        return payload, {"body": _kinds()[kind][1](value)}
     if args.format == "dot":
-        if kind == "poset":
-            text = _dot_poset(value)
-        elif kind == "css":
-            text = _dot_category(value.cat)
-        elif kind == "category":
-            text = _dot_category(value)
-        elif kind == "graph":
-            text = _dot_category(graph_to_css(value).cat)
-        else:
-            raise CliError(f"no DOT export for {kind}", EXIT_INVALID)
-    else:  # off
-        if kind == "css":
-            text = _off_sd(sd(value))
-        elif kind == "delta":
-            text = _off_sd(_checked_delta(value))
-        else:
-            raise CliError(f"no OFF export for {kind}", EXIT_INVALID)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return EXIT_OK
+        return _dot(kind, value)
+    if kind == "css":
+        return _off_sd(sd(value))
+    if kind == "delta":
+        return _off_sd(_checked_delta(value))
+    raise CliError(f"no OFF export for {kind}", EXIT_INVALID)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,56 +363,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p, graphs=False):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--file", help="JSON input path")
-        names = sorted(GRAPH_FIXTURES if graphs else CSS_FIXTURES)
-        group.add_argument("--fixture", choices=names, help="named fixture")
+    def command(name, func, help, fixtures=None, choice=None):
+        """A subcommand, with its positional ``(dest, choices)`` if any,
+        reading ``--file`` (or one of ``--file`` and ``--fixture`` when
+        it has fixtures) and writing to ``--out``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if choice:
+            p.add_argument(choice[0], choices=choice[1])
+        if fixtures is None:
+            p.add_argument("--file", required=True, help="JSON input path")
+        else:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--file", help="JSON input path")
+            group.add_argument(
+                "--fixture", choices=sorted(fixtures), help="named fixture"
+            )
         p.add_argument("--out", help="write the report here instead of stdout")
+        return p
 
-    p = sub.add_parser("validate", help="validate a JSON input")
-    p.add_argument("--file", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "validate a JSON input")
+    command("facecat", cmd_facecat, "face category of a stratified space", CSS_FIXTURES)
+    command("sd", cmd_sd, "barycentric subdivision with homology", CSS_FIXTURES)
+    command("homology", cmd_homology, "homology of a complex/poset/space")
+    command("dual", cmd_dual, "stellar dual", CSS_FIXTURES)
+    command("salvetti", cmd_salvetti, "double dual (Salvetti complex)", CSS_FIXTURES)
 
-    p = sub.add_parser("facecat", help="face category of a stratified space")
-    add_source(p)
-    p.set_defaults(func=cmd_facecat)
-
-    p = sub.add_parser("sd", help="barycentric subdivision with homology")
-    add_source(p)
-    p.add_argument(
-        "--rank-only", action="store_true", help="Betti numbers only, no torsion"
+    p = command(
+        "arrangement",
+        cmd_arrangement,
+        "sign-vector stratifications",
+        choice=("subcommand", ["faces", "complement", "salvetti", "symmetric"]),
     )
-    p.set_defaults(func=cmd_sd)
-
-    p = sub.add_parser("homology", help="homology of a complex/poset/space")
-    p.add_argument("--file", required=True)
-    p.add_argument("--out")
-    p.add_argument(
-        "--rank-only", action="store_true", help="Betti numbers only, no torsion"
-    )
-    p.set_defaults(func=cmd_homology)
-
-    p = sub.add_parser("dual", help="stellar dual")
-    add_source(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("salvetti", help="double dual (Salvetti complex)")
-    add_source(p)
-    p.set_defaults(func=cmd_salvetti)
-
-    p = sub.add_parser("arrangement", help="sign-vector stratifications")
-    p.add_argument(
-        "subcommand", choices=["faces", "complement", "salvetti", "symmetric"]
-    )
-    p.add_argument("--file", required=True)
     p.add_argument("--order", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_arrangement)
 
-    p = sub.add_parser("conf", help="configuration space of a graph")
-    add_source(p, graphs=True)
+    p = command("conf", cmd_conf, "configuration space of a graph", GRAPH_FIXTURES)
     p.add_argument("--k", type=int, required=True)
     ordering = p.add_mutually_exclusive_group()
     ordering.add_argument("--ordered", action="store_true", default=True)
@@ -502,25 +406,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true", help="use the Abrams discrete model"
     )
     p.add_argument("--subdivide", type=int, default=1)
-    p.add_argument(
-        "--rank-only", action="store_true", help="Betti numbers only, no torsion"
-    )
-    p.set_defaults(func=cmd_conf)
 
-    p = sub.add_parser("abrams", help="Abrams discrete configuration space")
-    add_source(p, graphs=True)
+    p = command(
+        "abrams", cmd_abrams, "Abrams discrete configuration space", GRAPH_FIXTURES
+    )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--subdivide", type=int, default=1)
-    p.add_argument(
-        "--rank-only", action="store_true", help="Betti numbers only, no torsion"
+
+    command(
+        "export",
+        cmd_export,
+        "export dot/off/json",
+        CSS_FIXTURES,
+        choice=("format", ["dot", "off", "json"]),
     )
-    p.set_defaults(func=cmd_abrams)
 
-    p = sub.add_parser("export", help="export dot/off/json")
-    p.add_argument("format", choices=["dot", "off", "json"])
-    add_source(p)
-    p.set_defaults(func=cmd_export)
-
+    # last, as each of these commands lists it
+    for name in ("sd", "homology", "conf", "abrams"):
+        sub.choices[name].add_argument(
+            "--rank-only", action="store_true", help="Betti numbers only, no torsion"
+        )
     return parser
 
 
@@ -530,11 +435,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _operation(args) -> str:
+    """The command, with the positional choice of arrangement and export."""
+    choice = getattr(args, "subcommand", None) or getattr(args, "format", None)
+    return f"{args.command} {choice}" if choice else args.command
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
-        code = args.func(args)
+        result = args.func(args)
+        code = EXIT_OK
+        if not isinstance(result, str):  # a payload and its report
+            payload, report = result
+            code = EXIT_INVALID if report.get("diagnostics") else EXIT_OK
+            report["operation"] = _operation(args)
+            report["digest"] = _digest(payload)
+            result = json.dumps(report, indent=2, sort_keys=True)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(result + "\n")
+        else:
+            print(result)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -230,13 +230,9 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
     memo = c._spheres
     for cell in c.objects:
         n = c.grades[cell]
+        # grades of a link are source dimensions, which _grading_problems
+        # has found strictly below n
         lk = link_poset(x, cell)
-        if any(g >= n for g in lk.grades.values()):
-            problems.append(
-                f"cell {cell!r}: boundary poset contains a cell of dimension "
-                f">= {n}"
-            )
-            continue
         if n == 0 and lk.elements:
             problems.append(f"cell {cell!r}: 0-cell with nonempty boundary")
             continue

@@ -91,7 +91,12 @@ SCHEMAS = {
             },
             "compose": {
                 "type": "array",
-                "items": {"type": "array", "minItems": 3, "maxItems": 3},
+                "items": {
+                    "type": "array",
+                    "items": _ID,
+                    "minItems": 3,
+                    "maxItems": 3,
+                },
             },
         },
     },
@@ -144,6 +149,7 @@ SCHEMAS = {
                         "id": _ID,
                         "ends": {
                             "type": "array",
+                            "items": _ID,
                             "minItems": 2,
                             "maxItems": 2,
                         },
@@ -167,7 +173,9 @@ SCHEMAS["css"] = {
 }
 
 
-def detect_kind(payload: dict) -> str:
+def detect_kind(payload: object) -> str:
+    if not isinstance(payload, dict):
+        raise ValueError("unrecognized input format")
     if "hyperplanes" in payload:
         return "arrangement"
     if "vertices" in payload and "edges" in payload:

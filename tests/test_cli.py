@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 import stratakit
 from stratakit.cli import main
+from stratakit.io import canonical_json
 
 
 def run(capsys, *argv):
@@ -456,3 +458,115 @@ def test_a_float_ambient_dimension_is_rejected(tmp_path, capsys, command):
     assert code == 2 and out == ""
     assert err.splitlines()[0] == "error: /n: ambient dimension is not an int: 2.0"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["homology"], ["sd"]])
+@pytest.mark.parametrize("text", ["5", "null", "true", "[1, 2]", '"covers"'])
+def test_a_file_that_is_not_a_json_object(tmp_path, capsys, command, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == "error: unrecognized input format"
+    assert "Traceback" not in err
+
+
+GRAPH_WITH_AN_OBJECT_END = {
+    "vertices": [1],
+    "edges": [{"id": "e", "ends": [{"x": 1}, 1]}],
+}
+CATEGORY_WITH_AN_OBJECT_IN_COMPOSE = {
+    "objects": [{"id": 0}],
+    "morphisms": [{"id": 0, "src": 0, "dst": 0}],
+    "compose": [[0, {"a": 1}, 0]],
+}
+SPACE_WITH_AN_OBJECT_IN_COMPOSE = {
+    **CATEGORY_WITH_AN_OBJECT_IN_COMPOSE,
+    "dims": {"0": 0},
+    "closed": {"0": True},
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, pointer",
+    [
+        (["validate"], GRAPH_WITH_AN_OBJECT_END, "/edges/0/ends/0"),
+        (["conf", "--k", "2"], GRAPH_WITH_AN_OBJECT_END, "/edges/0/ends/0"),
+        (["facecat"], GRAPH_WITH_AN_OBJECT_END, "/edges/0/ends/0"),
+        (["validate"], CATEGORY_WITH_AN_OBJECT_IN_COMPOSE, "/compose/0/1"),
+        (["homology"], CATEGORY_WITH_AN_OBJECT_IN_COMPOSE, "/compose/0/1"),
+        (["validate"], SPACE_WITH_AN_OBJECT_IN_COMPOSE, "/compose/0/1"),
+        (["facecat"], SPACE_WITH_AN_OBJECT_IN_COMPOSE, "/compose/0/1"),
+    ],
+)
+def test_an_object_as_an_id_is_a_schema_violation(
+    tmp_path, capsys, command, payload, pointer
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith(f"error: schema violations: {pointer}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["sd"], ["arrangement", "faces"]])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": "\xe9"}')
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines()[0].startswith(f"error: cannot parse {path}: 'utf-8' codec")
+
+
+def test_export_dot_of_a_poset(tmp_path, capsys):
+    payload = {
+        "elements": [{"id": 0, "label": 'a"b'}, {"id": 1}, {"id": 2}],
+        "covers": [[0, 2], [1, 2]],
+    }
+    path = tmp_path / "vee.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "export", "dot", "--file", str(path))
+    assert code == 0
+    assert out == (
+        "digraph hasse {\n"
+        "  n0 [label=\"a'b\"];\n"
+        '  n1 [label="1"];\n'
+        '  n2 [label="2"];\n'
+        "  n0 -> n2;\n"
+        "  n1 -> n2;\n"
+        "}\n"
+    )
+
+
+def test_export_dot_of_a_graph_to_out(tmp_path, capsys):
+    path = tmp_path / "loop.json"
+    path.write_text(
+        json.dumps({"vertices": ["v"], "edges": [{"id": "e", "ends": ["v", "v"]}]})
+    )
+    target = tmp_path / "loop.dot"
+    argv = ["export", "dot", "--file", str(path), "--out", str(target)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == ""
+    assert target.read_text() == (
+        "digraph facecat {\n"
+        "  n0 [label=\"('v', 'v')\"];\n"
+        "  n1 [label=\"('e', 'e')\"];\n"
+        "  n0 -> n1 [label=\"('end', 'e', 0)\"];\n"
+        "  n0 -> n1 [label=\"('end', 'e', 1)\"];\n"
+        "}\n"
+    )
+
+
+def test_operation_and_digest_are_added_to_each_report(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    payload = {"n": 1, "hyperplanes": [{"a": ["1"], "b": "0"}]}
+    path.write_text(json.dumps(payload))
+    r = report(capsys, "arrangement", "symmetric", "--file", str(path))
+    assert r["operation"] == "arrangement symmetric"
+    r = report(capsys, "export", "json", "--fixture", "torus")
+    assert r["operation"] == "export json"
+    r = report(capsys, "conf", "--fixture", "loop", "--k", "2")
+    assert r["operation"] == "conf"
+    digest = hashlib.sha256(canonical_json({"fixture": "loop"}).encode()).hexdigest()
+    assert r["digest"] == digest
