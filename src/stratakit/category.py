@@ -8,8 +8,11 @@ structures are small and their compositions are non-uniform (two
 composite paths may coincide).
 
 Object and morphism ids are arbitrary hashables; all iteration follows
-the stored tuple order, so outputs are deterministic. The cycle check is
-``poset._strict_down``; ``categories_isomorphic`` is networkx's matcher.
+the stored tuple order, so outputs are deterministic. The internal
+kernels (the checks of ``validate_category``, the nerve, group actions
+and orbit quotients) read one dense numbering per category,
+``AcyclicCategory._index``, instead of looking ids up in dicts;
+``categories_isomorphic`` is networkx's matcher.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 from .delta import DeltaComplex
-from .poset import Poset, _chain_layers, _strict_down
+from .poset import Poset, _chain_layers
 
 __all__ = [
     "AcyclicCategory",
@@ -45,6 +48,31 @@ Obj = Hashable
 Mid = Hashable
 
 IDENTITY = "1"  # sentinel tag for identity components in derived categories
+
+
+class _Index(NamedTuple):
+    """The dense numbering of a category (``AcyclicCategory._index``):
+    object i is ``objects[i]`` and morphism j is ``morphisms[j]``.
+
+    ``obj`` and ``mor`` map ids to numbers; ``src`` and ``dst`` are the
+    endpoint numbers of each morphism; ``out[i]`` lists the morphisms out
+    of object i in stored order; ``comp[g * |Mor| + f]`` is the number of
+    the composite of the entry (g, f) of ``compose``, in its order, or
+    None when the composite is not a morphism of the category. An entry
+    naming an unknown g or f has no key; ``validate_category`` reports it.
+
+    A repeated id keeps the number of its last position, so the numbering
+    never merges distinct ids and a lookup through ``obj`` or ``mor``
+    compares exactly as the ids do; the earlier positions of a repeated
+    object are endpoints of no morphism.
+    """
+
+    obj: dict[Obj, int]
+    mor: dict[Mid, int]
+    src: list[int]
+    dst: list[int]
+    out: list[list[int]]
+    comp: dict[int, int | None]
 
 
 @dataclass(frozen=True)
@@ -80,6 +108,27 @@ class AcyclicCategory:
         for m in self.morphisms:
             inc[self.dst[m]].append(m)
         return {x: tuple(v) for x, v in inc.items()}
+
+    @cached_property
+    def _index(self) -> _Index:
+        """The dense numbering (see ``_Index``), built once per category
+        in O(|Ob| + |Mor| + |compose|) id lookups. Every morphism needs
+        endpoints among the objects."""
+        obj = {x: i for i, x in enumerate(self.objects)}
+        mor = {m: j for j, m in enumerate(self.morphisms)}
+        src = [obj[self.src[m]] for m in self.morphisms]
+        dst = [obj[self.dst[m]] for m in self.morphisms]
+        out: list[list[int]] = [[] for _ in self.objects]
+        for j, i in enumerate(src):
+            out[i].append(j)
+        n = len(self.morphisms)
+        number = mor.get
+        comp = {}
+        for (g, f), gf in self.compose.items():
+            gi, fi = number(g), number(f)
+            if gi is not None and fi is not None:
+                comp[gi * n + fi] = number(gf)
+        return _Index(obj, mor, src, dst, out, comp)
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -157,6 +206,15 @@ def validate_category(c: AcyclicCategory) -> list[str]:
 
 
 def _category_problems(c: AcyclicCategory) -> list[str]:
+    """The diagnostics of ``validate_category``, in their order.
+
+    Ids are checked for repeats and undefined endpoints first; every
+    later check reads ``_index``. Cost, before -> after: acyclicity by the
+    transitive closure of ``poset._strict_down``, one down-set union per
+    morphism, -> a topological count (Kahn), O(|Ob| + |Mor|); composition
+    entries, missing entries and associativity from nine id lookups per
+    entry and three per composable pair or triple -> three per entry and
+    integer reads after that."""
     problems = []
     objs = set(c.objects)
     if len(objs) != len(c.objects):
@@ -172,36 +230,60 @@ def _category_problems(c: AcyclicCategory) -> list[str]:
             problems.append(
                 f"morphism {m!r}: Hom(x,x) may only contain the identity"
             )
-    # acyclicity; sorting the set, as a repeated id would never finish
-    try:
-        _strict_down(objs, [(c.src[m], c.dst[m]) for m in c.morphisms])
-    except ValueError:
+    ix = c._index
+    if not _acyclic(ix):
         problems.append("acyclicity violation: Hom cycle through objects")
     if problems:
         return problems
 
+    morphisms = c.morphisms
+    n = len(morphisms)
+    number, src, dst, out, comp = ix.mor.get, ix.src, ix.dst, ix.out, ix.comp
     for (g, f), gf in c.compose.items():
-        if g not in mids or f not in mids or gf not in mids:
+        gi, fi, hi = number(g), number(f), number(gf)
+        if gi is None or fi is None or hi is None:
             problems.append(f"composition entry ({g!r},{f!r}) references unknown ids")
-        elif c.dst[f] != c.src[g]:
+        elif dst[fi] != src[gi]:
             problems.append(f"composition entry ({g!r},{f!r}) is not composable")
-        elif c.src[gf] != c.src[f] or c.dst[gf] != c.dst[g]:
+        elif src[hi] != src[fi] or dst[hi] != dst[gi]:
             problems.append(f"composite {gf!r} of ({g!r},{f!r}) has wrong endpoints")
-    for f in c.morphisms:
-        for g in c._out[c.dst[f]]:
-            if (g, f) not in c.compose:
-                problems.append(f"missing composition entry for ({g!r},{f!r})")
+    for f in range(n):
+        for g in out[dst[f]]:
+            if g * n + f not in comp:
+                problems.append(
+                    f"missing composition entry for ({morphisms[g]!r},{morphisms[f]!r})"
+                )
     if problems:
         return problems
-    for f in c.morphisms:
-        for g in c._out[c.dst[f]]:
-            gf = c.compose[(g, f)]
-            for h in c._out[c.dst[g]]:
-                if c.compose[(h, gf)] != c.compose[(c.compose[(h, g)], f)]:
+    for f in range(n):
+        for g in out[dst[f]]:
+            gf = comp[g * n + f]
+            for h in out[dst[g]]:
+                hn = h * n
+                if comp[hn + gf] != comp[comp[hn + g] * n + f]:
                     problems.append(
-                        f"associativity fails on ({h!r},{g!r},{f!r})"
+                        f"associativity fails on ({morphisms[h]!r},"
+                        f"{morphisms[g]!r},{morphisms[f]!r})"
                     )
     return problems
+
+
+def _acyclic(ix: _Index) -> bool:
+    """Kahn's count: an object is counted once every morphism into it
+    comes from a counted object, so all are counted iff no Hom cycle
+    (a morphism x -> x included) exists. O(|Ob| + |Mor|)."""
+    indeg = [0] * len(ix.out)
+    for y in ix.dst:
+        indeg[y] += 1
+    queue = [x for x, k in enumerate(indeg) if not k]
+    dst = ix.dst
+    for x in queue:
+        for m in ix.out[x]:
+            y = dst[m]
+            indeg[y] -= 1
+            if not indeg[y]:
+                queue.append(y)
+    return len(queue) == len(indeg)
 
 
 def underlying_poset(c: AcyclicCategory) -> Poset:
@@ -213,10 +295,10 @@ def underlying_poset(c: AcyclicCategory) -> Poset:
     bad = validate_category(c)
     if bad:
         raise ValueError("invalid category: " + "; ".join(bad))
-    index = {x: i for i, x in enumerate(c.objects)}
-    less = [(index[c.src[m]], index[c.dst[m]]) for m in c.morphisms]
-    grades = {index[x]: g for x, g in c.grades.items()}
-    labels = {i: x for x, i in index.items()}
+    ix = c._index
+    less = list(zip(ix.src, ix.dst))
+    grades = {ix.obj[x]: g for x, g in c.grades.items()}
+    labels = {i: x for x, i in ix.obj.items()}
     return Poset.from_relation(range(len(c.objects)), less, grades, labels)
 
 
@@ -238,28 +320,27 @@ def nondegenerate_nerve(c: AcyclicCategory) -> DeltaComplex:
     d_{n-1}(a), y . last(a)). A 1-chain (m,) is keyed by (index of
     src(m), m). Morphisms are numbered once and y . m is looked up once
     per composable pair, so a key (i, y) is the one int i * |Mor| +
-    (number of y). Cost per n-chain, before -> after: n + 1 hashes of
-    merged tuples of n - 1 morphisms and n - 1 composition lookups -> n
-    int-keyed lookups.
+    (number of y); the numbers and composites are read from ``_index``.
+    Cost per n-chain, before -> after: n + 1 hashes of merged tuples of
+    n - 1 morphisms and n - 1 composition lookups -> n int-keyed lookups.
     """
     bad = validate_category(c)
     if bad:
         raise ValueError("invalid category: " + "; ".join(bad))
     mids = c.morphisms
     m = len(mids)
-    mid_index = {f: k for k, f in enumerate(mids)}
-    obj_index = {x: i for i, x in enumerate(c.objects)}
-    # after[k]: (y, index of y, index of y . mids[k]) for each y after mids[k]
+    ix = c._index
+    src, dst, out, comp = ix.src, ix.dst, ix.out, ix.comp
+    # after[k]: (y, number of y, number of y . mids[k]) for each y after mids[k]
     after = [
-        [(y, mid_index[y], mid_index[c.compose[y, f]]) for y in c._out[c.dst[f]]]
-        for f in mids
+        [(mids[y], y, comp[y * m + k]) for y in out[dst[k]]] for k in range(m)
     ]
     cells: list[tuple[Hashable, ...]] = [tuple(c.objects)]
     faces = []
     layer = [(f,) for f in mids]
     # parent index * m + index of the last morphism, per chain in the layer
-    keys = [obj_index[c.src[f]] * m + k for k, f in enumerate(mids)]
-    rows = [(obj_index[c.dst[f]], obj_index[c.src[f]]) for f in mids]
+    keys = [i * m + k for k, i in enumerate(src)]
+    rows = list(zip(dst, src))
     while layer:
         cells.append(tuple(layer))
         faces.append(tuple(rows))
@@ -600,6 +681,16 @@ class GroupActionOnCategory:
 
     Each generator is a pair of mappings (on objects, on morphisms)
     commuting with src/dst/composition.
+
+    The checks and the group closure run on permutation tuples over the
+    category's numbering (``AcyclicCategory._index``): entry i of a tuple
+    is the number of the image of object (or morphism) i. Each generator
+    is read into tuples once, with one lookup per id; after that, cost
+    before -> after: ``validate`` from four id lookups per morphism and
+    three per composition entry -> integer reads; ``elements`` from a
+    dict built per element and generator and a key of |Ob| + |Mor| id
+    lookups -> one tuple of integer reads, with the dicts built once per
+    element at the end.
     """
 
     category: AcyclicCategory
@@ -608,30 +699,34 @@ class GroupActionOnCategory:
     def validate(self) -> list[str]:
         problems = []
         c = self.category
+        ix = c._index
+        n = len(c.morphisms)
+        src, dst, comp = ix.src, ix.dst, ix.comp
         for k, (omap, mmap) in enumerate(self.generators):
-            if set(omap) != set(c.objects) or set(omap.values()) != set(c.objects):
+            po = _bijection(c.objects, ix.obj, omap)
+            if po is None:
                 problems.append(f"generator {k}: not an object bijection")
                 continue
-            if set(mmap) != set(c.morphisms) or set(mmap.values()) != set(
-                c.morphisms
-            ):
+            pm = _bijection(c.morphisms, ix.mor, mmap)
+            if pm is None:
                 problems.append(f"generator {k}: not a morphism bijection")
                 continue
             commutes = True
-            for m in c.morphisms:
-                if c.src[mmap[m]] != omap[c.src[m]] or c.dst[mmap[m]] != omap[
-                    c.dst[m]
-                ]:
+            for m, image in enumerate(pm):
+                if src[image] != po[src[m]] or dst[image] != po[dst[m]]:
                     problems.append(
-                        f"generator {k}: does not commute with src/dst on {m!r}"
+                        f"generator {k}: does not commute with src/dst on "
+                        f"{c.morphisms[m]!r}"
                     )
                     commutes = False
             # images of a composable pair are composable only if it commutes
             if commutes:
-                for (g, f), gf in c.compose.items():
-                    if c.compose[(mmap[g], mmap[f])] != mmap[gf]:
+                for key, gf in comp.items():
+                    g, f = divmod(key, n)
+                    if comp[pm[g] * n + pm[f]] != pm[gf]:
                         problems.append(
-                            f"generator {k}: not functorial on ({g!r},{f!r})"
+                            f"generator {k}: not functorial on "
+                            f"({c.morphisms[g]!r},{c.morphisms[f]!r})"
                         )
                         break
             for x in c.objects:
@@ -642,34 +737,60 @@ class GroupActionOnCategory:
 
     def elements(self):
         """All group elements as (object map, morphism map) pairs."""
-        c = self.category
-        ident = (
-            {x: x for x in c.objects},
-            {m: m for m in c.morphisms},
-        )
-
-        def key(el):
-            return (
-                tuple(el[0][x] for x in c.objects),
-                tuple(el[1][m] for m in c.morphisms),
+        objects, morphisms = self.category.objects, self.category.morphisms
+        return [
+            (
+                dict(zip(objects, map(objects.__getitem__, po))),
+                dict(zip(morphisms, map(morphisms.__getitem__, pm))),
             )
+            for po, pm in self._closure()
+        ]
 
-        seen = {key(ident): ident}
+    def _closure(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The group elements of ``elements``, in its order (breadth first
+        from the identity, each element times each generator), as pairs
+        of permutation tuples: the element (p, q) then s maps object i to
+        s(p[i])."""
+        c = self.category
+        ix = c._index
+        gens = [
+            (_numbered(c.objects, ix.obj, omap), _numbered(c.morphisms, ix.mor, mmap))
+            for omap, mmap in self.generators
+        ]
+        ident = (
+            tuple(map(ix.obj.__getitem__, c.objects)),
+            tuple(map(ix.mor.__getitem__, c.morphisms)),
+        )
+        seen = {ident: None}
         frontier = [ident]
         while frontier:
             nxt = []
-            for omap, mmap in frontier:
-                for go, gm in self.generators:
-                    el = (
-                        {x: go[omap[x]] for x in c.objects},
-                        {m: gm[mmap[m]] for m in c.morphisms},
-                    )
-                    k = key(el)
-                    if k not in seen:
-                        seen[k] = el
+            for po, pm in frontier:
+                for so, sm in gens:
+                    el = (tuple(map(so.__getitem__, po)), tuple(map(sm.__getitem__, pm)))
+                    if el not in seen:
+                        seen[el] = None
                         nxt.append(el)
             frontier = nxt
-        return list(seen.values())
+        return list(seen)
+
+
+def _numbered(ids, number, mapping) -> tuple[int, ...]:
+    """``mapping`` over a numbering: entry i is the number of the image of
+    ids[i]. KeyError if an id is unmapped or an image is not numbered."""
+    return tuple([number[mapping[x]] for x in ids])
+
+
+def _bijection(ids, number, mapping) -> tuple[int, ...] | None:
+    """``_numbered``, or None unless ``mapping`` maps the set of ids onto
+    itself: exactly the ids as keys, and as many distinct images."""
+    if len(mapping) != len(number):
+        return None
+    try:
+        image = _numbered(ids, number, mapping)
+    except KeyError:
+        return None
+    return image if len(set(image)) == len(number) else None
 
 
 def quotient_by_free_action(
@@ -679,55 +800,70 @@ def quotient_by_free_action(
 
     Freeness on objects makes composition of orbit representatives
     well-defined; the nondegenerate nerve of the quotient is the orbit
-    complex of the nerve. After validating the action, cost
-    O(|G| (|Ob| + |Mor|) + |compose| of the quotient).
+    complex of the nerve. The orbits, representatives and translations
+    are read from the permutation tuples of ``action._closure`` and the
+    category's numbering (``AcyclicCategory._index``), and ids are looked
+    up only to build the quotient's dicts. After validating the action,
+    cost O(|G| (|Ob| + |Mor|) + |compose| of the quotient) before and
+    after; the per-element and per-morphism steps go from id lookups in
+    dicts to integer reads.
     """
     if action.category is not c and action.category != c:
         raise ValueError("action is attached to a different category")
     bad = action.validate()
     if bad:
         raise ValueError("invalid action: " + "; ".join(bad))
-    elements = action.elements()
-    for omap, mmap in elements:
-        if all(omap[x] == x for x in c.objects) and all(
-            mmap[m] == m for m in c.morphisms
-        ):
-            continue
-        fixed = [x for x in c.objects if omap[x] == x]
-        if fixed:
-            raise ValueError(
-                f"action is not free: object {fixed[0]!r} is fixed by a "
-                "non-identity element"
-            )
-    obj_index = {x: i for i, x in enumerate(c.objects)}
-    obj_rep: dict[Obj, Obj] = {}
-    for x in c.objects:
-        orbit = {omap[x] for omap, _ in elements}
-        obj_rep[x] = min(orbit, key=obj_index.__getitem__)
-    reps = tuple(x for x in c.objects if obj_rep[x] == x)
-    # freeness makes each element below unique: the one moving x to its
-    # rep, and the one moving a rep r to the orbit member y
-    to_rep: dict[Obj, dict[Mid, Mid]] = {}
-    from_rep: dict[Obj, dict[Mid, Mid]] = {}
-    for omap, mmap in elements:
-        for x in c.objects:
-            if omap[x] == obj_rep[x]:
-                to_rep.setdefault(x, mmap)
+    objects, morphisms = c.objects, c.morphisms
+    ix = c._index
+    n = len(morphisms)
+    src, dst, comp = ix.src, ix.dst, ix.comp
+    elements = action._closure()
+    ident_o, ident_m = elements[0]
+    for po, _ in elements[1:]:
+        for x, image, i in zip(objects, po, ident_o):
+            if image == i:
+                raise ValueError(
+                    f"action is not free: object {x!r} is fixed by a "
+                    "non-identity element"
+                )
+    # the orbit rep of object i is the orbit member with the least number
+    rep = [min(orbit) for orbit in zip(*(po for po, _ in elements))]
+    reps = [i for i, r in zip(ident_o, rep) if r == i]
+    # freeness makes each element below unique: the one moving object i
+    # to its rep, and the one moving a rep to the orbit member y
+    to_rep: list = [None] * len(objects)
+    from_rep: dict[int, tuple[int, ...]] = {}
+    for po, pm in elements:
+        for i, (image, r) in enumerate(zip(po, rep)):
+            if image == r and to_rep[i] is None:
+                to_rep[i] = pm
         for r in reps:
-            from_rep.setdefault(omap[r], mmap)
+            from_rep.setdefault(po[r], pm)
 
     # a morphism orbit has a unique member whose source is an orbit rep
-    mor_rep = {m: to_rep[c.src[m]][m] for m in c.morphisms}
-    mids = tuple(m for m in c.morphisms if mor_rep[m] == m)
-    src = {m: c.src[m] for m in mids}
-    dst = {m: obj_rep[c.dst[m]] for m in mids}
-    comp = {}
-    for f, g in _composable_pairs(mids, src, dst):
+    mor_rep = [to_rep[src[m]][m] for m in range(n)]
+    mids = [m for m, (r, i) in enumerate(zip(mor_rep, ident_m)) if r == i]
+    by_src: dict[int, list[int]] = {}
+    for m in mids:
+        by_src.setdefault(src[m], []).append(m)
+    comp_q = {}
+    for f in mids:
+        y = dst[f]
         # translate g to start at the true target of the representative f
-        translate = from_rep[c.dst[f]]
-        comp[(g, f)] = mor_rep[c.compose[(translate[g], f)]]
-    grades = {x: c.grades[x] for x in reps if x in c.grades}
-    return AcyclicCategory(reps, mids, src, dst, comp, grades)
+        translate = from_rep[y]
+        for g in by_src.get(rep[y], ()):
+            composite = mor_rep[comp[translate[g] * n + f]]
+            comp_q[(morphisms[g], morphisms[f])] = morphisms[composite]
+    rep_ids = tuple(objects[r] for r in reps)
+    grades = {x: c.grades[x] for x in rep_ids if x in c.grades}
+    return AcyclicCategory(
+        rep_ids,
+        tuple(morphisms[m] for m in mids),
+        {morphisms[m]: objects[src[m]] for m in mids},
+        {morphisms[m]: objects[rep[dst[m]]] for m in mids},
+        comp_q,
+        grades,
+    )
 
 
 def categories_isomorphic(

@@ -9,15 +9,18 @@ the payload's digest to a report, writes it as sorted JSON to stdout or
 byte-identical for identical inputs. Timing goes to stderr so it never
 perturbs the report or its digest. Exit codes: 0 success, 2 validation
 failure, 1 I/O or parse error (a file that cannot be read, or is not
-UTF-8 JSON).
+UTF-8 JSON, or an ``--out`` path that cannot be written, found before
+the command runs).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -68,6 +71,25 @@ def _read_payload(path: str) -> dict:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot parse {path}: {exc}", EXIT_IO) from exc
+
+
+def _check_writable(path: str) -> None:
+    """Fail with exit 1 unless ``path`` can be opened for writing, before
+    any work is done. Creates and truncates nothing: an existing file is
+    opened for writing without truncation (non-blocking, for a FIFO) and
+    closed, and for a new file its directory must exist and be writable."""
+    try:
+        if os.path.exists(path):
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            return
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
 
 
 def _digest(payload) -> str:
@@ -445,6 +467,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
+        if args.out:
+            _check_writable(args.out)
         result = args.func(args)
         code = EXIT_OK
         if not isinstance(result, str):  # a payload and its report
@@ -454,8 +478,11 @@ def main(argv=None) -> int:
             report["digest"] = _digest(payload)
             result = json.dumps(report, indent=2, sort_keys=True)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(result + "\n")
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(result + "\n")
+            except OSError as exc:
+                raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
         else:
             print(result)
     except CliError as exc:

@@ -175,7 +175,11 @@ def _closed_cell_link_ok(
     order complex, and so the verdict, does not depend on their order).
     ``memo`` is the category's homology memo (see ``_sphere_homology_ok``):
     links and intervals repeat across the cells of one space, and each
-    distinct order complex has its homology computed once."""
+    distinct order complex has its homology computed once. An empty
+    interval is a homology sphere iff its top has grade 0, so it is
+    decided without building its poset; under a grade-0 element the
+    interval is always empty, as lifts strictly raise dimension (checked
+    by ``_grading_problems``)."""
     if not _sphere_homology_ok(p, n, memo):
         problems.append(
             f"{tag}: link is not a homology ({n - 1})-sphere as required "
@@ -193,12 +197,16 @@ def _closed_cell_link_ok(
     for e in p.elements:
         g = p.grades[e]
         below = sorted(p.down_set(e))
-        sub = Poset.from_relation(
-            below,
-            [ab for b in below for ab in covers_under[b]],
-            {a: p.grades[a] for a in below},
-        )
-        if not _sphere_homology_ok(sub, g, memo):
+        if not below:
+            sphere = g == 0
+        else:
+            sub = Poset.from_relation(
+                below,
+                [ab for b in below for ab in covers_under[b]],
+                {a: p.grades[a] for a in below},
+            )
+            sphere = _sphere_homology_ok(sub, g, memo)
+        if not sphere:
             problems.append(
                 f"{tag}: lower interval under a grade-{g} boundary cell is "
                 "not a homology sphere"

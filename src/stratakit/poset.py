@@ -12,8 +12,9 @@ accumulating down-sets as it goes, ValueError on a cycle), and
 ``_chain_layers`` the only chain enumerator (chains grown one layer at a
 time from a table of successors). ``Poset``, ``validate_poset``,
 ``order_complex``, and the nerve and ``sd_category`` in ``category``,
-are built on them; ``_strict_down`` is also the cycle check of
-``validate_category``.
+are built on them. ``validate_category`` needs no closure: its cycle
+check is a topological count on the category's own numbering
+(``category._acyclic``).
 """
 
 from __future__ import annotations

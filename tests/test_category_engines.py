@@ -3,8 +3,8 @@ replaced.
 
 ``categories_isomorphic`` runs networkx's graph matcher and is compared with
 a copy of the backtracking search it replaced; ``validate_category`` finds
-cycles with ``poset._strict_down`` and is compared with a copy of the
-depth-first search it replaced; ``chain_complex`` certifies d.d = 0 by the
+cycles by a topological count on the category's numbering and is compared
+with a copy of the depth-first search it replaced; ``chain_complex`` certifies d.d = 0 by the
 simplicial identities and is compared with a copy of the all-at-once
 construction; ``_sphere_homology_ok`` decides 0-dimensional order complexes
 by their vertex count and is compared with a copy that takes homology of

@@ -171,6 +171,43 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_fails_before_the_command_runs(
+    where, tmp_path, capsys, monkeypatch
+):
+    import stratakit.cli as cli
+
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "sd", never)
+    target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = run(capsys, "sd", "--fixture", "torus", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert f"error: cannot write {target}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_writes_the_stdout_report(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("previous contents")
+    code, out, _ = run(capsys, "sd", "--fixture", "torus", "--out", str(target))
+    assert code == 0 and out == ""
+    _, stdout_report, _ = run(capsys, "sd", "--fixture", "torus")
+    assert target.read_text() == stdout_report
+
+
+def test_unwritable_out_keeps_an_existing_file(tmp_path, capsys):
+    # a failing command leaves --out as it was: nothing is truncated first
+    target = tmp_path / "report.json"
+    target.write_text("previous contents")
+    code, _, _ = run(capsys, "sd", "--file", "/nonexistent/x.json", "--out", str(target))
+    assert code == 1
+    assert target.read_text() == "previous contents"
+
+
 def test_sd_of_invalid_space(tmp_path, capsys):
     payload = {
         "objects": [{"id": 0}, {"id": 1}],
