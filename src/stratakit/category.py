@@ -9,21 +9,23 @@ composite paths may coincide).
 
 Object and morphism ids are arbitrary hashables; all iteration follows
 the stored tuple order, so outputs are deterministic. The internal
-kernels (the checks of ``validate_category``, the nerve, group actions
-and orbit quotients) read one dense numbering per category,
-``AcyclicCategory._index``, instead of looking ids up in dicts;
-``categories_isomorphic`` is networkx's matcher.
+kernels (the checks of ``validate_category``, the nerve, the link table,
+group actions and orbit quotients) read one dense numbering per
+category, ``AcyclicCategory._index``, instead of looking ids up in dicts;
+``categories_isomorphic`` is networkx's matcher. ``_index`` is the only
+derived numbering and adjacency of a category: ``hom``,
+``out_morphisms`` and ``in_morphisms`` read it, and so do the exports of
+``io`` and the DOT diagram of the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Hashable, Mapping, NamedTuple
 
 from .delta import DeltaComplex
-from .poset import Poset, _chain_layers
+from .poset import Poset
 
 __all__ = [
     "AcyclicCategory",
@@ -55,8 +57,9 @@ class _Index(NamedTuple):
     object i is ``objects[i]`` and morphism j is ``morphisms[j]``.
 
     ``obj`` and ``mor`` map ids to numbers; ``src`` and ``dst`` are the
-    endpoint numbers of each morphism; ``out[i]`` lists the morphisms out
-    of object i in stored order; ``comp[g * |Mor| + f]`` is the number of
+    endpoint numbers of each morphism; ``out[i]`` and ``inc[i]`` list the
+    morphisms out of and into object i in stored order, sharing their int
+    objects with ``mor``; ``comp[g * |Mor| + f]`` is the number of
     the composite of the entry (g, f) of ``compose``, in its order, or
     None when the composite is not a morphism of the category. An entry
     naming an unknown g or f has no key; ``validate_category`` reports it.
@@ -72,6 +75,7 @@ class _Index(NamedTuple):
     src: list[int]
     dst: list[int]
     out: list[list[int]]
+    inc: list[list[int]]
     comp: dict[int, int | None]
 
 
@@ -96,39 +100,27 @@ class AcyclicCategory:
     grades: dict[Obj, int] = field(default_factory=dict)
 
     @cached_property
-    def _out(self) -> dict[Obj, tuple[Mid, ...]]:
-        out: dict[Obj, list[Mid]] = {x: [] for x in self.objects}
-        for m in self.morphisms:
-            out[self.src[m]].append(m)
-        return {x: tuple(v) for x, v in out.items()}
-
-    @cached_property
-    def _in(self) -> dict[Obj, tuple[Mid, ...]]:
-        inc: dict[Obj, list[Mid]] = {x: [] for x in self.objects}
-        for m in self.morphisms:
-            inc[self.dst[m]].append(m)
-        return {x: tuple(v) for x, v in inc.items()}
-
-    @cached_property
     def _index(self) -> _Index:
         """The dense numbering (see ``_Index``), built once per category
         in O(|Ob| + |Mor| + |compose|) id lookups. Every morphism needs
         endpoints among the objects."""
         obj = {x: i for i, x in enumerate(self.objects)}
-        mor = {m: j for j, m in enumerate(self.morphisms)}
+        ids = list(range(len(self.morphisms)))
+        mor = dict(zip(self.morphisms, ids))
         src = [obj[self.src[m]] for m in self.morphisms]
         dst = [obj[self.dst[m]] for m in self.morphisms]
-        out: list[list[int]] = [[] for _ in self.objects]
-        for j, i in enumerate(src):
+        out, inc = [[] for _ in self.objects], [[] for _ in self.objects]
+        for j, i, k in zip(ids, src, dst):
             out[i].append(j)
-        n = len(self.morphisms)
+            inc[k].append(j)
+        n = len(ids)
         number = mor.get
         comp = {}
         for (g, f), gf in self.compose.items():
             gi, fi = number(g), number(f)
             if gi is not None and fi is not None:
                 comp[gi * n + fi] = number(gf)
-        return _Index(obj, mor, src, dst, out, comp)
+        return _Index(obj, mor, src, dst, out, inc, comp)
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -149,32 +141,54 @@ class AcyclicCategory:
 
     def _link(self, x: Obj) -> tuple[int, ...]:
         """The link of x as one flat tuple of ints, computed once per
-        object and kept in ``_links``. With k = len(_in[x]), entries
-        0..k-1 are the source grades of the morphisms into x, in ``_in``
-        order; the rest are pairs (i, j) of indices into ``_in[x]`` with
-        b_i = b_j . c for a morphism c into src(b_j), one pair per such c.
-        Labels are not stored: ``_in[x]`` gives them. Cost of the first
-        call O(sum over b into x of |in(src b)|) composition lookups."""
+        object and kept in ``_links``. With k = len(in_morphisms(x)),
+        entries 0..k-1 are the source grades of the morphisms into x, in
+        ``in_morphisms`` order; the rest are pairs (i, j) of indices into
+        ``in_morphisms(x)`` with b_i = b_j . c for a morphism c into
+        src(b_j), one pair per such c. Labels are not stored:
+        ``in_morphisms(x)`` gives them. The pairs are read from ``_index``
+        (``inc``, ``src`` and ``comp``); before, each cost a ``compose``
+        lookup hashing two ids. Cost of the first call O(sum over b into x
+        of |in(src b)|) int lookups.
+
+        Where an int lookup fails (a missing entry, an unknown or misplaced
+        composite, or a repeated id, all in an invalid category) the pairs
+        are read again by ids, so the result or the KeyError is the one
+        the lookup by ids gives."""
         flat = self._links.get(x)
         if flat is None:
-            mids = self._in[x]
+            ix = self._index
+            mids, inc, src, comp = ix.inc[ix.obj[x]], ix.inc, ix.src, ix.comp
+            n = len(src)
             index = {m: i for i, m in enumerate(mids)}
-            grades, src, compose = self.grades, self.src, self.compose
-            out = [grades[src[m]] for m in mids]
-            for j, b in enumerate(mids):
-                for piece in self._in[src[b]]:
-                    out += (index[compose[(b, piece)]], j)
+            ids, objects, grades = self.morphisms, self.objects, self.grades
+            out = [grades[objects[src[m]]] for m in mids]
+            try:
+                for j, b in enumerate(mids):
+                    bn = b * n
+                    for piece in inc[src[b]]:
+                        out += (index[comp[bn + piece]], j)
+            except KeyError:  # an invalid category: read by ids, as before
+                del out[len(mids) :]
+                by_id = {ids[m]: i for i, m in enumerate(mids)}
+                for j, b in enumerate(mids):
+                    for piece in inc[src[b]]:
+                        out += (by_id[self.compose[(ids[b], ids[piece])]], j)
             flat = self._links[x] = tuple(out)
         return flat
 
     def hom(self, x: Obj, y: Obj) -> tuple[Mid, ...]:
-        return tuple(m for m in self._out.get(x, ()) if self.dst[m] == y)
+        ix = self._index
+        out, k = ix.out[ix.obj[x]] if x in ix.obj else (), ix.obj.get(y)
+        return tuple(self.morphisms[m] for m in out if ix.dst[m] == k)
 
     def out_morphisms(self, x: Obj) -> tuple[Mid, ...]:
-        return self._out[x]
+        ix = self._index
+        return tuple(map(self.morphisms.__getitem__, ix.out[ix.obj[x]]))
 
     def in_morphisms(self, x: Obj) -> tuple[Mid, ...]:
-        return self._in[x]
+        ix = self._index
+        return tuple(map(self.morphisms.__getitem__, ix.inc[ix.obj[x]]))
 
     @classmethod
     def from_poset(cls, p: Poset) -> "AcyclicCategory":
@@ -302,18 +316,14 @@ def underlying_poset(c: AcyclicCategory) -> Poset:
     return Poset.from_relation(range(len(c.objects)), less, grades, labels)
 
 
-def _chains_by_length(c: AcyclicCategory) -> list[list[tuple[Mid, ...]]]:
-    """Nondegenerate chains grouped by length, each layer in stored order."""
-    return _chain_layers(c.morphisms, {m: c._out[c.dst[m]] for m in c.morphisms})
-
-
 def nondegenerate_nerve(c: AcyclicCategory) -> DeltaComplex:
     """The Delta complex of composable tuples of non-identity morphisms.
 
     d_0 drops the first morphism, d_k the last, and inner d_i composes
     the adjacent pair; for 1-chains the two faces are target and source.
     Chains are grown one layer per length, in the order of
-    ``_chains_by_length``, and each face is found from the chain's parent,
+    ``poset._chain_layers`` (each chain's extensions in ``out_morphisms``
+    order), and each face is found from the chain's parent,
     as in ``poset.order_complex``. An n-chain a + (y,) has d_n = a; for
     i < n-1, d_i = d_i(a) + (y,), looked up by (index of d_i(a), y); and
     d_{n-1} = d_{n-1}(a) + (y . last(a),), looked up by (index of
@@ -361,21 +371,6 @@ def nondegenerate_nerve(c: AcyclicCategory) -> DeltaComplex:
     return DeltaComplex(tuple(cells), tuple(faces))
 
 
-def _segment_composites(c: AcyclicCategory, chain: tuple[Mid, ...]):
-    """comp[i][j] = composite of morphisms i+1..j of the chain (0<=i<j<=n)."""
-    n = len(chain)
-    comp: dict[tuple[int, int], Mid] = {}
-    for i in range(n):
-        comp[(i, i + 1)] = chain[i]
-        for j in range(i + 2, n + 1):
-            comp[(i, j)] = c.compose[(chain[j - 1], comp[(i, j - 1)])]
-    return comp
-
-
-def _chain_objects(c: AcyclicCategory, chain: tuple[Mid, ...]) -> tuple[Obj, ...]:
-    return (c.src[chain[0]],) + tuple(c.dst[m] for m in chain)
-
-
 def sd_category(c: AcyclicCategory) -> Poset:
     """Barycentric subdivision of an acyclic category.
 
@@ -384,28 +379,24 @@ def sd_category(c: AcyclicCategory) -> Poset:
     acyclic category the objects of a chain are distinct, so each proper
     nonempty subset of g's object positions gives exactly one such f: its
     objects at those positions, joined by composites of the segments of g
-    between them. The result is a poset, graded by chain length.
+    between them. The result is a poset, graded by chain length, with
+    elements in the cell order of ``nondegenerate_nerve``.
+
+    Each such f is an iterated face of g, so the relation passed to
+    ``Poset.from_relation`` is the nerve's face table: each n-chain above
+    its n + 1 faces. Before, it listed all 2^(n+1) - 2 sub-chains of each
+    n-chain, each built from composites looked up by ids; the closure and
+    so the poset are the same.
     """
-    bad = validate_category(c)
-    if bad:
-        raise ValueError("invalid category: " + "; ".join(bad))
-    chains = [chain for layer in _chains_by_length(c) for chain in layer]
+    dc = nondegenerate_nerve(c)
     elements: list[tuple] = [("o", x) for x in c.objects]
-    elements.extend(("m",) + chain for chain in chains)
-    index = {e: i for i, e in enumerate(elements)}
+    less = []
+    for below, layer, rows in zip(dc.cells, dc.cells[1:], dc.faces):
+        offset = len(elements) - len(below)  # the element of cell 0 of below
+        less += [(offset + f, j) for j, r in enumerate(rows, len(elements)) for f in r]
+        elements += [("m",) + chain for chain in layer]
     grades = {i: len(e) - 1 if e[0] == "m" else 0 for i, e in enumerate(elements)}
     labels = dict(enumerate(elements))
-    less = []
-    for j, chain in enumerate(chains, start=len(c.objects)):
-        objs = _chain_objects(c, chain)
-        comp = _segment_composites(c, chain)
-        for k in range(1, len(objs)):
-            for pos in combinations(range(len(objs)), k):
-                if k == 1:
-                    sub = ("o", objs[pos[0]])
-                else:
-                    sub = ("m",) + tuple(comp[ij] for ij in zip(pos, pos[1:]))
-                less.append((index[sub], j))
     return Poset.from_relation(range(len(elements)), less, grades, labels)
 
 
@@ -423,17 +414,18 @@ def _comma_under(c: AcyclicCategory, x: Obj, include_identity: bool):
 
     Cost O(|Mor| + |compose|) of the result."""
     one = (IDENTITY, x)
-    objects: list[Obj] = ([one] if include_identity else []) + list(c._out[x])
+    under = c.out_morphisms(x)
+    objects: list[Obj] = ([one] if include_identity else []) + list(under)
     mids = []
     src: dict[Mid, Obj] = {}
     dst: dict[Mid, Obj] = {}
     if include_identity:
-        for w in c._out[x]:
+        for w in under:
             a = (one, w, w)
             mids.append(a)
             src[a], dst[a] = one, w
-    for u in c._out[x]:
-        for w in c._out[c.dst[u]]:
+    for u in under:
+        for w in c.out_morphisms(c.dst[u]):
             a = (u, w, c.compose[(w, u)])
             mids.append(a)
             src[a], dst[a] = u, a[2]
@@ -441,7 +433,7 @@ def _comma_under(c: AcyclicCategory, x: Obj, include_identity: bool):
         (b, a): (a[0], c.compose[(b[1], a[1])], b[2])
         for a, b in _composable_pairs(mids, src, dst)
     }
-    grades = {u: c.grades[c.dst[u]] for u in c._out[x] if c.dst[u] in c.grades}
+    grades = {u: c.grades[c.dst[u]] for u in under if c.dst[u] in c.grades}
     if include_identity and x in c.grades:
         grades[one] = c.grades[x]
     return AcyclicCategory(
@@ -454,18 +446,19 @@ def _comma_over(c: AcyclicCategory, x: Obj, include_identity: bool):
 
     Cost O(|Mor| + |compose|) of the result."""
     one = (IDENTITY, x)
-    objects: list[Obj] = list(c._in[x]) + ([one] if include_identity else [])
+    over = c.in_morphisms(x)
+    objects: list[Obj] = list(over) + ([one] if include_identity else [])
     mids = []
     src: dict[Mid, Obj] = {}
     dst: dict[Mid, Obj] = {}
-    for v in c._in[x]:
-        for w in c._in[c.src[v]]:
+    for v in over:
+        for w in c.in_morphisms(c.src[v]):
             # arrow from v.w to v along w
             a = (c.compose[(v, w)], w, v)
             mids.append(a)
             src[a], dst[a] = a[0], v
     if include_identity:
-        for u in c._in[x]:
+        for u in over:
             a = (u, u, one)
             mids.append(a)
             src[a], dst[a] = u, one
@@ -473,7 +466,7 @@ def _comma_over(c: AcyclicCategory, x: Obj, include_identity: bool):
         (b, a): (a[0], c.compose[(b[1], a[1])], b[2])
         for a, b in _composable_pairs(mids, src, dst)
     }
-    grades = {u: c.grades[c.src[u]] for u in c._in[x] if c.src[u] in c.grades}
+    grades = {u: c.grades[c.src[u]] for u in over if c.src[u] in c.grades}
     if include_identity and x in c.grades:
         grades[one] = c.grades[x]
     return AcyclicCategory(
@@ -484,27 +477,26 @@ def _comma_over(c: AcyclicCategory, x: Obj, include_identity: bool):
 def upper_star(c: AcyclicCategory, x: Obj) -> DeltaComplex:
     """Nondegenerate nerve of x|C; its cell counts satisfy the cone
     identity over the upper link."""
-    if x not in set(c.objects):
-        raise KeyError(f"unknown object {x!r}")
-    return nondegenerate_nerve(_comma_under(c, x, include_identity=True))
+    return _comma_nerve(c, x, _comma_under, True)
 
 
 def upper_link(c: AcyclicCategory, x: Obj) -> DeltaComplex:
-    if x not in set(c.objects):
-        raise KeyError(f"unknown object {x!r}")
-    return nondegenerate_nerve(_comma_under(c, x, include_identity=False))
+    return _comma_nerve(c, x, _comma_under, False)
 
 
 def lower_star(c: AcyclicCategory, x: Obj) -> DeltaComplex:
-    if x not in set(c.objects):
-        raise KeyError(f"unknown object {x!r}")
-    return nondegenerate_nerve(_comma_over(c, x, include_identity=True))
+    return _comma_nerve(c, x, _comma_over, True)
 
 
 def lower_link(c: AcyclicCategory, x: Obj) -> DeltaComplex:
+    return _comma_nerve(c, x, _comma_over, False)
+
+
+def _comma_nerve(c: AcyclicCategory, x: Obj, comma, include_identity: bool):
+    """The nerve of ``comma(c, x, include_identity)``, for an object x."""
     if x not in set(c.objects):
         raise KeyError(f"unknown object {x!r}")
-    return nondegenerate_nerve(_comma_over(c, x, include_identity=False))
+    return nondegenerate_nerve(comma(c, x, include_identity))
 
 
 def product_category(c: AcyclicCategory, d: AcyclicCategory) -> AcyclicCategory:
@@ -616,7 +608,7 @@ def grothendieck(
             if not target.leq(fu[lo], fu[hi]):
                 raise ValueError(f"map for {u!r} is not monotone")
     for f in c.morphisms:
-        for g in c._out[c.dst[f]]:
+        for g in c.out_morphisms(c.dst[f]):
             gf = c.compose[(g, f)]
             for a in fibers[c.src[f]].elements:
                 if maps[gf][a] != maps[g][maps[f][a]]:
@@ -894,7 +886,7 @@ def categories_isomorphic(
         for root in cat.objects:
             queue = [] if ("o", root) in out else [root]
             for x in queue:
-                for m in cat._out[x] + cat._in[x]:
+                for m in cat.out_morphisms(x) + cat.in_morphisms(x):
                     if ("m", m) in out:
                         continue
                     for role, y in (("src", cat.src[m]), ("dst", cat.dst[m])):

@@ -35,7 +35,13 @@ from .arrangement import (
     symmetric_subdivision,
 )
 from .category import nondegenerate_nerve, validate_category
-from .css import dual, salvetti_complex, sd, validate_total_normality
+from .css import (
+    _missing_grading,
+    dual,
+    salvetti_complex,
+    sd,
+    validate_total_normality,
+)
 from .delta import components, euler_characteristic, f_vector, validate_delta
 from .fixtures import CSS_FIXTURES, css_fixture
 from .graphconf import (
@@ -170,16 +176,20 @@ def cmd_validate(args) -> tuple[dict, dict]:
     return payload, report
 
 
-def _check_dumpable(kind: str, value) -> None:
+def _check_dumpable(kind: str, value, fmt: str) -> None:
     """Exit 2 with the diagnostics of an invalid category or face
-    category, which has no dump. They are read from the check each
-    category caches, so this validates nothing twice."""
-    if kind == "css" and value.cat._problems:
-        raise CliError(
-            "invalid stratified space: "
-            + "; ".join(f"face category: {p}" for p in value.cat._problems),
-            EXIT_INVALID,
-        )
+    category, which has no export, or, for the JSON dump of a space, of
+    its cells without a dimension or closed flag, which the dump writes.
+    They are read from the check each category caches and from the
+    tables, so this validates nothing twice."""
+    if kind == "css":
+        problems = [f"face category: {p}" for p in value.cat._problems]
+        if not problems and fmt == "json":
+            problems = _missing_grading(value.cat, value.closed)
+        if problems:
+            raise CliError(
+                "invalid stratified space: " + "; ".join(problems), EXIT_INVALID
+            )
     if kind == "category" and value._problems:
         raise CliError("invalid category: " + "; ".join(value._problems), EXIT_INVALID)
 
@@ -282,6 +292,12 @@ def _conf_report(args, x, conditions: list, **keys) -> dict:
 
 
 def cmd_conf(args) -> tuple[dict, dict]:
+    if args.oracle and args.unordered:
+        raise CliError(
+            "--oracle has no unordered model: the Abrams complex is a model "
+            "of ordered configurations",
+            EXIT_INVALID,
+        )
     _, g, payload = _source(args, graphs=True)
     if args.subdivide != 1:  # subdivide_graph rejects counts below 1
         g = subdivide_graph(g, args.subdivide)
@@ -320,12 +336,10 @@ def _dot(kind: str, value) -> str:
         nodes = [(e, value.labels.get(e, e)) for e in value.elements]
         edges = [(lo, hi, None) for lo, hi in value.covers]
     elif kind == "category":
-        oid = {x: i for i, x in enumerate(value.objects)}
+        ix = value._index
         name = "facecat"
-        nodes = [(oid[x], x) for x in value.objects]
-        edges = [
-            (oid[value.src[m]], oid[value.dst[m]], m) for m in value.morphisms
-        ]
+        nodes = [(ix.obj[x], x) for x in value.objects]
+        edges = list(zip(ix.src, ix.dst, value.morphisms))
     else:
         raise CliError(f"no DOT export for {kind}", EXIT_INVALID)
     lines = [f"digraph {name} {{"]
@@ -365,7 +379,7 @@ def _off_sd(dc) -> str:
 
 def cmd_export(args) -> tuple[dict, dict] | str:
     kind, value, payload = _source(args)
-    _check_dumpable(kind, value)
+    _check_dumpable(kind, value, args.format)
     if args.format == "json":
         return payload, {"body": _kinds()[kind][1](value)}
     if args.format == "dot":

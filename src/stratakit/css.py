@@ -249,18 +249,24 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
     return problems
 
 
-def _grading_problems(
-    c: AcyclicCategory, closed: dict[Obj, bool]
-) -> list[str]:
-    """On a valid category: the cells without a dimension or a closed flag,
-    else the lifts that do not strictly raise dimension. Links are defined
-    only when there are none."""
+def _missing_grading(c: AcyclicCategory, closed: dict[Obj, bool]) -> list[str]:
+    """The cells without a dimension or a closed flag, in cell order."""
     problems = []
     for cell in c.objects:
         if cell not in c.grades:
             problems.append(f"cell {cell!r}: no dimension assigned")
         if cell not in closed:
             problems.append(f"cell {cell!r}: no closedness flag")
+    return problems
+
+
+def _grading_problems(
+    c: AcyclicCategory, closed: dict[Obj, bool]
+) -> list[str]:
+    """On a valid category: the cells without a dimension or a closed flag
+    (``_missing_grading``), else the lifts that do not strictly raise
+    dimension. Links are defined only when there are none."""
+    problems = _missing_grading(c, closed)
     if problems:
         return problems
     return [

@@ -1,8 +1,9 @@
 """JSON schemas and (de)serialization for every exchange format.
 
 Categories and stratified spaces constructed in memory carry structured
-ids (tuples); on export these are densely renumbered with the original
-ids kept as string labels, so round-trips are stable and diffable.
+ids (tuples); on export these are replaced by the category's dense
+numbering (``AcyclicCategory._index``) with the original ids kept as
+string labels, so round-trips are stable and diffable.
 Schema violations are reported with JSON pointer paths.
 """
 
@@ -244,30 +245,26 @@ def load_category(payload: dict) -> AcyclicCategory:
     return AcyclicCategory(objects, mids, src, dst, compose, grades)
 
 
-def _renumbered(c: AcyclicCategory):
-    oid = {x: i for i, x in enumerate(c.objects)}
-    mid = {m: i for i, m in enumerate(c.morphisms)}
-    return oid, mid
-
-
 def dump_category(c: AcyclicCategory) -> dict:
-    oid, mid = _renumbered(c)
+    """Objects and morphisms numbered by the category's dense numbering
+    (``AcyclicCategory._index``), and the composition entries read from
+    its table in (g, f) order. KeyError if an entry names an unknown
+    morphism."""
+    ix = c._index
     objects = []
     for x in c.objects:
-        entry: dict = {"id": oid[x], "label": str(x)}
+        entry: dict = {"id": ix.obj[x], "label": str(x)}
         if x in c.grades:
             entry["grade"] = c.grades[x]
         objects.append(entry)
     morphisms = [
-        {"id": mid[m], "src": oid[c.src[m]], "dst": oid[c.dst[m]], "label": str(m)}
-        for m in c.morphisms
+        {"id": ix.mor[m], "src": s, "dst": d, "label": str(m)}
+        for m, s, d in zip(c.morphisms, ix.src, ix.dst)
     ]
-    compose = [
-        [mid[g], mid[f], mid[gf]]
-        for (g, f), gf in sorted(
-            c.compose.items(), key=lambda kv: (mid[kv[0][0]], mid[kv[0][1]])
-        )
-    ]
+    if len(ix.comp) < len(c.compose) or None in ix.comp.values():
+        raise KeyError("a composition entry names an unknown morphism")
+    n = len(c.morphisms)
+    compose = [[*divmod(key, n), gf] for key, gf in sorted(ix.comp.items())]
     return {"objects": objects, "morphisms": morphisms, "compose": compose}
 
 
@@ -295,7 +292,7 @@ def load_css(payload: dict) -> CombinatorialCSS:
 
 def dump_css(x: CombinatorialCSS) -> dict:
     out = dump_category(x.cat)
-    oid, _ = _renumbered(x.cat)
+    oid = x.cat._index.obj
     out["dims"] = {str(oid[v]): x.cat.grades[v] for v in x.cells()}
     out["closed"] = {str(oid[v]): x.closed[v] for v in x.cells()}
     return out

@@ -9,12 +9,14 @@ rather than inferring them.
 Each order-theoretic primitive exists once here: ``_strict_down`` is
 the only topological sort and transitive closure (Kahn's algorithm,
 accumulating down-sets as it goes, ValueError on a cycle), and
-``_chain_layers`` the only chain enumerator (chains grown one layer at a
-time from a table of successors). ``Poset``, ``validate_poset``,
-``order_complex``, and the nerve and ``sd_category`` in ``category``,
-are built on them. ``validate_category`` needs no closure: its cycle
-check is a topological count on the category's own numbering
-(``category._acyclic``).
+``_chain_layers`` the only enumerator of a poset's chains (chains grown
+one layer at a time from a table of successors). ``Poset``,
+``validate_poset`` and ``order_complex`` are built on them. The nerve in
+``category`` grows its chains itself, on the category's numbering, in
+the same layer order, finding each face from the chain's parent as
+``order_complex`` does; ``sd_category`` reads that nerve's face table.
+``validate_category`` needs no closure: its cycle check is a topological
+count on the category's own numbering (``category._acyclic``).
 """
 
 from __future__ import annotations

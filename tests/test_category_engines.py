@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import stratakit
 from stratakit.category import (
     AcyclicCategory,
-    _chains_by_length,
     _comma_over,
     _comma_under,
     categories_isomorphic,
@@ -65,7 +64,7 @@ from stratakit.graphconf import (
     y_graph,
 )
 from stratakit.homology import ChainComplex, chain_complex, homology
-from stratakit.poset import Poset, order_complex
+from stratakit.poset import Poset, _chain_layers, order_complex
 
 
 def isomorphic_by_search(c, d, match_grades=True):
@@ -76,8 +75,8 @@ def isomorphic_by_search(c, d, match_grades=True):
     def signature(cat, x):
         return (
             cat.grades.get(x) if match_grades else None,
-            len(cat._out[x]),
-            len(cat._in[x]),
+            len(cat.out_morphisms(x)),
+            len(cat.in_morphisms(x)),
         )
 
     d_by_sig = {}
@@ -716,7 +715,9 @@ def test_cli_import_leaves_networkx_unloaded():
 def nerve_by_merged_chains(c):
     """The nondegenerate nerve as built before faces were found from the
     parent chain: every face is a merged chain, looked up by hashing it."""
-    layers = _chains_by_length(c)
+    layers = _chain_layers(
+        c.morphisms, {m: c.out_morphisms(c.dst[m]) for m in c.morphisms}
+    )
     cells = [tuple(c.objects)]
     cells.extend(tuple(layer) for layer in layers)
     obj_index = {x: i for i, x in enumerate(c.objects)}

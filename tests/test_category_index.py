@@ -67,15 +67,15 @@ def category_problems_before(c):
         elif c.src[gf] != c.src[f] or c.dst[gf] != c.dst[g]:
             problems.append(f"composite {gf!r} of ({g!r},{f!r}) has wrong endpoints")
     for f in c.morphisms:
-        for g in c._out[c.dst[f]]:
+        for g in c.out_morphisms(c.dst[f]):
             if (g, f) not in c.compose:
                 problems.append(f"missing composition entry for ({g!r},{f!r})")
     if problems:
         return problems
     for f in c.morphisms:
-        for g in c._out[c.dst[f]]:
+        for g in c.out_morphisms(c.dst[f]):
             gf = c.compose[(g, f)]
-            for h in c._out[c.dst[g]]:
+            for h in c.out_morphisms(c.dst[g]):
                 if c.compose[(h, gf)] != c.compose[(c.compose[(h, g)], f)]:
                     problems.append(f"associativity fails on ({h!r},{g!r},{f!r})")
     return problems

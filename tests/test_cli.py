@@ -452,6 +452,84 @@ def test_export_reports_an_invalid_category(tmp_path, capsys, fmt, payload, mess
     assert "Traceback" not in err
 
 
+UNGRADED = {
+    "objects": [{"id": 0}, {"id": 1}],
+    "morphisms": [{"id": 0, "src": 0, "dst": 1}],
+    "compose": [],
+}
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        (
+            {"dims": {"0": 0}, "closed": {"0": True, "1": True}},
+            "cell 1: no dimension assigned",
+        ),
+        (
+            {"dims": {"0": 0, "1": 1}, "closed": {"0": True}},
+            "cell 1: no closedness flag",
+        ),
+        (
+            {"dims": {"0": 0}, "closed": {"0": True}},
+            "cell 1: no dimension assigned; cell 1: no closedness flag",
+        ),
+    ],
+)
+def test_export_json_reports_an_ungraded_cell(
+    tmp_path, capsys, monkeypatch, tables, message
+):
+    # the dump writes every cell's dimension and flag; a missing one used
+    # to escape as a bare KeyError ("error: 1"). The diagnostic is the one
+    # export off gives, found without a validation call
+    import stratakit.category as category
+    import stratakit.cli as cli
+    import stratakit.css as css
+
+    path = tmp_path / "ungraded.json"
+    path.write_text(json.dumps({**UNGRADED, **tables}))
+    code, _, err = run(capsys, "export", "off", "--file", str(path))
+    assert code == 2
+    assert err.splitlines()[0] == f"error: invalid stratified space: {message}"
+
+    calls = []
+    for module, name in (
+        (cli, "validate_total_normality"),
+        (css, "validate_total_normality"),
+        (category, "validate_category"),
+    ):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=f: calls.append(f) or f(*a))
+    code, out, err = run(capsys, "export", "json", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == f"error: invalid stratified space: {message}"
+    assert calls == []
+
+
+def test_export_dot_of_an_ungraded_space_draws_its_face_category(tmp_path, capsys):
+    # the diagram reads no dimension or flag
+    path = tmp_path / "ungraded.json"
+    path.write_text(json.dumps({**UNGRADED, "dims": {"0": 0}, "closed": {"0": True}}))
+    code, out, _ = run(capsys, "export", "dot", "--file", str(path))
+    assert code == 0
+    assert out.splitlines()[-2] == '  n0 -> n1 [label="0"];'
+
+
+@pytest.mark.parametrize("fixture", ["y", "loop"])
+def test_conf_oracle_has_no_unordered_model(capsys, fixture):
+    # the Abrams complex models ordered configurations: it used to be
+    # reported as the model asked for, with the ordered homology
+    argv = ["conf", "--fixture", fixture, "--k", "2", "--oracle", "--unordered"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == (
+        "error: --oracle has no unordered model: the Abrams complex is a "
+        "model of ordered configurations"
+    )
+    argv = ["conf", "--fixture", fixture, "--k", "2", "--unordered"]
+    assert report(capsys, *argv)["model"] == "unordered"
+
+
 def css_payload_with_dim(capsys, value):
     """The JSON export of circle-minimal with one dimension replaced."""
     body = report(capsys, "export", "json", "--fixture", "circle-minimal")["body"]
