@@ -146,34 +146,21 @@ class AcyclicCategory:
         ``in_morphisms`` order; the rest are pairs (i, j) of indices into
         ``in_morphisms(x)`` with b_i = b_j . c for a morphism c into
         src(b_j), one pair per such c. Labels are not stored:
-        ``in_morphisms(x)`` gives them. The pairs are read from ``_index``
-        (``inc``, ``src`` and ``comp``); before, each cost a ``compose``
-        lookup hashing two ids. Cost of the first call O(sum over b into x
-        of |in(src b)|) int lookups.
-
-        Where an int lookup fails (a missing entry, an unknown or misplaced
-        composite, or a repeated id, all in an invalid category) the pairs
-        are read again by ids, so the result or the KeyError is the one
-        the lookup by ids gives."""
+        ``in_morphisms(x)`` gives them. The morphisms into x and into each
+        src(b) are read from ``_index`` (``inc`` and ``src``); each pair is
+        one ``compose`` lookup, so an invalid table raises the KeyError of
+        its first missing entry or unknown composite. Cost of the first
+        call O(sum over b into x of |in(src b)|) composition lookups."""
         flat = self._links.get(x)
         if flat is None:
             ix = self._index
-            mids, inc, src, comp = ix.inc[ix.obj[x]], ix.inc, ix.src, ix.comp
-            n = len(src)
-            index = {m: i for i, m in enumerate(mids)}
-            ids, objects, grades = self.morphisms, self.objects, self.grades
-            out = [grades[objects[src[m]]] for m in mids]
-            try:
-                for j, b in enumerate(mids):
-                    bn = b * n
-                    for piece in inc[src[b]]:
-                        out += (index[comp[bn + piece]], j)
-            except KeyError:  # an invalid category: read by ids, as before
-                del out[len(mids) :]
-                by_id = {ids[m]: i for i, m in enumerate(mids)}
-                for j, b in enumerate(mids):
-                    for piece in inc[src[b]]:
-                        out += (by_id[self.compose[(ids[b], ids[piece])]], j)
+            mids, inc, src = ix.inc[ix.obj[x]], ix.inc, ix.src
+            ids, objects, compose = self.morphisms, self.objects, self.compose
+            index = {ids[m]: i for i, m in enumerate(mids)}
+            out = [self.grades[objects[src[m]]] for m in mids]
+            for j, b in enumerate(mids):
+                for piece in inc[src[b]]:
+                    out += (index[compose[(ids[b], ids[piece])]], j)
             flat = self._links[x] = tuple(out)
         return flat
 

@@ -292,15 +292,15 @@ def _conf_report(args, x, conditions: list, **keys) -> dict:
 
 
 def cmd_conf(args) -> tuple[dict, dict]:
-    if args.oracle and args.unordered:
+    _, g, payload = _source(args, graphs=True)
+    if args.subdivide != 1:  # subdivide_graph rejects counts below 1
+        g = subdivide_graph(g, args.subdivide)
+    if args.oracle and args.unordered:  # after the input's own errors
         raise CliError(
             "--oracle has no unordered model: the Abrams complex is a model "
             "of ordered configurations",
             EXIT_INVALID,
         )
-    _, g, payload = _source(args, graphs=True)
-    if args.subdivide != 1:  # subdivide_graph rejects counts below 1
-        g = subdivide_graph(g, args.subdivide)
     if args.oracle:
         x = abrams_complex(g, args.k)
         model = "abrams"

@@ -247,9 +247,9 @@ def load_category(payload: dict) -> AcyclicCategory:
 
 def dump_category(c: AcyclicCategory) -> dict:
     """Objects and morphisms numbered by the category's dense numbering
-    (``AcyclicCategory._index``), and the composition entries read from
-    its table in (g, f) order. KeyError if an entry names an unknown
-    morphism."""
+    (``AcyclicCategory._index``), and the composition entries in (g, f)
+    order of those numbers. An entry naming an unknown morphism raises the
+    KeyError of that id."""
     ix = c._index
     objects = []
     for x in c.objects:
@@ -261,10 +261,12 @@ def dump_category(c: AcyclicCategory) -> dict:
         {"id": ix.mor[m], "src": s, "dst": d, "label": str(m)}
         for m, s, d in zip(c.morphisms, ix.src, ix.dst)
     ]
-    if len(ix.comp) < len(c.compose) or None in ix.comp.values():
-        raise KeyError("a composition entry names an unknown morphism")
-    n = len(c.morphisms)
-    compose = [[*divmod(key, n), gf] for key, gf in sorted(ix.comp.items())]
+    compose = [
+        [ix.mor[g], ix.mor[f], ix.mor[gf]]
+        for (g, f), gf in sorted(
+            c.compose.items(), key=lambda kv: (ix.mor[kv[0][0]], ix.mor[kv[0][1]])
+        )
+    ]
     return {"objects": objects, "morphisms": morphisms, "compose": compose}
 
 

@@ -349,12 +349,25 @@ def test_dump_category_as_before_on_repeats_and_cycles(c):
 @settings(max_examples=100, deadline=None)
 @given(perturbed_categories())
 def test_dump_category_on_perturbed_tables(c):
+    # an entry naming an unknown id raises the KeyError of that id
+    assert outcome(sio.dump_category, fresh(c)) == outcome(dump_category_before, c)
+
+
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (0, 2), (2, 0), (2, 2), (1, 2)])
+def test_dump_category_raises_the_first_unknown_id(where):
+    # two entries name unknown ids; the one the old sort key or the old
+    # composite lookup met first is raised
+    c = category("conf y 2")
+    items = list(c.compose.items())
+    for n, (i, slot) in enumerate(zip((0, len(items) - 1), where)):
+        (g, f), gf = items[i]
+        ghost = ("no such morphism", n)
+        key = (ghost, f) if slot == 0 else (g, ghost) if slot == 1 else (g, f)
+        items[i] = (key, ghost if slot == 2 else gf)
+    c = AcyclicCategory(c.objects, c.morphisms, c.src, c.dst, dict(items), c.grades)
     want = outcome(dump_category_before, c)
-    got = outcome(sio.dump_category, fresh(c))
-    if want[0] == "returned":
-        assert got == want
-    else:  # an entry names an unknown id
-        assert want[1] == got[1] == "KeyError"
+    assert want[1] == "KeyError"
+    assert outcome(sio.dump_category, fresh(c)) == want
 
 
 # --- the link table ---------------------------------------------------------

@@ -530,6 +530,21 @@ def test_conf_oracle_has_no_unordered_model(capsys, fixture):
     assert report(capsys, *argv)["model"] == "unordered"
 
 
+@pytest.mark.parametrize(
+    "source, code, message",
+    [
+        (["--file", "/no/such/graph.json"], 1, "error: cannot read /no/such/graph.json"),
+        (["--fixture", "y", "--subdivide", "0"], 2, "error: subdivision count must be >= 1"),
+    ],
+)
+def test_conf_oracle_unordered_reports_input_errors_first(capsys, source, code, message):
+    # an unreadable file or a bad subdivision count keeps its own exit code
+    for models in ([], ["--oracle", "--unordered"]):
+        got, out, err = run(capsys, "conf", "--k", "2", *source, *models)
+        assert got == code and out == ""
+        assert err.splitlines()[0].startswith(message)
+
+
 def css_payload_with_dim(capsys, value):
     """The JSON export of circle-minimal with one dimension replaced."""
     body = report(capsys, "export", "json", "--fixture", "circle-minimal")["body"]
