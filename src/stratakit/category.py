@@ -16,6 +16,10 @@ category, ``AcyclicCategory._index``, instead of looking ids up in dicts;
 derived numbering and adjacency of a category: ``hom``,
 ``out_morphisms`` and ``in_morphisms`` read it, and so do the exports of
 ``io`` and the DOT diagram of the CLI.
+
+The nondegenerate nerve is grown by ``delta._nerve``, the one kernel that
+grows every nerve (order complexes too). The stars and links of an object
+are the nerves of comma categories, all four assembled by ``_comma``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Mapping, NamedTuple
 
-from .delta import DeltaComplex
+from .delta import DeltaComplex, _nerve
 from .poset import Poset
 
 __all__ = [
@@ -308,18 +312,9 @@ def nondegenerate_nerve(c: AcyclicCategory) -> DeltaComplex:
 
     d_0 drops the first morphism, d_k the last, and inner d_i composes
     the adjacent pair; for 1-chains the two faces are target and source.
-    Chains are grown one layer per length, in the order of
-    ``poset._chain_layers`` (each chain's extensions in ``out_morphisms``
-    order), and each face is found from the chain's parent,
-    as in ``poset.order_complex``. An n-chain a + (y,) has d_n = a; for
-    i < n-1, d_i = d_i(a) + (y,), looked up by (index of d_i(a), y); and
-    d_{n-1} = d_{n-1}(a) + (y . last(a),), looked up by (index of
-    d_{n-1}(a), y . last(a)). A 1-chain (m,) is keyed by (index of
-    src(m), m). Morphisms are numbered once and y . m is looked up once
-    per composable pair, so a key (i, y) is the one int i * |Mor| +
-    (number of y); the numbers and composites are read from ``_index``.
-    Cost per n-chain, before -> after: n + 1 hashes of merged tuples of
-    n - 1 morphisms and n - 1 composition lookups -> n int-keyed lookups.
+    Grown by ``delta._nerve`` from the morphisms, numbered by ``_index``:
+    the 1-chain (k,) has key src(k) * |Mor| + k and row (dst(k), src(k)),
+    and y may follow k, with composite y . k, for each y out of dst(k).
     """
     bad = validate_category(c)
     if bad:
@@ -328,34 +323,12 @@ def nondegenerate_nerve(c: AcyclicCategory) -> DeltaComplex:
     m = len(mids)
     ix = c._index
     src, dst, out, comp = ix.src, ix.dst, ix.out, ix.comp
-    # after[k]: (y, number of y, number of y . mids[k]) for each y after mids[k]
     after = [
         [(mids[y], y, comp[y * m + k]) for y in out[dst[k]]] for k in range(m)
     ]
-    cells: list[tuple[Hashable, ...]] = [tuple(c.objects)]
-    faces = []
-    layer = [(f,) for f in mids]
-    # parent index * m + index of the last morphism, per chain in the layer
     keys = [i * m + k for k, i in enumerate(src)]
-    rows = list(zip(dst, src))
-    while layer:
-        cells.append(tuple(layer))
-        faces.append(tuple(rows))
-        # one int object per chain, shared by the index and the rows
-        ids = list(range(len(layer)))
-        index = dict(zip(keys, ids))
-        grown, grown_keys, grown_rows = [], [], []
-        for j, a, key, up in zip(ids, layer, keys, rows):
-            inner = [d * m for d in up[:-1]]
-            outer = up[-1] * m
-            for y, k, composite in after[key % m]:
-                grown.append(a + (y,))
-                grown_keys.append(j * m + k)
-                row = [index[d + k] for d in inner]
-                row += (index[outer + composite], j)
-                grown_rows.append(tuple(row))
-        layer, keys, rows = grown, grown_keys, grown_rows
-    return DeltaComplex(tuple(cells), tuple(faces))
+    first = [(f,) for f in mids]
+    return _nerve(c.objects, first, keys, list(zip(dst, src)), after, m)
 
 
 def sd_category(c: AcyclicCategory) -> Poset:
@@ -397,68 +370,50 @@ def _composable_pairs(mids, src, dst):
 
 
 def _comma_under(c: AcyclicCategory, x: Obj, include_identity: bool):
-    """The comma category x|C: objects are morphisms out of x.
-
-    Cost O(|Mor| + |compose|) of the result."""
+    """The comma category x|C: objects are the morphisms u out of x, with
+    an arrow u -> w . u along each w out of dst(u), and with the identity
+    (IDENTITY, x) first and an arrow from it to each u along u."""
     one = (IDENTITY, x)
     under = c.out_morphisms(x)
-    objects: list[Obj] = ([one] if include_identity else []) + list(under)
-    mids = []
-    src: dict[Mid, Obj] = {}
-    dst: dict[Mid, Obj] = {}
-    if include_identity:
-        for w in under:
-            a = (one, w, w)
-            mids.append(a)
-            src[a], dst[a] = one, w
-    for u in under:
-        for w in c.out_morphisms(c.dst[u]):
-            a = (u, w, c.compose[(w, u)])
-            mids.append(a)
-            src[a], dst[a] = u, a[2]
-    comp = {
-        (b, a): (a[0], c.compose[(b[1], a[1])], b[2])
-        for a, b in _composable_pairs(mids, src, dst)
-    }
-    grades = {u: c.grades[c.dst[u]] for u in under if c.dst[u] in c.grades}
-    if include_identity and x in c.grades:
-        grades[one] = c.grades[x]
-    return AcyclicCategory(
-        tuple(objects), tuple(mids), src, dst, comp, grades
-    )
+    arrows = [(one, w, w) for w in under] if include_identity else []
+    arrows += [
+        (u, w, c.compose[(w, u)]) for u in under for w in c.out_morphisms(c.dst[u])
+    ]
+    objects = ([one] if include_identity else []) + list(under)
+    return _comma(c, one, include_identity, objects, arrows, under, c.dst)
 
 
 def _comma_over(c: AcyclicCategory, x: Obj, include_identity: bool):
-    """The comma category C|x: objects are morphisms into x.
-
-    Cost O(|Mor| + |compose|) of the result."""
+    """The comma category C|x: objects are the morphisms v into x, with an
+    arrow v . w -> v along each w into src(v), and with the identity
+    (IDENTITY, x) last and an arrow to it from each v along v."""
     one = (IDENTITY, x)
     over = c.in_morphisms(x)
-    objects: list[Obj] = list(over) + ([one] if include_identity else [])
-    mids = []
-    src: dict[Mid, Obj] = {}
-    dst: dict[Mid, Obj] = {}
-    for v in over:
-        for w in c.in_morphisms(c.src[v]):
-            # arrow from v.w to v along w
-            a = (c.compose[(v, w)], w, v)
-            mids.append(a)
-            src[a], dst[a] = a[0], v
-    if include_identity:
-        for u in over:
-            a = (u, u, one)
-            mids.append(a)
-            src[a], dst[a] = u, one
+    arrows = [
+        (c.compose[(v, w)], w, v) for v in over for w in c.in_morphisms(c.src[v])
+    ]
+    arrows += [(v, v, one) for v in over] if include_identity else []
+    objects = list(over) + ([one] if include_identity else [])
+    return _comma(c, one, include_identity, objects, arrows, over, c.src)
+
+
+def _comma(c, one, include_identity, objects, arrows, ends, end):
+    """The comma category on ``objects``: the morphisms ``ends`` of c and,
+    with ``include_identity``, ``one`` = (IDENTITY, x) for the identity of
+    x. An arrow (s, w, t) runs from s to t along the morphism w of c, so
+    (s', w', t') . (s, w, t) = (s, w' . w, t'). A morphism u is graded as
+    the object ``end[u]``, and ``one`` as x. Cost O(|Mor| + |compose|) of
+    the result."""
+    src = {a: a[0] for a in arrows}
+    dst = {a: a[2] for a in arrows}
     comp = {
         (b, a): (a[0], c.compose[(b[1], a[1])], b[2])
-        for a, b in _composable_pairs(mids, src, dst)
+        for a, b in _composable_pairs(arrows, src, dst)
     }
-    grades = {u: c.grades[c.src[u]] for u in over if c.src[u] in c.grades}
-    if include_identity and x in c.grades:
-        grades[one] = c.grades[x]
-    return AcyclicCategory(
-        tuple(objects), tuple(mids), src, dst, comp, grades
-    )
+    grades = {u: c.grades[end[u]] for u in ends if end[u] in c.grades}
+    if include_identity and one[1] in c.grades:
+        grades[one] = c.grades[one[1]]
+    return AcyclicCategory(tuple(objects), tuple(arrows), src, dst, comp, grades)
 
 
 def upper_star(c: AcyclicCategory, x: Obj) -> DeltaComplex:

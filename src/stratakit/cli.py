@@ -10,7 +10,7 @@ byte-identical for identical inputs. Timing goes to stderr so it never
 perturbs the report or its digest. Exit codes: 0 success, 2 validation
 failure, 1 I/O or parse error (a file that cannot be read, or is not
 UTF-8 JSON, or an ``--out`` path that cannot be written, found before
-the command runs).
+the command runs, or a stdout that its reader closed early).
 """
 
 from __future__ import annotations
@@ -499,6 +499,15 @@ def main(argv=None) -> int:
                 raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
         else:
             print(result)
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout; point it at devnull, so that the
+        # interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_IO
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -4,7 +4,11 @@ Cells in dimension n carry opaque keys (chains, sign vectors, ...) for
 readability; face maps are stored positionally as index tuples into the
 dimension below. ``_identity_failures`` is the one check of the defining
 identities d_i d_j = d_{j-1} d_i (i < j), behind both ``validate_delta``
-and ``homology.chain_complex``.
+and ``homology.chain_complex``. ``_nerve`` is the one kernel that grows
+a nerve: the nondegenerate nerve of a category and the order complex of
+a poset (the nerve of the poset as a thin category) in
+``category.nondegenerate_nerve`` and ``poset.order_complex``, and with
+the first the nerves of the comma categories behind the stars and links.
 """
 
 from __future__ import annotations
@@ -99,6 +103,41 @@ def _identity_failures(k: DeltaComplex, n: int) -> list | None:
     except (IndexError, TypeError):
         return None
     return sorted(failures)
+
+
+def _nerve(vertices, layer, keys, rows, after, m: int) -> DeltaComplex:
+    """The nerve grown from its vertices and 1-chains, one layer per
+    dimension, each face of a chain found from its parent.
+
+    A chain is a tuple of letters numbered 0..m-1, and its key is (index
+    of its parent) * m + (number of its last letter), the parent of a
+    1-chain being its face d_1. ``layer`` lists the 1-chains, ``rows``
+    their faces (d_0, d_1) as vertex indices, and ``keys`` their keys.
+    ``after[k]`` lists a triple (y, number of y, number of y . k) for each
+    letter y that may follow letter k. The chain a + (y,) of dimension n
+    has d_n = a, d_i = d_i(a) + (y,) for i < n - 1 and d_{n-1} =
+    d_{n-1}(a) + (y . last(a),), each looked up by its key; in a poset,
+    y . x is y. Chains keep the order of their parents, then of
+    ``after``. Cost: n int-keyed lookups per n-chain.
+    """
+    cells: list[tuple[Hashable, ...]] = [tuple(vertices)]
+    faces = []
+    while layer:
+        cells.append(tuple(layer))
+        faces.append(tuple(rows))
+        # one int object per chain, shared by the index and the rows
+        ids = list(range(len(layer)))
+        index = dict(zip(keys, ids))
+        exts = [after[key % m] for key in keys]
+        rows = [
+            tuple([index[d * m + k] for d in up[:-1]]) + (index[up[-1] * m + c], j)
+            for j, up, ext in zip(ids, rows, exts)
+            for _, k, c in ext
+        ]
+        del index  # before the chains are grown: the largest transient
+        keys = [j * m + k for j, ext in zip(ids, exts) for _, k, _ in ext]
+        layer = [a + (y,) for a, ext in zip(layer, exts) for y, _, _ in ext]
+    return DeltaComplex(tuple(cells), tuple(faces))
 
 
 def f_vector(k: DeltaComplex) -> tuple[int, ...]:

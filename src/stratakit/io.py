@@ -212,10 +212,41 @@ def _hashable(v):
     return tuple(_hashable(x) for x in v) if isinstance(v, list) else v
 
 
+def _ints(entries, pointer: str, what: str) -> None:
+    """Raise at the first (position, value) of ``entries`` whose value is
+    not an int, naming it by ``pointer`` formatted with the position: 2.0
+    passes the schema's integer type, but is no id, index or grade."""
+    for pos, v in entries:
+        if type(v) is not int:
+            raise ValueError(f"{pointer.format(*pos)}: {what} is not an int: {v!r}")
+
+
+def _ids(entries, pointer: str) -> None:
+    """``_ints`` for ids, which are ints or strings: an id 2.0 would pass
+    the schema's integer type and be merged with the id 2."""
+    for pos, v in entries:
+        if isinstance(v, float):
+            raise ValueError(
+                f"{pointer.format(*pos)}: id is not an int or a string: {v!r}"
+            )
+
+
 def load_poset(payload: dict) -> Poset:
-    elements = tuple(e["id"] for e in payload["elements"])
-    grades = {e["id"]: e["grade"] for e in payload["elements"] if "grade" in e}
-    labels = {e["id"]: e["label"] for e in payload["elements"] if "label" in e}
+    items = payload["elements"]
+    _ints((((i,), e["id"]) for i, e in enumerate(items)), "/elements/{}/id", "id")
+    _ints(
+        (((i,), e["grade"]) for i, e in enumerate(items) if "grade" in e),
+        "/elements/{}/grade",
+        "grade",
+    )
+    _ints(
+        (((i, j), v) for i, c in enumerate(payload["covers"]) for j, v in enumerate(c)),
+        "/covers/{}/{}",
+        "id",
+    )
+    elements = tuple(e["id"] for e in items)
+    grades = {e["id"]: e["grade"] for e in items if "grade" in e}
+    labels = {e["id"]: e["label"] for e in items if "label" in e}
     covers = tuple((lo, hi) for lo, hi in payload["covers"])
     return Poset(elements, covers, grades, labels)
 
@@ -233,8 +264,27 @@ def dump_poset(p: Poset) -> dict:
 
 
 def load_category(payload: dict) -> AcyclicCategory:
-    objects = tuple(o["id"] for o in payload["objects"])
-    grades = {o["id"]: o["grade"] for o in payload["objects"] if "grade" in o}
+    items = payload["objects"]
+    _ids((((i,), o["id"]) for i, o in enumerate(items)), "/objects/{}/id")
+    _ints(
+        (((i,), o["grade"]) for i, o in enumerate(items) if "grade" in o),
+        "/objects/{}/grade",
+        "grade",
+    )
+    _ids(
+        (
+            ((i, key), m[key])
+            for i, m in enumerate(payload["morphisms"])
+            for key in ("id", "src", "dst")
+        ),
+        "/morphisms/{}/{}",
+    )
+    _ids(
+        (((i, j), v) for i, e in enumerate(payload["compose"]) for j, v in enumerate(e)),
+        "/compose/{}/{}",
+    )
+    objects = tuple(o["id"] for o in items)
+    grades = {o["id"]: o["grade"] for o in items if "grade" in o}
     mids = tuple(m["id"] for m in payload["morphisms"])
     src = {m["id"]: m["src"] for m in payload["morphisms"]}
     dst = {m["id"]: m["dst"] for m in payload["morphisms"]}
@@ -352,6 +402,13 @@ def dump_arrangement(arr: Arrangement) -> dict:
 
 
 def load_graph(payload: dict) -> Graph:
+    edges = payload["edges"]
+    _ids((((i,), v) for i, v in enumerate(payload["vertices"])), "/vertices/{}")
+    _ids((((i,), e["id"]) for i, e in enumerate(edges)), "/edges/{}/id")
+    _ids(
+        (((i, j), v) for i, e in enumerate(edges) for j, v in enumerate(e["ends"])),
+        "/edges/{}/ends/{}",
+    )
     return Graph(
         tuple(_hashable(v) for v in payload["vertices"]),
         tuple(

@@ -9,12 +9,10 @@ rather than inferring them.
 Each order-theoretic primitive exists once here: ``_strict_down`` is
 the only topological sort and transitive closure (Kahn's algorithm,
 accumulating down-sets as it goes, ValueError on a cycle), and
-``_chain_layers`` the only enumerator of a poset's chains (chains grown
-one layer at a time from a table of successors). ``Poset``,
-``validate_poset`` and ``order_complex`` are built on them. The nerve in
-``category`` grows its chains itself, on the category's numbering, in
-the same layer order, finding each face from the chain's parent as
-``order_complex`` does; ``sd_category`` reads that nerve's face table.
+``_chain_layers`` lists a poset's chains for ``Poset.chains`` and
+``Poset.height``. ``Poset`` and ``validate_poset`` are built on them.
+``order_complex`` is the nerve of the poset as a thin category, grown by
+the one kernel that grows every nerve, ``delta._nerve``.
 ``validate_category`` needs no closure: its cycle check is a topological
 count on the category's own numbering (``category._acyclic``).
 """
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
-from .delta import DeltaComplex
+from .delta import DeltaComplex, _nerve
 
 __all__ = [
     "Poset",
@@ -273,16 +271,12 @@ def product(p: Poset, q: Poset) -> Poset:
 def order_complex(p: Poset) -> DeltaComplex:
     """Delta complex whose k-cells are the strictly increasing (k+1)-chains.
 
-    The i-th face deletes the i-th chain entry. Chains grown from sorted
-    elements by sorted up-sets come out sorted, one layer per dimension.
-    A k-chain a + (y,) has last face a; for i < k its i-th face is
-    d_i(a) + (y,), looked up by (index of d_i(a), y). A vertex's one face
-    is the empty chain, index -1. Cost O(k) small-key lookups per k-chain.
-
-    A nonempty antichain (no covers) is its vertices, returned directly in
-    O(|elements| log |elements|) after the validation, without the up-sets
-    and the chain layers it went through before; the empty poset gives the
-    empty complex.
+    The i-th face deletes the i-th chain entry. It is the nerve of p as a
+    thin category, grown by ``delta._nerve`` with the sorted elements as
+    letters: y may follow x, with composite y, for each y in the sorted
+    up-set of x, so chains come out sorted, one layer per dimension. An
+    antichain is its vertices, returned without the up-sets, and the empty
+    poset gives the empty complex.
     """
     bad = validate_poset(p)
     if bad:
@@ -290,19 +284,16 @@ def order_complex(p: Poset) -> DeltaComplex:
     if not p.covers:
         vertices = tuple(zip(sorted(p.elements)))
         return DeltaComplex((vertices,) if vertices else (), ())
-    up = {e: sorted(v) for e, v in p._up.items()}
     starts = sorted(p.elements)
-    by_dim = _chain_layers(starts, up)
-    index = {(-1, x): i for i, x in enumerate(starts)}
-    faces = [[(-1,)] * len(starts)]
-    for n in range(1, len(by_dim)):
-        # (parent index, last element) of each n-chain, in layer order
-        keys = [(j, y) for j, a in enumerate(by_dim[n - 1]) for y in up[a[-1]]]
-        prev = faces[-1]
-        layer = [tuple([index[d, y] for d in prev[j]]) + (j,) for j, y in keys]
-        faces.append(tuple(layer))
-        index = {key: i for i, key in enumerate(keys)}
-    return DeltaComplex(tuple(map(tuple, by_dim)), tuple(faces[1:]))
+    m = len(starts)
+    pos = {x: i for i, x in enumerate(starts)}
+    up = p._up
+    after = [[(y, pos[y], pos[y]) for y in sorted(up[x])] for x in starts]
+    pairs = [(i, k) for i, ys in enumerate(after) for _, k, _ in ys]
+    edges = [(starts[i], starts[k]) for i, k in pairs]
+    keys = [i * m + k for i, k in pairs]
+    rows = [(k, i) for i, k in pairs]
+    return _nerve(tuple(zip(starts)), edges, keys, rows, after, m)
 
 
 def are_isomorphic(p: Poset, q: Poset) -> bool:

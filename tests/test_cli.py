@@ -700,3 +700,88 @@ def test_operation_and_digest_are_added_to_each_report(tmp_path, capsys):
     assert r["operation"] == "conf"
     digest = hashlib.sha256(canonical_json({"fixture": "loop"}).encode()).hexdigest()
     assert r["digest"] == digest
+
+
+POSET = {"elements": [{"id": 0, "grade": 0}, {"id": 1, "grade": 1}], "covers": [[0, 1]]}
+CATEGORY = {
+    "objects": [{"id": 0, "grade": 0}, {"id": 1, "grade": 1}, {"id": 2, "grade": 2}],
+    "morphisms": [
+        {"id": "f", "src": 0, "dst": 1},
+        {"id": "g", "src": 1, "dst": 2},
+        {"id": "h", "src": 0, "dst": 2},
+    ],
+    "compose": [["g", "f", "h"]],
+}
+GRAPH = {"vertices": [0, 1], "edges": [{"id": "e", "ends": [0, 1]}]}
+
+
+def with_value(payload, path, value):
+    """A deep copy of payload with the entry at the key path replaced."""
+    out = json.loads(json.dumps(payload))
+    *parents, last = path
+    entry = out
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "payload, path, message",
+    [
+        (POSET, ("elements", 1, "id"), "/elements/1/id: id is not an int: 1.0"),
+        (POSET, ("elements", 1, "grade"), "/elements/1/grade: grade is not an int: 1.0"),
+        (POSET, ("covers", 0, 1), "/covers/0/1: id is not an int: 1.0"),
+        (CATEGORY, ("objects", 1, "id"), "/objects/1/id: id is not an int or a string: 1.0"),
+        (CATEGORY, ("objects", 1, "grade"), "/objects/1/grade: grade is not an int: 1.0"),
+        (CATEGORY, ("morphisms", 0, "id"), "/morphisms/0/id: id is not an int or a string: 1.0"),
+        (CATEGORY, ("morphisms", 0, "src"), "/morphisms/0/src: id is not an int or a string: 1.0"),
+        (CATEGORY, ("morphisms", 0, "dst"), "/morphisms/0/dst: id is not an int or a string: 1.0"),
+        (CATEGORY, ("compose", 0, 2), "/compose/0/2: id is not an int or a string: 1.0"),
+        (GRAPH, ("vertices", 1), "/vertices/1: id is not an int or a string: 1.0"),
+        (GRAPH, ("edges", 0, "id"), "/edges/0/id: id is not an int or a string: 1.0"),
+        (GRAPH, ("edges", 0, "ends", 1), "/edges/0/ends/1: id is not an int or a string: 1.0"),
+    ],
+)
+@pytest.mark.parametrize("command", [["validate"], ["export", "json"]])
+def test_a_float_id_or_grade_is_rejected(tmp_path, capsys, payload, path, message, command):
+    # 1.0 is an integer to the schema; as an id it was merged with 1, and
+    # `export json` printed it back as 1.0
+    if command == ["export", "json"] and payload is GRAPH:
+        command = ["conf", "--k", "2"]
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(with_value(payload, path, 1.0)))
+    code, out, err = run(capsys, *command, "--file", str(file))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == f"error: {message}"
+    assert "Traceback" not in err
+
+
+def test_the_int_ids_and_grades_of_those_inputs_load(tmp_path, capsys):
+    for payload, command in ((POSET, "homology"), (CATEGORY, "homology"), (GRAPH, "validate")):
+        file = tmp_path / "input.json"
+        file.write_text(json.dumps(payload))
+        assert run(capsys, command, "--file", str(file))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conf", "--fixture", "y", "--k", "2", "--oracle"],  # larger than a pipe
+        ["sd", "--fixture", "simplex-1"],  # written only at the flush
+    ],
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    src = os.path.dirname(os.path.dirname(stratakit.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stratakit.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    proc.stdout.close()  # the reader is gone before the report is written
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    lines = err.splitlines()
+    assert lines[0].startswith("error: cannot write stdout: [Errno 32]")
+    assert lines[1].startswith("timing_ms: ") and len(lines) == 2
