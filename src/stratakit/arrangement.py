@@ -21,7 +21,8 @@ of the lower levels, and v <= w iff ``below(v) & ~above(w) == 0``. A pair
 costs one AND of ints, where comparing the k values made O(k)
 interpreted comparisons; the n(n-1) pairs remain. The LP systems of one
 enumeration append prebuilt rows: each form's row at -1, 0 and +1 is
-built once per call (``_sign_rows``).
+built once per call (``_sign_rows``), with integral coefficients as ints,
+which the LP then takes without scaling.
 """
 
 from __future__ import annotations
@@ -135,13 +136,21 @@ def _sign_rows(arr: Arrangement, central: bool) -> list[tuple]:
     """The row table of a call: each form's (coeffs, rhs) row indexed by
     its sign, at 0 the equality a.x = rhs, at +1 the strict a.x > rhs and
     at -1 the strict -a.x > -rhs, rhs = -b (0 for a central system). Every
-    sign system of the call appends these rows, never copies of them."""
+    sign system of the call appends these rows, never copies of them.
+    An integral coefficient or rhs is a Python int, any other an equal
+    Fraction, so the LP takes an all-int row as it is (``lp._scaled``)."""
     table = []
     for a, b in arr.forms:
-        rhs = Fraction(0) if central else -b
-        row = (list(a), rhs)
-        table.append((row, row, ([-v for v in a], -rhs)))
+        coeffs = [_plain(v) for v in a]
+        rhs = 0 if central else _plain(-b)
+        row = (coeffs, rhs)
+        table.append((row, row, ([-v for v in coeffs], -rhs)))
     return table
+
+
+def _plain(v: Fraction):
+    """v as an int when it is integral, else v."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def _sign_system(rows: list[tuple], signs):

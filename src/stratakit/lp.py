@@ -9,20 +9,34 @@ multipliers are retained as infeasibility certificates.
 
 The tableau holds integers (Edmonds' integer pivoting, the rule of
 Bareiss elimination). Each row is an integer vector R with a positive
-scale d, and the true row is R / d. The inputs become such rows once per
-call, each row multiplied by the lcm of its denominators; witness, margin
-and certificate become Fractions once, at the end. A pivot on entry p of
-row r makes every other row p*R_i - R_i[col]*R_r with scale p*d_i and
-divides it and its scale by their one gcd. Bland's entering test reads the
-sign of an integer entry, and the ratio test compares rhs_i*a_k with
-rhs_k*a_i (the scales cancel), so the pivots are the ones a Fraction
-tableau takes. A pivot costs O(rows*cols) multiply-subtracts of small
-integers plus one gcd per row, where a Fraction tableau pays a gcd and an
-object allocation for every entry. Fraction appears only at the boundary.
-The split x = x+ - x-, t = t+ - t- keeps only its x+ and t+ columns: the
-x- and t- columns are their negatives in every row and stay so under row
-operations, so Bland's rule reads them by a sign flip (_column), and a row
-update costs 2(nvars+1) fewer multiply-subtracts.
+scale d, and the true row is R / d. An input row becomes such a row once
+per call: an all-int row as it is with scale 1, any other multiplied by
+the lcm of its denominators. Witness, margin and certificate become
+Fractions once, at the end. A pivot on entry p of row r makes every other
+row p*R_i - R_i[col]*R_r with scale p*d_i. A row is divided by the gcd of
+its entries and scale only once its scale passes 2^62 (_BOUND), not after
+every update, so most row updates of the program's small systems pay no
+gcd. Bland's entering test reads the sign of an integer entry, and
+the ratio test compares rhs_i*a_k with rhs_k*a_i (the scales cancel), so
+neither reads the scale and the pivots are the ones a Fraction tableau
+takes, reduced rows or not. Fraction appears only at the boundary.
+
+Stored columns. Of the columns a textbook tableau has, only these are
+stored: x+ and t+ (nvars + 1), one slack per inequality row (s) and one
+artificial per equality row (e), then the rhs, so a row update costs
+nvars + s + e + 2 multiply-subtracts.
+- The split x = x+ - x-, t = t+ - t- keeps only its x+ and t+ columns: the
+  x- and t- columns are their negatives in every row and stay so under row
+  operations, so Bland's rule reads them by a sign flip (_column).
+- The artificial column of inequality row r is sigma_r times its slack
+  column in every constraint row, sigma_r being -1 for a strict row and +1
+  for t <= 1, times -1 if the row was negated for a nonnegative rhs. Row
+  operations keep that; the objective row keeps it too, offset by -1 in
+  phase 1, whose objective zeroes the artificial entries. Artificials
+  never enter and keep their labels, so the pivots do not change, and the
+  certificates read an inequality row's artificial entry from its slack:
+  the phase-1 multiplier is -sigma_r*obj[slack_r]/s and the phase-2 y_r
+  is -sigma_r*signs[r]*obj[slack_r]/s.
 
 Every result is checked before it is returned (_check), on the integer
 rows: a witness must satisfy every row and a certificate must prove the
@@ -70,7 +84,10 @@ class Feasibility:
 
 
 def _scaled(values) -> tuple[list[int], int]:
-    """An integer vector and a positive scale whose quotient is values."""
+    """An integer vector and a positive scale whose quotient is values.
+    An all-int list comes back as it is, with scale 1."""
+    if all(type(v) is int for v in values):
+        return values, 1
     fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in values]
     scale = lcm(*(v.denominator for v in fracs))
     return [v.numerator * (scale // v.denominator) for v in fracs], scale
@@ -80,16 +97,25 @@ def _system(equalities, stricts, nvars: int) -> list[tuple[list[int], int, str]]
     """The rows of the program as (vector, scale, kind): the vector lists
     the x coefficients, the t coefficient and the rhs, and divided by the
     positive scale it is the true row. Stricts g.x - t >= h come first,
-    then equalities e.x = f, then t <= 1."""
+    then equalities e.x = f, then t <= 1. A coefficient list whose length
+    is not nvars raises ValueError naming its row."""
     rows = []
-    for g, h in stricts:
-        vec, scale = _scaled([*g, h])
-        rows.append((vec[:-1] + [-scale, vec[-1]], scale, "ge"))
-    for e, f in equalities:
-        vec, scale = _scaled([*e, f])
-        rows.append((vec[:-1] + [0, vec[-1]], scale, "eq"))
+    parts = (("ge", "strict", stricts), ("eq", "equality", equalities))
+    for kind, name, given in parts:
+        for i, (coeffs, rhs) in enumerate(given):
+            if len(coeffs) != nvars:
+                raise ValueError(
+                    f"{name} row {i} has {len(coeffs)} coefficients, expected {nvars}"
+                )
+            vec, scale = _scaled([*coeffs, rhs])
+            t = -scale if kind == "ge" else 0
+            rows.append((vec[:-1] + [t, vec[-1]], scale, kind))
     rows.append(([0] * nvars + [1, 1], 1, "le"))
     return rows
+
+
+# a row is divided by its gcd only once its scale passes this bound
+_BOUND = 1 << 62
 
 
 def _reduced(vec: list[int], scale: int) -> tuple[list[int], int]:
@@ -100,11 +126,10 @@ def _reduced(vec: list[int], scale: int) -> tuple[list[int], int]:
 
 
 def _column(label: int, nfree: int) -> tuple[int, int]:
-    """Stored column and sign of a column label. Labels number x+ and t+
-    (0..nfree-1), then x- and t- (nfree..2*nfree-1), then slacks and
-    artificials. The tableau stores no x- or t- column: each is the
-    negated x+ or t+ column in every row, and stays so under row
-    operations."""
+    """Stored column and sign of a column label below ncore. Labels number
+    x+ and t+ (0..nfree-1), then x- and t- (nfree..2*nfree-1), then the
+    slacks. The tableau stores no x- or t- column: each is the negated x+
+    or t+ column in every row, and stays so under row operations."""
     if label < nfree:
         return label, 1
     if label < 2 * nfree:
@@ -112,22 +137,23 @@ def _column(label: int, nfree: int) -> tuple[int, int]:
     return label - nfree, 1
 
 
-def _entering(obj, nfree: int, ncore: int) -> int | None:
-    """Bland's entering label: the smallest improving label below ncore,
-    so x+ first, then the virtual x-, then the slacks."""
+def _entering(obj, nfree: int, nart: int) -> tuple[int, int, int] | None:
+    """Bland's entering label with its stored column and sign (see
+    _column): the smallest improving label below ncore, so x+ first, then
+    the virtual x-, then the slacks (stored below nart)."""
     for j in range(nfree):
         if obj[j] > 0:
-            return j
+            return j, j, 1
     for j in range(nfree):
         if obj[j] < 0:
-            return nfree + j
-    for j in range(nfree, ncore - nfree):
+            return nfree + j, j, -1
+    for j in range(nfree, nart):
         if obj[j] > 0:
-            return nfree + j
+            return nfree + j, j, 1
     return None
 
 
-def _bland_simplex(tab, scale, basis, nfree, ncore):
+def _bland_simplex(tab, scale, basis, nfree, nart):
     """Maximize the objective stored in the last tableau row.
 
     tab is a list of integer rows [stored columns | rhs], row i standing
@@ -138,10 +164,10 @@ def _bland_simplex(tab, scale, basis, nfree, ncore):
     """
     m = len(tab) - 1
     while True:
-        enter = _entering(tab[-1], nfree, ncore)
-        if enter is None:
+        entering = _entering(tab[-1], nfree, nart)
+        if entering is None:
             return True
-        col, sign = _column(enter, nfree)
+        label, col, sign = entering
         pivot_row = None
         for i in range(m):
             row = tab[i]
@@ -157,24 +183,31 @@ def _bland_simplex(tab, scale, basis, nfree, ncore):
                     pivot_row, best_rhs, best_a = i, rhs, a
         if pivot_row is None:
             return False
-        _pivot(tab, scale, basis, pivot_row, enter, nfree)
+        _pivot(tab, scale, basis, pivot_row, label, col, sign)
 
 
-def _pivot(tab, scale, basis, row, label, nfree):
-    col, sign = _column(label, nfree)
+def _pivot(tab, scale, basis, row, label, col, sign):
+    """Pivot on the entry of the given label (stored at col with sign) in
+    the given row; a row is reduced only when its scale passes _BOUND."""
     prow = tab[row]
-    if prow[col] * sign < 0:
+    p = prow[col] * sign
+    if p < 0:
         prow = [-v for v in prow]
-    # the pivot row divided by its pivot entry has scale prow[col] * sign
-    prow, p = _reduced(prow, prow[col] * sign)
+        p = -p
+    # the pivot row divided by its pivot entry has scale p
+    if p > _BOUND:
+        prow, p = _reduced(prow, p)
     tab[row] = prow
     scale[row] = p
     for i, r in enumerate(tab):
         f = r[col] * sign
         if f and i != row:
-            tab[i], scale[i] = _reduced(
-                [p * a - f * b for a, b in zip(r, prow)], p * scale[i]
-            )
+            vec = [p * a - f * b for a, b in zip(r, prow)]
+            d = p * scale[i]
+            if d > _BOUND:
+                vec, d = _reduced(vec, d)
+            tab[i] = vec
+            scale[i] = d
     basis[row] = label
 
 
@@ -184,7 +217,8 @@ def strict_feasibility(
     nvars: int,
 ) -> Feasibility:
     """Decide {e.x = f for equalities, g.x > h for stricts} over the
-    rationals."""
+    rationals. Coefficients may be ints, Fractions or a mix; a list of
+    coefficients whose length is not nvars raises ValueError."""
     rows = _system(equalities, stricts, nvars)
     result = _solve(rows, nvars)
     _check(rows, nvars, result)
@@ -192,29 +226,39 @@ def strict_feasibility(
 
 
 def _solve(rows, nvars: int) -> Feasibility:
-    # column labels: x+ (nvars), t+, x- (nvars), t-, slacks, artificials;
-    # x- and t- are not stored (see _column), so label L >= nfree is
-    # stored at L - nfree
+    # column labels: x+ (nvars), t+, x- (nvars), t-, slacks, artificials
+    # (label ncore + r for row r); x- and t- are not stored (see _column),
+    # nor the artificial of an inequality row, which is sigma_r times its
+    # slack column (see the module docstring)
     nfree = nvars + 1  # x and t, both sign-free
-    nslack = sum(kind != "eq" for *_, kind in rows)
-    ncore = 2 * nfree + nslack
-    nart = ncore - nfree  # stored index of the first artificial
-    ncols = nart + len(rows)
+    neq = sum(kind == "eq" for *_, kind in rows)
+    nart = nfree + len(rows) - neq  # stored index of the first artificial
+    ncore = nfree + nart
+    width = nart + neq  # stored columns
 
     tab: list[list[int]] = []
     scale: list[int] = []
     signs = []
-    si = 0
-    for ridx, (vec, d, kind) in enumerate(rows):
-        row = vec[:-1] + [0] * (ncols - nfree) + vec[-1:]
+    # each row's (stored column, sigma): its artificial's for an equality
+    # (sigma 0), else its slack's, with artificial = sigma * slack
+    cols = []
+    si = nfree
+    ai = nart
+    for vec, d, kind in rows:
+        row = vec[:-1] + [0] * (width - nfree) + vec[-1:]
         if kind != "eq":
-            row[nfree + si] = -d if kind == "ge" else d
-            si += 1
+            row[si] = -d if kind == "ge" else d
         sign = 1
         if row[-1] < 0:
             row = [-v for v in row]
             sign = -1
-        row[nart + ridx] = d
+        if kind == "eq":
+            row[ai] = d
+            cols.append((ai, 0))
+            ai += 1
+        else:
+            cols.append((si, -sign if kind == "ge" else sign))
+            si += 1
         signs.append(sign)
         tab.append(row)
         scale.append(d)
@@ -222,24 +266,30 @@ def _solve(rows, nvars: int) -> Feasibility:
     basis = [ncore + i for i in range(len(rows))]
 
     # phase 1: maximize -sum(artificials); the objective row is the sum of
-    # the rows, whose artificial entries cancel the -1s
+    # the rows, whose artificial entries cancel the -1s; the derived
+    # artificial of an inequality row reads sigma * slack - 1 here
     common = lcm(*scale)
-    obj = [0] * (ncols + 1)
+    obj = [0] * (width + 1)
     for row, d in zip(tab, scale):
         f = common // d
         obj = [v + f * r for v, r in zip(obj, row)]
-    for j in range(nart, ncols):
+    for j in range(nart, width):
         obj[j] = 0
-    obj, s = _reduced(obj, common)
+    s = common
+    if s > _BOUND:
+        obj, s = _reduced(obj, s)
     tab.append(obj)
     scale.append(s)
-    _bland_simplex(tab, scale, basis, nfree, ncore)  # artificials never re-enter
+    _bland_simplex(tab, scale, basis, nfree, nart)  # artificials never re-enter
     # objective value is -tab[-1][-1]; equalities are consistent iff it is 0
     obj, s = tab[-1], scale[-1]
     if obj[-1] > 0:
         cert = {
             "phase": 1,
-            "multipliers": [Fraction(-s - obj[nart + i], s) for i in range(len(rows))],
+            "multipliers": [
+                Fraction(-sigma * obj[c] if sigma else -s - obj[c], s)
+                for c, sigma in cols
+            ],
             "signs": list(signs),
         }
         return Feasibility(False, None, None, cert)
@@ -250,11 +300,11 @@ def _solve(rows, nvars: int) -> Feasibility:
         if basis[i] >= ncore:
             j = next((j for j in range(nart) if tab[i][j] != 0), None)
             if j is not None:
-                _pivot(tab, scale, basis, i, j if j < nfree else j + nfree, nfree)
+                _pivot(tab, scale, basis, i, j if j < nfree else j + nfree, j, 1)
 
     # phase 2: maximize t = t+ - t-; a basic t+ or t- is priced out with
     # its row, whose basic entry equals its scale
-    obj = [0] * (ncols + 1)
+    obj = [0] * (width + 1)
     obj[nvars] = 1
     s = 1
     for i, label in enumerate(basis):
@@ -263,10 +313,13 @@ def _solve(rows, nvars: int) -> Feasibility:
             f = obj[col] * sign
             if f:
                 d = scale[i]
-                obj, s = _reduced([d * v - f * r for v, r in zip(obj, tab[i])], d * s)
+                obj = [d * v - f * r for v, r in zip(obj, tab[i])]
+                s *= d
+                if s > _BOUND:
+                    obj, s = _reduced(obj, s)
     tab[-1] = obj
     scale[-1] = s
-    if not _bland_simplex(tab, scale, basis, nfree, ncore):
+    if not _bland_simplex(tab, scale, basis, nfree, nart):
         raise RuntimeError("slack-bounded program cannot be unbounded")
 
     # x_j and t are read from the one basic row of x+ or x- (t+ or t-):
@@ -280,16 +333,16 @@ def _solve(rows, nvars: int) -> Feasibility:
     margin = values[nvars]
     if margin > 0:
         return Feasibility(True, x, margin, None)
-    # dual multipliers from the reduced costs of the artificial columns
+    # dual multipliers from the reduced costs of the artificial columns,
+    # sigma * slack for an inequality row
     obj, s = tab[-1], scale[-1]
     y = {}
     w = {}
-    for ridx, (*_, kind) in enumerate(rows):
-        mult = Fraction(-obj[nart + ridx] * signs[ridx], s)
-        if kind == "eq":
-            w[ridx] = mult
+    for ridx, (c, sigma) in enumerate(cols):
+        if sigma:
+            y[ridx] = Fraction(-sigma * signs[ridx] * obj[c], s)
         else:
-            y[ridx] = mult
+            w[ridx] = Fraction(-obj[c] * signs[ridx], s)
     cert = {"phase": 2, "y": y, "w": w, "bound": margin}
     return Feasibility(False, x, margin, cert)
 
@@ -355,13 +408,18 @@ def _rank(rows) -> int:
     """Rank of a rational matrix by fraction-free (Bareiss) elimination.
 
     Each row is first multiplied by the lcm of its denominators, which
-    keeps the rank. Below the pivot, every entry becomes
-    (p*a - f*b) // prev, prev being the previous pivot: the division is
-    exact, since each entry is a minor of the integer matrix.
+    keeps the rank; an all-int row is only copied. Below the pivot, every
+    entry becomes (p*a - f*b) // prev, prev being the previous pivot: the
+    division is exact, since each entry is a minor of the integer matrix.
+    Rows of unequal length raise ValueError naming the first such row.
     """
-    M = [_scaled(r)[0] for r in rows]
+    n = len(rows[0]) if rows else 0
+    M = []
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise ValueError(f"row {i} has {len(r)} entries, expected {n}")
+        M.append(list(_scaled(r)[0]))
     m = len(M)
-    n = len(M[0]) if m else 0
     rank = 0
     prev = 1
     for col in range(n):

@@ -6,7 +6,9 @@ versions, which built each stratification in its own loop, wrote the
 collapse rule out separately, compared labels value by value and built
 every LP system row by row: equal elements, covers, grades and labels,
 and the same sequence of LP systems. The bit-mask order of labels is
-checked against the value-by-value comparisons.
+checked against the value-by-value comparisons. The LP row table holds
+ints exactly where a coefficient is integral, and the level-1 candidates
+equal those of a copy of the Fraction-row code.
 """
 
 import sys
@@ -355,3 +357,62 @@ def arrangements_with_points(draw):
 def test_signs_at_matches_the_separate_rule(case):
     arr, points = case
     assert arrangement._signs_at(arr, points) == ref_signs_at(arr, points)
+
+
+# ---- integer rows of the LP row table ------------------------------------
+
+
+def fraction_sign_rows(arr, central):
+    """The earlier _sign_rows: every coefficient and rhs a Fraction."""
+    table = []
+    for a, b in arr.forms:
+        rhs = F(0) if central else -b
+        row = (list(a), rhs)
+        table.append((row, row, ([-v for v in a], -rhs)))
+    return table
+
+
+def fraction_level1_candidates(arr, central):
+    """The earlier _level1_candidates, on Fraction rows."""
+    rows = fraction_sign_rows(arr, central)
+    out = []
+    for sigma in iproduct((-1, 0, 1), repeat=len(arr.forms)):
+        feas = strict_feasibility(*arrangement._sign_system(rows, sigma), arr.n)
+        if not feas.feasible:
+            continue
+        zero_rows = [row[0][0] for s, row in zip(sigma, rows) if s == 0]
+        dim = arr.n - rational_rank(zero_rows) if zero_rows else arr.n
+        out.append((sigma, dim))
+    return out
+
+
+FRACTIONAL = Arrangement.from_lists(
+    2,
+    [
+        ([F(1, 2), 1], F(1, 3)),
+        ([1, -1], 0),
+        ([F(2, 3), F(-1, 5)], -1),
+        ([3, F(4, 7)], F(5, 2)),
+    ],
+)
+
+
+def test_sign_rows_hold_ints_exactly_where_integral():
+    for arr in (braid_arrangement(4), FRACTIONAL):
+        for central in (False, True):
+            got = arrangement._sign_rows(arr, central)
+            want = fraction_sign_rows(arr, central)
+            assert len(got) == len(want)
+            for by_sign, ref_by_sign in zip(got, want):
+                for (coeffs, rhs), (ref_coeffs, ref_rhs) in zip(by_sign, ref_by_sign):
+                    for v, ref in zip([*coeffs, rhs], [*ref_coeffs, ref_rhs]):
+                        assert v == ref
+                        assert type(v) is (int if ref.denominator == 1 else F)
+                    assert len(coeffs) == len(ref_coeffs) == arr.n
+
+
+def test_level1_candidates_match_the_fraction_rows():
+    for arr in (braid_arrangement(4), FRACTIONAL):
+        for central in (False, True):
+            got = arrangement._level1_candidates(arr, central)
+            assert got == fraction_level1_candidates(arr, central)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from stratakit.lp import rational_rank, strict_feasibility
 
 
@@ -76,6 +78,30 @@ class TestStrictFeasibility:
                     assert evaluate(coeffs, r.witness) == rhs
                 for coeffs, rhs in stricts:
                     assert evaluate(coeffs, r.witness) > rhs
+
+
+class TestShapes:
+    """A coefficient list of the wrong length is an input error, never a
+    failed self-check of the LP or an IndexError."""
+
+    def test_strict_row_longer_than_nvars(self):
+        message = "strict row 0 has 2 coefficients, expected 1"
+        with pytest.raises(ValueError, match=message):
+            strict_feasibility([], [([1, 2], 0)], 1)
+
+    def test_equality_row_longer_than_nvars(self):
+        message = "equality row 0 has 1 coefficients, expected 0"
+        with pytest.raises(ValueError, match=message):
+            strict_feasibility([([1], 0)], [], 0)
+
+    def test_short_row_after_good_rows(self):
+        message = "strict row 1 has 1 coefficients, expected 2"
+        with pytest.raises(ValueError, match=message):
+            strict_feasibility([([F(1), F(0)], F(0))], [([1, 1], 0), ([F(1)], 0)], 2)
+
+    def test_ragged_rank_rows(self):
+        with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
+            rational_rank([[1, 2], [3]])
 
 
 class TestRank:

@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -167,29 +168,29 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def systems(draw):
-    """Systems with Fraction coefficients that mix in zero rows, repeated
-    rows, parallel rows and rows through one common point (degenerate
-    vertices)."""
+def systems(draw, entries=small):
+    """Systems with Fraction coefficients drawn from entries that mix in
+    zero rows, repeated rows, parallel rows and rows through one common
+    point (degenerate vertices)."""
     n = draw(st.integers(1, 3))
-    point = draw(st.lists(small, min_size=n, max_size=n))
+    point = draw(st.lists(entries, min_size=n, max_size=n))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         how = draw(st.sampled_from(["free", "zero", "repeat", "parallel", "through"]))
         if how == "zero":
-            rows.append(([F(0)] * n, draw(small)))
+            rows.append(([F(0)] * n, draw(entries)))
         elif how in ("repeat", "parallel") and rows:
             a, b = rows[draw(st.integers(0, len(rows) - 1))]
             if how == "parallel":
-                c = draw(small.filter(bool))
-                a, b = [c * v for v in a], draw(small)
+                c = draw(entries.filter(bool))
+                a, b = [c * v for v in a], draw(entries)
             rows.append((a, b))
         else:
-            a = draw(st.lists(small, min_size=n, max_size=n))
+            a = draw(st.lists(entries, min_size=n, max_size=n))
             if how == "through":
                 rows.append((a, sum(x * p for x, p in zip(a, point))))
             else:
-                rows.append((a, draw(small)))
+                rows.append((a, draw(entries)))
     eqs, stricts = [], []
     for a, b in rows:
         kind = draw(st.sampled_from(["eq", "gt", "lt"]))
@@ -206,6 +207,60 @@ def systems(draw):
 @given(systems())
 def test_matches_fraction_tableau(system):
     assert_same(*system)
+
+
+# numerators up to 2^40 over denominators up to 2^20: row scales pass the
+# reduction bound within a pivot or two
+large = st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**20))
+
+
+def test_lazy_reduction_matches_fraction_tableau():
+    # a row is reduced by its gcd only past lp._BOUND, which the small
+    # entries above never reach; count that this branch runs
+    reductions = []
+    real = lp._reduced
+
+    def counted(vec, scale):
+        reductions.append(scale)
+        return real(vec, scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems(large))
+    def check(system):
+        assert_same(*system)
+
+    with mock.patch.object(lp, "_reduced", counted):
+        check()
+    assert reductions
+    assert all(scale > lp._BOUND for scale in reductions)
+
+
+# small entries, about half of them integral
+integral = st.one_of(st.integers(-3, 3).map(F), small)
+
+
+def as_ints(system, keep):
+    """system with each integral coefficient v for which keep(v) holds
+    replaced by the int equal to it."""
+    eqs, stricts, n = system
+
+    def plain(v):
+        return int(v) if v.denominator == 1 and keep(v) else v
+
+    def convert(rows):
+        return [([plain(v) for v in a], plain(b)) for a, b in rows]
+
+    return convert(eqs), convert(stricts), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(integral), st.randoms(use_true_random=False))
+def test_int_and_mixed_coefficients_match_their_fraction_form(system, rng):
+    want = strict_feasibility(*system)
+    for keep in (lambda v: True, lambda v: rng.random() < 0.5):
+        got = strict_feasibility(*as_ints(system, keep))
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("central", [False, True])
