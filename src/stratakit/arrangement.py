@@ -35,7 +35,7 @@ from itertools import product as iproduct
 from .css import CombinatorialCSS, poset_to_css, salvetti_complex
 from .delta import DeltaComplex
 from .lp import rational_rank, strict_feasibility
-from .poset import Poset, order_complex
+from .poset import Poset, _cover_pairs, order_complex
 
 __all__ = [
     "Arrangement",
@@ -257,19 +257,19 @@ def _symmetric_strata(levels):
 
 
 def _level1_covers(faces) -> dict:
-    """Lower covers of each level-1 face, from (sign vector, dim) pairs,
-    by a mask test (``_order_masks``) of every pair of faces of one level."""
+    """Lower covers of each level-1 face, from (sign vector, dim) pairs:
+    the order by a mask test (``_order_masks``) of every pair of faces of
+    one level, reduced by ``poset._cover_pairs``."""
     signs = [s for s, _ in faces]
     lows, highs = _order_masks(signs, 1)
     down = {
-        a: [b for b, lo in zip(signs, lows) if not lo & hi and b != a]
+        a: {b for b, lo in zip(signs, lows) if not lo & hi and b != a}
         for a, hi in zip(signs, highs)
     }
-    below = {a: set(bs) for a, bs in down.items()}
-    return {
-        a: [b for b in bs if not any(b in below[m] for m in bs)]
-        for a, bs in down.items()
-    }
+    covers: dict = {a: [] for a in signs}
+    for lo, hi in _cover_pairs(signs, down):
+        covers[hi].append(lo)
+    return covers
 
 
 def faces_level1(arr: Arrangement) -> Poset:
@@ -277,11 +277,7 @@ def faces_level1(arr: Arrangement) -> Poset:
 
     Labels are sign tuples in {-1,0,1}^k; grades are face dimensions.
     """
-    faces = {
-        tuple(s for (s,) in label): dim
-        for label, dim in _symmetric_strata(_level_faces(arr, 1))
-    }
-    return _poset_from_faces(faces, 1)
+    return _poset_from_faces(dict(_level_faces(arr, 1)[0]), 1)
 
 
 def faces_higher(arr: Arrangement, order: int) -> Poset:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Mapping, NamedTuple
 
-from .delta import DeltaComplex, _nerve
+from .delta import DeltaComplex, _face_pairs, _nerve
 from .poset import Poset
 
 __all__ = [
@@ -343,21 +343,15 @@ def sd_category(c: AcyclicCategory) -> Poset:
     elements in the cell order of ``nondegenerate_nerve``.
 
     Each such f is an iterated face of g, so the relation passed to
-    ``Poset.from_relation`` is the nerve's face table: each n-chain above
-    its n + 1 faces. Before, it listed all 2^(n+1) - 2 sub-chains of each
-    n-chain, each built from composites looked up by ids; the closure and
-    so the poset are the same.
+    ``Poset.from_relation`` is the nerve's face table
+    (``delta._face_pairs``): each n-chain above its n + 1 faces.
     """
     dc = nondegenerate_nerve(c)
-    elements: list[tuple] = [("o", x) for x in c.objects]
-    less = []
-    for below, layer, rows in zip(dc.cells, dc.cells[1:], dc.faces):
-        offset = len(elements) - len(below)  # the element of cell 0 of below
-        less += [(offset + f, j) for j, r in enumerate(rows, len(elements)) for f in r]
-        elements += [("m",) + chain for chain in layer]
+    elements = [("o", x) for x in c.objects]
+    elements += [("m",) + chain for layer in dc.cells[1:] for chain in layer]
     grades = {i: len(e) - 1 if e[0] == "m" else 0 for i, e in enumerate(elements)}
     labels = dict(enumerate(elements))
-    return Poset.from_relation(range(len(elements)), less, grades, labels)
+    return Poset.from_relation(range(len(elements)), _face_pairs(dc), grades, labels)
 
 
 def _composable_pairs(mids, src, dst):

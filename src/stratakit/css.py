@@ -361,17 +361,13 @@ def salvetti_partition(x: CombinatorialCSS) -> SalvettiPartition:
 
 def _upper_heights(c: AcyclicCategory) -> dict[Obj, int]:
     """Longest chain of non-identity morphisms out of each cell, in object
-    order. One memo serves every cell: O(|objects| + |morphisms|)."""
-    memo: dict[Obj, int] = {}
-
-    def h(v: Obj) -> int:
-        if v not in memo:
-            memo[v] = max(
-                (1 + h(c.dst[m]) for m in c.out_morphisms(v)), default=0
-            )
-        return memo[v]
-
-    return {cell: h(cell) for cell in c.objects}
+    order. Lifts strictly raise dimension, so in one pass in descending
+    dimension the targets of a cell's lifts come before the cell:
+    O(|objects| log |objects| + |morphisms|)."""
+    height: dict[Obj, int] = {}
+    for v in sorted(c.objects, key=c.grades.__getitem__, reverse=True):
+        height[v] = max((1 + height[c.dst[m]] for m in c.out_morphisms(v)), default=0)
+    return {cell: height[cell] for cell in c.objects}
 
 
 def dual(x: CombinatorialCSS) -> CombinatorialCSS:
@@ -453,7 +449,9 @@ def cellular_closure(
 
     Requires a closure certificate: either x already carries the ambient
     it was cut from, or one is supplied explicitly. An input whose cells
-    are all closed is returned unchanged.
+    are all closed is returned unchanged. The ambient's face category
+    must be valid: its composition is then total, so a cell's down-set
+    is the sources of the morphisms into it, read in one pass.
     """
     if all(x.closed[v] for v in x.cells()):
         return x
@@ -463,25 +461,15 @@ def cellular_closure(
             "no closure certificate: complex has non-closed cells and no "
             "stored ambient"
         )
+    c = amb.cat
+    if c._problems:
+        raise ValueError("invalid ambient face category: " + "; ".join(c._problems))
     if not all(amb.closed[v] for v in amb.cells()):
         raise ValueError("ambient certificate has non-closed cells")
     present = set(x.cells())
     if not present <= set(amb.cells()):
         raise ValueError("ambient does not contain the complex")
-    needed = set(present)
-    c = amb.cat
-    for v in present:
-        for m in c.in_morphisms(v):
-            needed.add(c.src[m])
-    # down-closure (links of links)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(needed):
-            for m in c.in_morphisms(v):
-                if c.src[m] not in needed:
-                    needed.add(c.src[m])
-                    changed = True
+    needed = present | {c.src[m] for v in present for m in c.in_morphisms(v)}
     sub = cat_ops.full_subcategory(c, needed)
     return make_css(sub, {v: True for v in needed})
 

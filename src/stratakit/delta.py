@@ -9,6 +9,8 @@ a nerve: the nondegenerate nerve of a category and the order complex of
 a poset (the nerve of the poset as a thin category) in
 ``category.nondegenerate_nerve`` and ``poset.order_complex``, and with
 the first the nerves of the comma categories behind the stars and links.
+``_face_pairs`` is the one list of (face, cell) pairs, for ``face_poset``
+and ``category.sd_category``.
 """
 
 from __future__ import annotations
@@ -170,24 +172,27 @@ def face_poset(k: DeltaComplex):
     """Poset of all cells ordered by iterated faces, graded by dimension.
 
     For the barycentric subdivision of a totally normal space this is the
-    face poset of a regular complex; elements are densely renumbered and
-    labeled (dim, key).
+    face poset of a regular complex; elements are densely renumbered
+    (``_face_pairs``) and labeled (dim, key). Grades rise by one along
+    each face, so every (face, cell) pair is a cover.
     """
     from .poset import Poset
 
-    ids: dict[tuple[int, int], int] = {}
-    labels = {}
-    grades = {}
-    counter = 0
-    for n, layer in enumerate(k.cells):
-        for c, key in enumerate(layer):
-            ids[(n, c)] = counter
-            labels[counter] = (n, key)
-            grades[counter] = n
-            counter += 1
-    covers = set()
-    for n in range(1, k.dim() + 1):
-        for c in range(k.size(n)):
-            for i in range(n + 1):
-                covers.add((ids[(n - 1, k.face(n, c, i))], ids[(n, c)]))
-    return Poset(tuple(range(counter)), tuple(sorted(covers)), grades, labels)
+    cells = [(n, key) for n, layer in enumerate(k.cells) for key in layer]
+    labels = dict(enumerate(cells))
+    grades = {i: n for i, (n, _) in labels.items()}
+    covers = tuple(sorted(set(_face_pairs(k))))
+    return Poset(tuple(labels), covers, grades, labels)
+
+
+def _face_pairs(k: DeltaComplex) -> list[tuple[int, int]]:
+    """Each (face, cell) pair of k, the cells numbered densely one
+    dimension after another, in cell order and then face order; a face
+    met twice in a row is listed twice."""
+    pairs: list[tuple[int, int]] = []
+    start = 0
+    for below, rows in zip(k.cells, k.faces):
+        top = start + len(below)
+        pairs += [(start + f, j) for j, row in enumerate(rows, top) for f in row]
+        start = top
+    return pairs

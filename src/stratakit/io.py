@@ -321,21 +321,30 @@ def dump_category(c: AcyclicCategory) -> dict:
 
 
 def load_css(payload: dict) -> CombinatorialCSS:
+    """A stratified space; ``dims`` and ``closed`` name each object by its
+    ``str``, so a key that two objects share (1 and "1") is rejected."""
     c = load_category(payload)
     dims = {}
     closed = {}
-    by_key = {str(x): x for x in c.objects}
+    by_key: dict = {}
+    shared = {}
+    for x in c.objects:
+        if by_key.setdefault(str(x), x) != x:
+            shared[str(x)] = f"key names both objects {by_key[str(x)]!r} and {x!r}"
+
+    def cell(section: str, key: str):
+        if key not in by_key or key in shared:
+            raise ValueError(f"/{section}/{key}: {shared.get(key, 'unknown object')}")
+        return by_key[key]
+
     for key, v in payload["dims"].items():
-        if key not in by_key:
-            raise ValueError(f"/dims/{key}: unknown object")
+        x = cell("dims", key)
         # 2.0 (and true) pass the schema's integer type, but no dimension
         if type(v) is not int:
             raise ValueError(f"/dims/{key}: dimension is not an int: {v!r}")
-        dims[by_key[key]] = v
+        dims[x] = v
     for key, v in payload["closed"].items():
-        if key not in by_key:
-            raise ValueError(f"/closed/{key}: unknown object")
-        closed[by_key[key]] = v
+        closed[cell("closed", key)] = v
     cat = AcyclicCategory(
         c.objects, c.morphisms, c.src, c.dst, c.compose, dims
     )

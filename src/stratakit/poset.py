@@ -8,11 +8,12 @@ rather than inferring them.
 
 Each order-theoretic primitive exists once here: ``_strict_down`` is
 the only topological sort and transitive closure (Kahn's algorithm,
-accumulating down-sets as it goes, ValueError on a cycle), and
-``_chain_layers`` lists a poset's chains for ``Poset.chains`` and
-``Poset.height``. ``Poset`` and ``validate_poset`` are built on them.
-``order_complex`` is the nerve of the poset as a thin category, grown by
-the one kernel that grows every nerve, ``delta._nerve``.
+accumulating down-sets as it goes, ValueError on a cycle),
+``_cover_pairs`` the only reduction of a closed order to its covers (also
+of the arrangement's level-1 face order), and ``_order_nerve`` the only
+chain lister, for ``order_complex`` and ``Poset.chains``: the nerve of
+the poset as a thin category, grown by the one kernel that grows every
+nerve, ``delta._nerve``. ``Poset.height`` is one pass over the covers.
 ``validate_category`` needs no closure: its cycle check is a topological
 count on the category's own numbering (``category._acyclic``).
 """
@@ -70,8 +71,7 @@ class Poset:
         Cost: the closure takes one down-set union per pair of ``less``
         and the reduction one per comparable pair. An empty relation on
         distinct elements is an antichain: every down-set is empty and
-        there is nothing to close or reduce, so it costs O(|elements|)
-        (before, it went through the closure's tables like any relation).
+        there is nothing to close or reduce, so it costs O(|elements|).
         """
         elems = tuple(elements)
         if not isinstance(less, (list, tuple)):
@@ -81,13 +81,7 @@ class Poset:
             covers = ()
         else:
             closure = _strict_down(elems, less)
-            found = []
-            for hi in elems:
-                below = closure[hi]
-                if below:
-                    shadow = set().union(*map(closure.__getitem__, below))
-                    found.extend((lo, hi) for lo in below - shadow)
-            covers = tuple(sorted(found, key=repr))
+            covers = tuple(sorted(_cover_pairs(elems, closure), key=repr))
             down = None
             if len(closure) == len(elems):
                 down = {e: frozenset(s) for e, s in closure.items()}
@@ -131,12 +125,21 @@ class Poset:
         return [(a, b) for b in self.elements for a in self._down[b]]
 
     def chains(self) -> list[tuple[int, ...]]:
-        """All nonempty strictly increasing chains, shortest first."""
-        return [c for layer in _chain_layers(self.elements, self._up) for c in layer]
+        """All nonempty strictly increasing chains, shortest first: the
+        cells of the order complex (``_order_nerve``)."""
+        return [c for layer in _order_nerve(self).cells for c in layer]
 
     def height(self) -> int:
-        """Length (number of covers) of the longest chain; -1 if empty."""
-        return len(_chain_layers(self.elements, self._up)) - 1
+        """Length (number of covers) of the longest chain; -1 if empty.
+
+        One pass over the covers by the down-set size of their upper end,
+        which is a topological order: a strict down-set is larger than
+        every down-set inside it."""
+        down = self._down
+        longest = dict.fromkeys(self.elements, 0)
+        for lo, hi in sorted(self.covers, key=lambda c: len(down[c[1]])):
+            longest[hi] = max(longest[hi], longest[lo] + 1)
+        return max(longest.values(), default=-1)
 
 
 def _strict_down(elements, pairs) -> dict:
@@ -169,18 +172,18 @@ def _strict_down(elements, pairs) -> dict:
     return down
 
 
-def _chain_layers(starts, after) -> list[list[tuple]]:
-    """Chains beginning at ``starts``, grouped by length, shortest first.
-
-    ``after[x]`` lists what may follow ``x`` in a chain; within a layer,
-    chains keep the order of their prefixes, then of ``after``.
-    """
-    layers = []
-    frontier = [(x,) for x in starts]
-    while frontier:
-        layers.append(frontier)
-        frontier = [chain + (y,) for chain in frontier for y in after[chain[-1]]]
-    return layers
+def _cover_pairs(elements, closure) -> list[tuple]:
+    """The covering pairs (lo, hi) of a strict order given by its strict
+    down-sets ``closure[hi]``: the elements below hi that lie below
+    nothing else below hi. One down-set union per comparable pair; the
+    pairs of one hi come in set order, so callers sort or group them."""
+    found = []
+    for hi in elements:
+        below = closure[hi]
+        if below:
+            shadow = set().union(*map(closure.__getitem__, below))
+            found.extend((lo, hi) for lo in below - shadow)
+    return found
 
 
 def validate_poset(p: Poset) -> list[str]:
@@ -284,6 +287,12 @@ def order_complex(p: Poset) -> DeltaComplex:
     if not p.covers:
         vertices = tuple(zip(sorted(p.elements)))
         return DeltaComplex((vertices,) if vertices else (), ())
+    return _order_nerve(p)
+
+
+def _order_nerve(p: Poset) -> DeltaComplex:
+    """The order complex of p, unvalidated: ``delta._nerve`` with the
+    sorted elements as letters, each followed by its sorted up-set."""
     starts = sorted(p.elements)
     m = len(starts)
     pos = {x: i for i, x in enumerate(starts)}

@@ -64,7 +64,8 @@ from stratakit.graphconf import (
     y_graph,
 )
 from stratakit.homology import ChainComplex, chain_complex, homology
-from stratakit.poset import Poset, _chain_layers, order_complex
+from stratakit.poset import Poset, order_complex
+from test_poset_kernels import chain_layers
 
 
 def isomorphic_by_search(c, d, match_grades=True):
@@ -715,7 +716,7 @@ def test_cli_import_leaves_networkx_unloaded():
 def nerve_by_merged_chains(c):
     """The nondegenerate nerve as built before faces were found from the
     parent chain: every face is a merged chain, looked up by hashing it."""
-    layers = _chain_layers(
+    layers = chain_layers(
         c.morphisms, {m: c.out_morphisms(c.dst[m]) for m in c.morphisms}
     )
     cells = [tuple(c.objects)]

@@ -46,8 +46,9 @@ from stratakit.graphconf import (
     unordered_conf,
     y_graph,
 )
-from stratakit.poset import Poset, _chain_layers
+from stratakit.poset import Poset
 from test_category_index import digraph_categories_with_repeats, perturbed_categories
+from test_poset_kernels import chain_layers
 
 
 # --- copies of the code before the one numbering ----------------------------
@@ -77,7 +78,7 @@ def sd_category_before(c):
     if bad:
         raise ValueError("invalid category: " + "; ".join(bad))
     out, _ = adjacency_before(c)
-    layers = _chain_layers(c.morphisms, {m: out[c.dst[m]] for m in c.morphisms})
+    layers = chain_layers(c.morphisms, {m: out[c.dst[m]] for m in c.morphisms})
     chains = [chain for layer in layers for chain in layer]
     elements = [("o", x) for x in c.objects]
     elements.extend(("m",) + chain for chain in chains)

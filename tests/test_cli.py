@@ -578,6 +578,28 @@ def test_a_bool_dimension_is_rejected(capsys):
         sio.load_css(body)
 
 
+@pytest.mark.parametrize("section", ["dims", "closed"])
+def test_a_key_two_objects_share_is_rejected(tmp_path, capsys, section):
+    # dims and closed name an object by its str, which 1 and "1" share;
+    # the key used to bind to the last of them, leaving the other without
+    body = {
+        "objects": [{"id": 1}, {"id": "1"}],
+        "morphisms": [],
+        "compose": [],
+        "dims": {"1": 0},
+        "closed": {"1": True},
+    }
+    if section == "closed":
+        body["dims"] = {}
+    path = tmp_path / "css.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == (
+        f"error: /{section}/1: key names both objects 1 and '1'"
+    )
+
+
 @pytest.mark.parametrize(
     "command", [["validate"]] + [["arrangement", s] for s in ARRANGEMENT_COMMANDS]
 )

@@ -48,11 +48,11 @@ from stratakit.graphconf import (
 )
 from stratakit.poset import (
     Poset,
-    _chain_layers,
     _strict_down,
     order_complex,
     validate_poset,
 )
+from test_poset_kernels import chain_layers
 
 
 # --- the code as it was before the table and the fast paths ----------------
@@ -98,7 +98,7 @@ def order_complex_before(p):
         raise ValueError("invalid poset: " + "; ".join(bad))
     up = {e: sorted(v) for e, v in p._up.items()}
     starts = sorted(p.elements)
-    by_dim = _chain_layers(starts, up)
+    by_dim = chain_layers(starts, up)
     index = {(-1, x): i for i, x in enumerate(starts)}
     faces = [[(-1,)] * len(starts)]
     for n in range(1, len(by_dim)):

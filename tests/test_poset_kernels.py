@@ -10,6 +10,9 @@ cached ``_down``; it must equal the closure of the covers, and
 poset is also marked valid as an order, so ``validate_poset`` checks only
 its grades; it is compared with a copy of the function that checked
 everything, on drawn grades that may be partial or not increase.
+``chain_layers`` is a copy of the chain lister the package used before
+its chains came from the nerve kernel; other test modules take it as
+their reference.
 """
 
 import pytest
@@ -19,16 +22,30 @@ from hypothesis import strategies as st
 from stratakit.delta import DeltaComplex
 from stratakit.poset import (
     Poset,
-    _chain_layers,
     _strict_down,
     order_complex,
     validate_poset,
 )
 
 
+def chain_layers(starts, after):
+    """Chains beginning at ``starts``, grouped by length, shortest first:
+    the chain lister the poset layer used before the nerve kernel.
+
+    ``after[x]`` lists what may follow ``x`` in a chain; within a layer,
+    chains keep the order of their prefixes, then of ``after``.
+    """
+    layers = []
+    frontier = [(x,) for x in starts]
+    while frontier:
+        layers.append(frontier)
+        frontier = [chain + (y,) for chain in frontier for y in after[chain[-1]]]
+    return layers
+
+
 def order_complex_by_sorting(p):
     """The construction order_complex used to run."""
-    by_dim = [sorted(layer) for layer in _chain_layers(p.elements, p._up)]
+    by_dim = [sorted(layer) for layer in chain_layers(p.elements, p._up)]
     cells = tuple(tuple(c) for c in by_dim)
     index = [{c: i for i, c in enumerate(layer)} for layer in by_dim]
     faces = []
