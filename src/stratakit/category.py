@@ -137,10 +137,11 @@ class AcyclicCategory:
 
     @cached_property
     def _spheres(self) -> dict:
-        """The sphere-homology memo of ``css._sphere_homology_ok``: the
-        ``HomologyResult`` of each link or lower-interval order complex
-        tested so far, keyed by (vertex count, face table). Every
-        validation of a space over this category shares it."""
+        """The sphere-test memo of ``css._sphere_homology_ok``: for each
+        link or lower-interval poset with a cover tested so far, its
+        (elements, covers) -> (order complex, ``HomologyResult``), and the
+        complex's (vertex count, face table) -> the ``HomologyResult``.
+        Every validation of a space over this category shares it."""
         return {}
 
     def _link(self, x: Obj) -> tuple[int, ...]:

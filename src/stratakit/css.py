@@ -100,29 +100,48 @@ def _sphere_homology_ok(p: Poset, n: int, memo: dict | None = None) -> bool:
     count: its homology is Z^vertices in degree 0, so it is S^0 iff n = 1
     and there are 2 vertices.
 
-    ``memo`` maps (vertex count, face table) of an order complex to its
-    ``HomologyResult``; the validation path passes the face category's
-    ``AcyclicCategory._spheres``, so it lasts as long as the category.
-    The chain complex, and so its homology, is a pure function of that
-    key, so a hit is exact; the order complex and its chain complex (with
-    the d.d = 0 check) are still built on every call, and only
-    ``homology`` is skipped, with the column dicts that only it reads.
-    The result is stored rather than the verdict, so the comparison with
-    n stays here. Without a memo nothing is reused."""
+    ``memo`` is the face category's ``AcyclicCategory._spheres`` on the
+    validation path, so it lasts as long as the category. It holds two
+    kinds of entries:
+    - p's (elements, covers), which fix the order and so the order
+      complex, map to (order complex, ``HomologyResult``);
+    - an order complex's (vertex count, face table), which fix its chain
+      complex and so its homology, map to that ``HomologyResult``, shared
+      by posets with different keys and equal complexes.
+
+    Every counted call still happens and returns an equal value. On a
+    hit of p's key the memo's complex is attached to p as ``_complex``;
+    ``order_complex(p)`` validates p and returns it, and
+    ``chain_complex`` returns the chain complex attached to it as
+    ``_chain`` on its first test, whose d.d = 0 certificate was computed
+    then. A repeated test costs a hash of the key and p's grade check,
+    not a nerve and an identity check. Only this path attaches the
+    hooks: ``_complex`` only on a hit, so never to a poset tested without
+    a memo, and ``_chain`` only to a complex it stores. The result is
+    stored rather than the verdict, so the comparison with n stays here.
+    Without a memo nothing is reused."""
     if n == 0:
         return not p.elements
     if not p.elements:
         return False
+    if memo is None:
+        memo = {}
+    key = (p.elements, p.covers)
+    known = memo.get(key)
+    if known is not None:
+        p.__dict__["_complex"] = known[0]
     kom = order_complex(p)
     if kom.dim() == 0:
         return n == 1 and kom.size(0) == 2
     cc = chain_complex(kom)
-    if memo is None:
-        memo = {}
-    key = (kom.size(0), kom.faces)
-    h = memo.get(key)
-    if h is None:
-        h = memo[key] = homology(cc)
+    if known is None:
+        faces_key = (kom.size(0), kom.faces)
+        h = memo.get(faces_key)
+        if h is None:
+            h = memo[faces_key] = homology(cc)
+        kom.__dict__["_chain"] = cc
+        known = memo[key] = (kom, h)
+    h = known[1]
     want = [0] * max(n, 1)
     want[0] += 1
     if n >= 1:
@@ -173,13 +192,13 @@ def _closed_cell_link_ok(
     its covers are the link's covers below its top: each is built from
     them in O(|interval covers|). Its elements are sorted by value (the
     order complex, and so the verdict, does not depend on their order).
-    ``memo`` is the category's homology memo (see ``_sphere_homology_ok``):
-    links and intervals repeat across the cells of one space, and each
-    distinct order complex has its homology computed once. An empty
-    interval is a homology sphere iff its top has grade 0, so it is
-    decided without building its poset; under a grade-0 element the
-    interval is always empty, as lifts strictly raise dimension (checked
-    by ``_grading_problems``)."""
+    ``memo`` is the category's sphere-test memo (see
+    ``_sphere_homology_ok``): links and intervals repeat across the cells
+    of one space, and each distinct poset has its order complex built
+    once. An empty interval is a homology sphere iff its top has grade 0,
+    so it is decided without building its poset; under a grade-0 element
+    the interval is always empty, as lifts strictly raise dimension
+    (checked by ``_grading_problems``)."""
     if not _sphere_homology_ok(p, n, memo):
         problems.append(
             f"{tag}: link is not a homology ({n - 1})-sphere as required "
@@ -222,11 +241,16 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
     diamond property, spherical lower intervals); flags cover all cells.
     Failures name the offending cell.
 
-    Homology is computed once per distinct link order complex and face
-    category: the memo ``AcyclicCategory._spheres``, keyed by the
-    complex's vertex count and face table, which determine its chain
-    complex exactly, is shared with ``make_css``'s flag pass and with
-    every later validation of a space over the same category.
+    Each distinct link or lower-interval order complex is built, and its
+    chain complex certified, once per face category, and its homology is
+    computed once per distinct face table: the memo
+    ``AcyclicCategory._spheres`` (see ``_sphere_homology_ok``) is shared
+    with ``make_css``'s flag pass and with every later validation of a
+    space over the same category. A repeated test still makes its link
+    or interval poset and calls ``order_complex`` and ``chain_complex``,
+    which return the memo's values through the hooks that test attaches.
+    A closed flag for an object that is not a cell is reported after the
+    per-cell diagnostics.
     """
     problems = cat_ops.validate_category(x.cat)
     if problems:
@@ -250,13 +274,21 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
 
 
 def _missing_grading(c: AcyclicCategory, closed: dict[Obj, bool]) -> list[str]:
-    """The cells without a dimension or a closed flag, in cell order."""
+    """The cells without a dimension or a closed flag, in cell order, then
+    the closed flags of objects that are not cells, in flag order. The
+    category must be valid: its objects are read from ``_index``."""
     problems = []
     for cell in c.objects:
         if cell not in c.grades:
             problems.append(f"cell {cell!r}: no dimension assigned")
         if cell not in closed:
             problems.append(f"cell {cell!r}: no closedness flag")
+    cells = c._index.obj
+    problems += [
+        f"object {x!r}: closed flag given, but it is not a cell"
+        for x in closed
+        if x not in cells
+    ]
     return problems
 
 
@@ -278,7 +310,7 @@ def _grading_problems(
 
 def _computed_closed_flags(c: AcyclicCategory) -> dict[Obj, bool]:
     """Flag each cell closed iff its link passes the sphere tests, with
-    the category's homology memo (``AcyclicCategory._spheres``), which
+    the category's sphere-test memo (``AcyclicCategory._spheres``), which
     the validation that follows reads too. When the category is invalid
     (its cached diagnostics, so no counted ``validate_category`` call) or
     its grading is (``_grading_problems``), every flag is False: its links

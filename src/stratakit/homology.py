@@ -65,8 +65,10 @@ which the unit elimination reads directly. Where the identities hold,
 a map keeps the face table and the signs and builds its column dicts
 on the first read: columns, before -> after, built at construction ->
 built on first read. A chain complex made only for its d . d = 0
-certificate, as in a sphere test whose homology is already known,
-builds none.
+certificate, as in a sphere test whose homology is known from an equal
+complex, builds none. A sphere test whose poset is already in its face
+category's memo makes no chain complex at all: ``chain_complex`` returns
+the one certified on the memo's complex by the first such test.
 """
 
 from __future__ import annotations
@@ -151,7 +153,15 @@ def chain_complex(k: DeltaComplex) -> ChainComplex:
     the first read. Cost of a call whose maps are never read, before ->
     after: the identity check plus one dict per cell -> the identity
     check alone.
+
+    A complex held in a face category's sphere-test memo carries its
+    chain complex as ``_chain``, attached by ``css._sphere_homology_ok``
+    after this function certified it on that same immutable complex;
+    it is returned as it is. Nothing is kept on any other complex.
     """
+    known = k.__dict__.get("_chain")
+    if known is not None:
+        return known
     mats: list[_Columns] = []
     for n in range(1, k.dim() + 1):
         signs = [(-1) ** i for i in range(n + 1)]

@@ -97,8 +97,10 @@ def _system(equalities, stricts, nvars: int) -> list[tuple[list[int], int, str]]
     """The rows of the program as (vector, scale, kind): the vector lists
     the x coefficients, the t coefficient and the rhs, and divided by the
     positive scale it is the true row. Stricts g.x - t >= h come first,
-    then equalities e.x = f, then t <= 1. A coefficient list whose length
-    is not nvars raises ValueError naming its row."""
+    then equalities e.x = f, then t <= 1. An all-int row is copied once,
+    into its vector with scale 1; any other is scaled first (``_scaled``).
+    A coefficient list whose length is not nvars raises ValueError naming
+    its row."""
     rows = []
     parts = (("ge", "strict", stricts), ("eq", "equality", equalities))
     for kind, name, given in parts:
@@ -107,9 +109,12 @@ def _system(equalities, stricts, nvars: int) -> list[tuple[list[int], int, str]]
                 raise ValueError(
                     f"{name} row {i} has {len(coeffs)} coefficients, expected {nvars}"
                 )
+            ge = kind == "ge"
+            if type(rhs) is int and all(type(v) is int for v in coeffs):
+                rows.append(([*coeffs, -1 if ge else 0, rhs], 1, kind))
+                continue
             vec, scale = _scaled([*coeffs, rhs])
-            t = -scale if kind == "ge" else 0
-            rows.append((vec[:-1] + [t, vec[-1]], scale, kind))
+            rows.append((vec[:-1] + [-scale if ge else 0, vec[-1]], scale, kind))
     rows.append(([0] * nvars + [1, 1], 1, "le"))
     return rows
 

@@ -280,10 +280,19 @@ def order_complex(p: Poset) -> DeltaComplex:
     up-set of x, so chains come out sorted, one layer per dimension. An
     antichain is its vertices, returned without the up-sets, and the empty
     poset gives the empty complex.
+
+    p is validated on every call. A poset that the validation path's
+    sphere test (``css._sphere_homology_ok``) found in its face
+    category's memo carries the memo's complex for its elements and
+    covers as ``_complex``, and that complex is returned without a
+    nerve. Nothing is kept on any other poset.
     """
     bad = validate_poset(p)
     if bad:
         raise ValueError("invalid poset: " + "; ".join(bad))
+    known = p.__dict__.get("_complex")
+    if known is not None:
+        return known
     if not p.covers:
         vertices = tuple(zip(sorted(p.elements)))
         return DeltaComplex((vertices,) if vertices else (), ())

@@ -17,6 +17,7 @@ from stratakit.css import (
     dual,
     identity_subdivision,
     link_poset,
+    make_css,
     poset_to_css,
     product_css,
     quotient_css,
@@ -85,6 +86,24 @@ class TestValidation:
         pt = punctured_torus()
         bad = CombinatorialCSS(pt.cat, {**pt.closed, ("e", "e"): True})
         assert validate_total_normality(bad)
+
+    def test_a_closed_flag_for_a_non_cell_is_reported(self):
+        # make_css used to accept it, and the JSON dump dropped the flag
+        x = rp2()
+        ghost = CombinatorialCSS(x.cat, {**x.closed, "ghost": False})
+        assert validate_total_normality(ghost) == [
+            "object 'ghost': closed flag given, but it is not a cell"
+        ]
+        with pytest.raises(ValueError, match="'ghost': closed flag given"):
+            make_css(x.cat, ghost.closed)
+        # after the per-cell diagnostics, in flag order
+        cells = x.cells()
+        closed = {"ghost": True, **{v: x.closed[v] for v in cells[1:]}, 7: False}
+        assert validate_total_normality(CombinatorialCSS(x.cat, closed)) == [
+            f"cell {cells[0]!r}: no closedness flag",
+            "object 'ghost': closed flag given, but it is not a cell",
+            "object 7: closed flag given, but it is not a cell",
+        ]
 
     def test_y_space_valid_despite_spherical_link(self):
         # the category cannot refute closedness of the tail cell; the
