@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Hashable, Mapping, NamedTuple
 
 from .delta import DeltaComplex, _face_pairs, _nerve
-from .poset import Poset
+from .poset import Poset, _packed
 
 __all__ = [
     "AcyclicCategory",
@@ -91,8 +91,8 @@ class AcyclicCategory:
     morphisms (dst(f) == src(g)). ``grades`` optionally assigns an integer
     to each object (the cell dimension, for face categories). Instances
     are immutable after construction: adjacency, the diagnostics of
-    ``validate_category``, the link of each object asked for and the
-    homology of each link order complex tested are computed once and
+    ``validate_category``, the closed link of each object asked for and
+    the homology of each link order complex tested are computed once and
     cached.
     """
 
@@ -145,17 +145,24 @@ class AcyclicCategory:
         return {}
 
     def _link(self, x: Obj) -> tuple[int, ...]:
-        """The link of x as one flat tuple of ints, computed once per
-        object and kept in ``_links``. With k = len(in_morphisms(x)),
+        """The closed link of x as one flat tuple of ints, computed once
+        per object and kept in ``_links``. With k = len(in_morphisms(x)),
         entries 0..k-1 are the source grades of the morphisms into x, in
-        ``in_morphisms`` order; the rest are pairs (i, j) of indices into
-        ``in_morphisms(x)`` with b_i = b_j . c for a morphism c into
-        src(b_j), one pair per such c. Labels are not stored:
-        ``in_morphisms(x)`` gives them. The morphisms into x and into each
-        src(b) are read from ``_index`` (``inc`` and ``src``); each pair is
-        one ``compose`` lookup, so an invalid table raises the KeyError of
-        its first missing entry or unknown composite. Cost of the first
-        call O(sum over b into x of |in(src b)|) composition lookups."""
+        ``in_morphisms`` order; the rest is the closure of the relation
+        b_i < b_j iff b_i = b_j . c for a morphism c into src(b_j), on the
+        indices into ``in_morphisms(x)``, as ``poset._packed`` writes it:
+        the number of covers, the covers in ``Poset.from_relation``'s
+        order, then each index's strict down-set as a size followed by its
+        members. ``poset._unpacked(flat, k, k)`` reads it back.
+        Labels are not stored: ``in_morphisms(x)`` gives them.
+
+        The morphisms into x and into each src(b) are read from ``_index``
+        (``inc`` and ``src``); each pair of the relation is one
+        ``compose`` lookup, so an invalid table raises the KeyError of its
+        first missing entry or unknown composite, and a relation with a
+        cycle the ValueError of the closure; a failed fill keeps no entry.
+        Cost of the first call O(sum over b into x of |in(src b)|)
+        composition lookups plus one closure and cover reduction."""
         flat = self._links.get(x)
         if flat is None:
             ix = self._index
@@ -163,9 +170,12 @@ class AcyclicCategory:
             ids, objects, compose = self.morphisms, self.objects, self.compose
             index = {ids[m]: i for i, m in enumerate(mids)}
             out = [self.grades[objects[src[m]]] for m in mids]
-            for j, b in enumerate(mids):
-                for piece in inc[src[b]]:
-                    out += (index[compose[(ids[b], ids[piece])]], j)
+            pairs = [
+                (index[compose[(ids[b], ids[piece])]], j)
+                for j, b in enumerate(mids)
+                for piece in inc[src[b]]
+            ]
+            out += _packed(range(len(mids)), pairs)
             flat = self._links[x] = tuple(out)
         return flat
 

@@ -25,7 +25,7 @@ from . import category as cat_ops
 from .category import AcyclicCategory, Mid, Obj
 from .delta import DeltaComplex
 from .homology import chain_complex, homology
-from .poset import Poset, order_complex
+from .poset import Poset, _lower_intervals, _unpacked, order_complex
 
 __all__ = [
     "CombinatorialCSS",
@@ -73,12 +73,11 @@ def link_poset(x: CombinatorialCSS, cell: Obj) -> Poset:
     dimension. Total normality makes these biject with the boundary cells
     of the domain.
 
-    The grades and the relation are read from the category's link table
-    (``AcyclicCategory._link``), filled on the first call for the cell.
-    Before the table every call rebuilt an index of the morphisms and
-    looked up one composite per pair; now that is paid once per cell and
-    category, and a call costs O(|relation|) integer reads plus
-    ``from_relation``.
+    The grades and the closed order are read from the category's link
+    table (``AcyclicCategory._link``), filled on the first call for the
+    cell, and handed to ``from_relation`` as a ``poset._Closed``: a call
+    costs the k = |elements| down-set frozensets and the covers read from
+    the table, with no closure or cover reduction.
     """
     c = x.cat
     mids = c.in_morphisms(cell)
@@ -86,7 +85,7 @@ def link_poset(x: CombinatorialCSS, cell: Obj) -> Poset:
     k = len(mids)
     return Poset.from_relation(
         range(k),
-        list(zip(flat[k::2], flat[k + 1 :: 2])),
+        _unpacked(flat, k, k),
         dict(enumerate(flat[:k])),
         dict(enumerate(mids)),
     )
@@ -188,17 +187,21 @@ def _closed_cell_link_ok(
     p: Poset, n: int, problems: list[str], tag: str, memo: dict
 ):
     """Sphere, grade and diamond checks on a closed cell's link, and a
-    sphere check on each lower interval. An interval is down-closed, so
-    its covers are the link's covers below its top: each is built from
-    them in O(|interval covers|). Its elements are sorted by value (the
-    order complex, and so the verdict, does not depend on their order).
-    ``memo`` is the category's sphere-test memo (see
-    ``_sphere_homology_ok``): links and intervals repeat across the cells
-    of one space, and each distinct poset has its order complex built
-    once. An empty interval is a homology sphere iff its top has grade 0,
-    so it is decided without building its poset; under a grade-0 element
-    the interval is always empty, as lifts strictly raise dimension
-    (checked by ``_grading_problems``)."""
+    sphere check on each lower interval. An interval is the strict
+    down-set of an element, so it is down-closed: its covers are the
+    link's covers whose upper end lies in it, already in
+    ``from_relation``'s order, and its down-sets are the link's. All are
+    read from the link's closure in one pass (``poset._lower_intervals``),
+    so each costs one dict entry per element and its covers, and no
+    closure or sort. Its elements are sorted by value (the order complex,
+    and so the verdict, does not depend on their order). ``memo`` is the
+    category's sphere-test memo (see ``_sphere_homology_ok``): links and
+    intervals repeat across the cells of one space, and each distinct
+    poset has its order complex built once. An empty interval is a
+    homology sphere iff its top has grade 0, so it is decided without
+    building its poset; under a grade-0 element the interval is always
+    empty, as lifts strictly raise dimension (checked by
+    ``_grading_problems``)."""
     if not _sphere_homology_ok(p, n, memo):
         problems.append(
             f"{tag}: link is not a homology ({n - 1})-sphere as required "
@@ -210,19 +213,14 @@ def _closed_cell_link_ok(
     if not _diamond_ok(p):
         problems.append(f"{tag}: link violates the diamond property")
     # each boundary cell of the domain must itself bound a sphere
-    covers_under = {e: [] for e in p.elements}
-    for a, b in p.covers:
-        covers_under[b].append((a, b))
-    for e in p.elements:
-        g = p.grades[e]
-        below = sorted(p.down_set(e))
+    grades = p.grades
+    for e, below, closed in _lower_intervals(p):
+        g = grades[e]
         if not below:
             sphere = g == 0
         else:
             sub = Poset.from_relation(
-                below,
-                [ab for b in below for ab in covers_under[b]],
-                {a: p.grades[a] for a in below},
+                below, closed, {a: grades[a] for a in below}
             )
             sphere = _sphere_homology_ok(sub, g, memo)
         if not sphere:
@@ -297,14 +295,17 @@ def _grading_problems(
 ) -> list[str]:
     """On a valid category: the cells without a dimension or a closed flag
     (``_missing_grading``), else the lifts that do not strictly raise
-    dimension. Links are defined only when there are none."""
+    dimension, compared on ``_index`` numbers with one grade per object
+    number. Links are defined only when there are none."""
     problems = _missing_grading(c, closed)
     if problems:
         return problems
+    ix = c._index
+    grade = [c.grades[cell] for cell in c.objects]
     return [
         f"morphism {m!r}: lift does not strictly raise dimension"
-        for m in c.morphisms
-        if c.grades[c.src[m]] >= c.grades[c.dst[m]]
+        for m, i, j in zip(c.morphisms, ix.src, ix.dst)
+        if grade[i] >= grade[j]
     ]
 
 

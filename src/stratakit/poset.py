@@ -16,13 +16,19 @@ the poset as a thin category, grown by the one kernel that grows every
 nerve, ``delta._nerve``. ``Poset.height`` is one pass over the covers.
 ``validate_category`` needs no closure: its cycle check is a topological
 count on the category's own numbering (``category._acyclic``).
+
+An order closed once is handed on as a ``_Closed`` (covers and down-sets),
+which ``Poset.from_relation`` takes without closing again: ``_packed``
+closes a relation into the ints of a face category's link table,
+``_unpacked`` reads them back, and ``_lower_intervals`` restricts a
+poset's closure to each of its lower intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .delta import DeltaComplex, _nerve
 
@@ -53,7 +59,7 @@ class Poset:
     def from_relation(
         cls,
         elements: Iterable[int],
-        less: Iterable[tuple[int, int]],
+        less: "Iterable[tuple[int, int]] | _Closed",
         grades: Mapping[int, int] | None = None,
         labels: Mapping[int, Hashable] | None = None,
     ) -> "Poset":
@@ -68,23 +74,34 @@ class Poset:
         are taken as given). With repeated elements both are left to
         ``validate_poset``.
 
+        ``less`` may instead be a ``_Closed`` that this module made for
+        these (distinct) elements: an order closed and reduced before. Its
+        covers are taken as they are and its down-sets become ``_down``,
+        so the poset is the one its generating relation would give.
+
         Cost: the closure takes one down-set union per pair of ``less``
         and the reduction one per comparable pair. An empty relation on
         distinct elements is an antichain: every down-set is empty and
-        there is nothing to close or reduce, so it costs O(|elements|).
+        there is nothing to close or reduce, so it costs O(|elements|). A
+        ``_Closed`` costs one frozenset per element, O(|elements| +
+        |comparable pairs|), and a copy of the covers.
         """
         elems = tuple(elements)
-        if not isinstance(less, (list, tuple)):
-            less = list(less)
-        if not less and len(set(elems)) == len(elems):
-            down = dict.fromkeys(elems, frozenset())
-            covers = ()
+        if isinstance(less, _Closed):
+            covers = tuple(less.covers)
+            down = dict(zip(elems, map(frozenset, less.down)))
         else:
-            closure = _strict_down(elems, less)
-            covers = tuple(sorted(_cover_pairs(elems, closure), key=repr))
-            down = None
-            if len(closure) == len(elems):
-                down = {e: frozenset(s) for e, s in closure.items()}
+            if not isinstance(less, (list, tuple)):
+                less = list(less)
+            if not less and len(set(elems)) == len(elems):
+                down = dict.fromkeys(elems, frozenset())
+                covers = ()
+            else:
+                closure = _strict_down(elems, less)
+                covers = tuple(sorted(_cover_pairs(elems, closure), key=repr))
+                down = None
+                if len(closure) == len(elems):
+                    down = {e: frozenset(s) for e, s in closure.items()}
         p = cls(
             elems,
             covers,
@@ -184,6 +201,80 @@ def _cover_pairs(elements, closure) -> list[tuple]:
             shadow = set().union(*map(closure.__getitem__, below))
             found.extend((lo, hi) for lo in below - shadow)
     return found
+
+
+class _Closed(NamedTuple):
+    """A strict order on distinct elements, closed and reduced: its
+    covers in ``Poset.from_relation``'s order (sorted by ``repr``) and the
+    strict down-set of each element, in element order. Only this module
+    makes one (``_unpacked``, ``_lower_intervals``)."""
+
+    covers: Sequence[tuple[int, int]]
+    down: Sequence[Iterable[int]]
+
+
+def _packed(elements, pairs) -> list[int]:
+    """The order generated by ``pairs`` on the distinct ``elements``,
+    closed (``_strict_down``) and reduced (``_cover_pairs``) once, as flat
+    ints: the number of covers, the covers (lo, hi) in
+    ``from_relation``'s order, then each element's strict down-set as its
+    size followed by its members in ascending order. Raises ValueError on
+    a cycle, as ``from_relation`` would. An empty relation is an
+    antichain: no covers and every down-set empty, with no closure."""
+    elems = tuple(elements)
+    if not pairs:
+        return [0] * (len(elems) + 1)
+    closure = _strict_down(elems, pairs)
+    covers = sorted(_cover_pairs(elems, closure), key=repr)
+    out = [len(covers)]
+    for cover in covers:
+        out += cover
+    for e in elems:
+        below = closure[e]
+        out.append(len(below))
+        out += sorted(below)
+    return out
+
+
+def _unpacked(flat: Sequence[int], start: int, n: int) -> _Closed:
+    """The ``_Closed`` that ``_packed`` wrote into ``flat`` from position
+    ``start`` on, for n elements; the down-sets are slices of ``flat``,
+    or one shared empty frozenset each when there are no covers."""
+    if not flat[start]:
+        return _Closed((), [frozenset()] * n)
+    end = start + 1 + 2 * flat[start]
+    covers = tuple(zip(flat[start + 1 : end : 2], flat[start + 2 : end : 2]))
+    down = []
+    for _ in range(n):
+        size = flat[end]
+        down.append(flat[end + 1 : end + 1 + size])
+        end += 1 + size
+    return _Closed(covers, down)
+
+
+def _lower_intervals(p: Poset):
+    """Each element e of p, in element order, with its lower interval:
+    the strict down-set of e as a sorted list ``below``, and p's closure
+    restricted to it as a ``_Closed`` for ``from_relation(below, ...)``.
+    A down-set is down-closed, so the interval's down-sets are p's and
+    its covers are p's covers whose upper end lies in it; one pass over
+    p's covers hands each cover (a, b) to the interval of every element
+    above b (``_up``), so every interval gets its covers in p's order.
+    Cost O(|comparable pairs| + sum over intervals of their covers and
+    elements), with no closure and no sort by ``repr``; without covers
+    every interval is empty and no up-set is built."""
+    if not p.covers:
+        for e in p.elements:
+            yield e, [], _Closed((), [])
+        return
+    down, up = p._down, p._up
+    covers: dict = {e: [] for e in p.elements}
+    for ab in p.covers:
+        for e in up[ab[1]]:
+            covers[e].append(ab)
+    for e in p.elements:
+        below = sorted(down[e])
+        yield e, below, _Closed(covers[e], [down[a] for a in below])
 
 
 def validate_poset(p: Poset) -> list[str]:

@@ -12,9 +12,9 @@ adjacency or numbering.
   endpoints outside the objects.
 - ``dump_category`` and ``dump_css`` must write the same JSON as the copy
   that renumbered ids itself, on categories the CLI digests do not cover.
-- ``_link`` must return the same table, or raise the same KeyError, as
-  the copy that looked composites up by ids, also on invalid tables and
-  repeated morphism ids.
+- ``_link`` must return the same table, or raise the same KeyError or
+  ValueError, as the copy that looked composites up by ids and then
+  closed the relation, also on invalid tables and repeated morphism ids.
 
 Inputs are fixtures, duals, products, configuration spaces, their
 quotients and random categories from ``digraph_categories``.
@@ -48,6 +48,7 @@ from stratakit.graphconf import (
 )
 from stratakit.poset import Poset
 from test_category_index import digraph_categories_with_repeats, perturbed_categories
+from test_link_table import from_relation_before
 from test_poset_kernels import chain_layers
 
 
@@ -135,6 +136,11 @@ def dump_css_before(x):
 
 
 def link_before(c, x):
+    """The table as the id-keyed copy built it (source grades, then one
+    pair per morphism c), with the pairs replaced by their closure as the
+    table now holds it: the number of covers, the covers, then each
+    element's down-set as a size and its sorted members, closed and
+    reduced by ``from_relation_before``."""
     _, inc = adjacency_before(c)
     mids = inc[x]
     index = {m: i for i, m in enumerate(mids)}
@@ -142,7 +148,12 @@ def link_before(c, x):
     for j, b in enumerate(mids):
         for piece in inc[c.src[b]]:
             out += (index[c.compose[(b, piece)]], j)
-    return tuple(out)
+    k = len(mids)
+    p = from_relation_before(range(k), list(zip(out[k::2], out[k + 1 :: 2])))
+    flat = out[:k] + [len(p.covers)] + [i for cover in p.covers for i in cover]
+    for e in p.elements:
+        flat += (len(p._down[e]), *sorted(p._down[e]))
+    return tuple(flat)
 
 
 # --- comparison -------------------------------------------------------------
