@@ -7,47 +7,55 @@ the optimum is positive. The simplex method uses Bland's rule, so it
 terminates and never misclassifies a degenerate face. Optimal dual
 multipliers are retained as infeasibility certificates.
 
-The tableau holds integers (Edmonds' integer pivoting, the rule of
-Bareiss elimination). Each row is an integer vector R with a positive
-scale d, and the true row is R / d. An input row becomes such a row once
-per call: an all-int row as it is with scale 1, any other multiplied by
-the lcm of its denominators. Witness, margin and certificate become
-Fractions once, at the end. A pivot on entry p of row r makes every other
-row p*R_i - R_i[col]*R_r with scale p*d_i. A row is divided by the gcd of
-its entries and scale only once its scale passes 2^62 (_BOUND), not after
-every update, so most row updates of the program's small systems pay no
-gcd. Bland's entering test reads the sign of an integer entry, and
-the ratio test compares rhs_i*a_k with rhs_k*a_i (the scales cancel), so
-neither reads the scale and the pivots are the ones a Fraction tableau
-takes, reduced rows or not. Fraction appears only at the boundary.
+One denominator. The tableau holds integer rows R over one common positive
+denominator D, the true tableau being R / D (Edmonds' integer pivoting,
+the rule of Bareiss elimination). Every row enters at D = 1 as its integer
+vector from _system: an all-int row as it is, any other times the lcm d of
+its denominators. A pivot on entry p of row r keeps R_r, makes every other
+row (p*R_i - R_i[col]*R_r) // D, and D becomes p; if p < 0, which happens
+only when an artificial is driven out, R_r and p are negated first (the
+same as negating every row and taking D = -p). Each entry is then a minor
+of the input rows (the objective among them), so every division is exact,
+entries stay as small as those minors, and no row is ever divided by a
+common factor. The pivots are the ones a Fraction tableau of the true rows
+takes: a row that entered times d is its true row times d until it is
+pivoted on, and a positive row scale changes neither the ratio test, which
+compares rhs_i*a_k with rhs_k*a_i, nor the signs that Bland's entering
+test reads. The phase-1 objective, the sum of the true rows, is stored as
+sum (L/d_r)*R_r with L the lcm of the row scales, so it is read over D*L;
+phase 2 prices out the basic t row at D (D*e_t -/+ R_t) and is read over
+D. Witness, margin and certificate become Fractions once, at the end,
+with ZERO for a zero.
 
 Stored columns. Of the columns a textbook tableau has, only these are
 stored: x+ and t+ (nvars + 1), one slack per inequality row (s) and one
 artificial per equality row (e), then the rhs, so a row update costs
-nvars + s + e + 2 multiply-subtracts.
+nvars + s + e + 2 multiply-subtract-divides.
 - The split x = x+ - x-, t = t+ - t- keeps only its x+ and t+ columns: the
   x- and t- columns are their negatives in every row and stay so under row
-  operations, so Bland's rule reads them by a sign flip (_column).
+  operations, so Bland's rule reads them by a sign flip, and a pivot on an
+  x- column updates the rows with the negated pivot row.
 - The artificial column of inequality row r is sigma_r times its slack
   column in every constraint row, sigma_r being -1 for a strict row and +1
   for t <= 1, times -1 if the row was negated for a nonnegative rhs. Row
-  operations keep that; the objective row keeps it too, offset by -1 in
+  operations keep that; the objective row keeps it too, offset by -D*L in
   phase 1, whose objective zeroes the artificial entries. Artificials
   never enter and keep their labels, so the pivots do not change, and the
   certificates read an inequality row's artificial entry from its slack:
-  the phase-1 multiplier is -sigma_r*obj[slack_r]/s and the phase-2 y_r
-  is -sigma_r*signs[r]*obj[slack_r]/s.
+  the phase-1 multiplier is -sigma_r*obj[slack_r]/(D*L) and the phase-2
+  y_r is -sigma_r*signs[r]*obj[slack_r]/D.
 
-Every result is checked before it is returned (_check), on the integer
-rows: a witness must satisfy every row and a certificate must prove the
-infeasibility, or RuntimeError is raised.
+Every result is checked before it is returned (_check), against the rows
+from _system: a witness must satisfy every row and a certificate must
+prove the infeasibility, or RuntimeError is raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+from operator import mul
 
 __all__ = ["Feasibility", "strict_feasibility", "rational_rank"]
 
@@ -119,101 +127,78 @@ def _system(equalities, stricts, nvars: int) -> list[tuple[list[int], int, str]]
     return rows
 
 
-# a row is divided by its gcd only once its scale passes this bound
-_BOUND = 1 << 62
-
-
-def _reduced(vec: list[int], scale: int) -> tuple[list[int], int]:
-    g = gcd(scale, *vec)
-    if g > 1:
-        return [v // g for v in vec], scale // g
-    return vec, scale
-
-
-def _column(label: int, nfree: int) -> tuple[int, int]:
-    """Stored column and sign of a column label below ncore. Labels number
-    x+ and t+ (0..nfree-1), then x- and t- (nfree..2*nfree-1), then the
-    slacks. The tableau stores no x- or t- column: each is the negated x+
-    or t+ column in every row, and stays so under row operations."""
-    if label < nfree:
-        return label, 1
-    if label < 2 * nfree:
-        return label - nfree, -1
-    return label - nfree, 1
-
-
-def _entering(obj, nfree: int, nart: int) -> tuple[int, int, int] | None:
-    """Bland's entering label with its stored column and sign (see
-    _column): the smallest improving label below ncore, so x+ first, then
-    the virtual x-, then the slacks (stored below nart)."""
-    for j in range(nfree):
-        if obj[j] > 0:
-            return j, j, 1
-    for j in range(nfree):
-        if obj[j] < 0:
-            return nfree + j, j, -1
-    for j in range(nfree, nart):
-        if obj[j] > 0:
-            return nfree + j, j, 1
-    return None
-
-
-def _bland_simplex(tab, scale, basis, nfree, nart):
-    """Maximize the objective stored in the last tableau row.
-
-    tab is a list of integer rows [stored columns | rhs], row i standing
-    for tab[i] / scale[i]; the last row holds reduced costs (entry > 0
-    means entering improves). Columns are named by label (see _column).
-    Entering: smallest improving label below ncore; leaving: smallest
-    basis label among minimal ratios. Returns False when unbounded.
-    """
+def _simplex(tab, basis, d, nfree, nart, driven=()) -> int:
+    """Pivot tab, integer rows over the common denominator d with the
+    objective row last (entry > 0 means entering improves), and return the
+    new denominator. Labels and stored columns are as in _solve. First each
+    row in driven, whose artificial is basic at zero level, leaves on its
+    first nonzero entry below nart, if it still has one (never an x-: its
+    x+ comes first and is nonzero); then Bland's rule runs to the optimum.
+    The smallest improving label enters: x+ and t+ (entry > 0), then x-
+    and t- (entry < 0, read from the x+ column by a sign flip), then the
+    slacks; artificials never enter. The smallest basis label among the
+    minimal ratios leaves; the ratio test compares rhs_i*a_k with
+    rhs_k*a_i."""
     m = len(tab) - 1
+    driven = list(driven)
     while True:
-        entering = _entering(tab[-1], nfree, nart)
-        if entering is None:
-            return True
-        label, col, sign = entering
-        pivot_row = None
-        for i in range(m):
-            row = tab[i]
-            a = row[col] * sign
-            if a > 0:
-                rhs = row[-1]
-                if pivot_row is None:
-                    pivot_row, best_rhs, best_a = i, rhs, a
-                    continue
-                lhs = rhs * best_a
-                other = best_rhs * a
-                if lhs < other or (lhs == other and basis[i] < basis[pivot_row]):
-                    pivot_row, best_rhs, best_a = i, rhs, a
-        if pivot_row is None:
-            return False
-        _pivot(tab, scale, basis, pivot_row, label, col, sign)
-
-
-def _pivot(tab, scale, basis, row, label, col, sign):
-    """Pivot on the entry of the given label (stored at col with sign) in
-    the given row; a row is reduced only when its scale passes _BOUND."""
-    prow = tab[row]
-    p = prow[col] * sign
-    if p < 0:
-        prow = [-v for v in prow]
-        p = -p
-    # the pivot row divided by its pivot entry has scale p
-    if p > _BOUND:
-        prow, p = _reduced(prow, p)
-    tab[row] = prow
-    scale[row] = p
-    for i, r in enumerate(tab):
-        f = r[col] * sign
-        if f and i != row:
-            vec = [p * a - f * b for a, b in zip(r, prow)]
-            d = p * scale[i]
-            if d > _BOUND:
-                vec, d = _reduced(vec, d)
-            tab[i] = vec
-            scale[i] = d
-    basis[row] = label
+        if driven:
+            r = driven.pop(0)
+            prow = tab[r]
+            col = next((j for j in range(nart) if prow[j]), None)
+            if col is None:
+                continue
+            label = col if col < nfree else col + nfree
+            sign, p = 1, prow[col]
+        else:
+            obj = tab[m]
+            for col in range(nfree):
+                if obj[col] > 0:
+                    label, sign = col, 1
+                    break
+            else:
+                for col in range(nfree):
+                    if obj[col] < 0:
+                        label, sign = nfree + col, -1
+                        break
+                else:
+                    for col in range(nfree, nart):
+                        if obj[col] > 0:
+                            label, sign = nfree + col, 1
+                            break
+                    else:
+                        return d
+            r = None
+            for i in range(m):
+                row = tab[i]
+                a = row[col] * sign
+                if a > 0:
+                    rhs = row[-1]
+                    if r is None:
+                        r, best_rhs, p = i, rhs, a
+                        continue
+                    lhs = rhs * p
+                    other = best_rhs * a
+                    if lhs < other or (lhs == other and basis[i] < basis[r]):
+                        r, best_rhs, p = i, rhs, a
+            if r is None:
+                raise RuntimeError("slack-bounded program cannot be unbounded")
+        prow = tab[r]
+        if p < 0:
+            prow = tab[r] = [-v for v in prow]
+            p = -p
+        # a pivot on x- updates the rows with the negated pivot row; the
+        # pivot row has a nonzero f and is kept
+        urow = prow if sign > 0 else [-v for v in prow]
+        for i, row in enumerate(tab):
+            f = row[col]
+            if f:
+                if i != r:
+                    tab[i] = [(p * a - f * b) // d for a, b in zip(row, urow)]
+            elif p != d:
+                tab[i] = [p * a // d for a in row]
+        d = p
+        basis[r] = label
 
 
 def strict_feasibility(
@@ -232,25 +217,30 @@ def strict_feasibility(
 
 def _solve(rows, nvars: int) -> Feasibility:
     # column labels: x+ (nvars), t+, x- (nvars), t-, slacks, artificials
-    # (label ncore + r for row r); x- and t- are not stored (see _column),
-    # nor the artificial of an inequality row, which is sigma_r times its
-    # slack column (see the module docstring)
+    # (label ncore + r for row r); x- and t- are not stored, nor the
+    # artificial of an inequality row, which is sigma_r times its slack
+    # column (see the module docstring)
     nfree = nvars + 1  # x and t, both sign-free
-    neq = sum(kind == "eq" for *_, kind in rows)
+    neq = [kind for *_, kind in rows].count("eq")
     nart = nfree + len(rows) - neq  # stored index of the first artificial
     ncore = nfree + nart
     width = nart + neq  # stored columns
 
     tab: list[list[int]] = []
-    scale: list[int] = []
     signs = []
     # each row's (stored column, sigma): its artificial's for an equality
     # (sigma 0), else its slack's, with artificial = sigma * slack
     cols = []
     si = nfree
     ai = nart
+    zeros = [0] * (width - nfree)
+    scale = 1  # the lcm of the row scales
     for vec, d, kind in rows:
-        row = vec[:-1] + [0] * (width - nfree) + vec[-1:]
+        row = vec[:-1]
+        row.extend(zeros)
+        row.append(vec[-1])
+        if d != 1:
+            scale = lcm(scale, d)
         if kind != "eq":
             row[si] = -d if kind == "ge" else d
         sign = 1
@@ -266,88 +256,70 @@ def _solve(rows, nvars: int) -> Feasibility:
             si += 1
         signs.append(sign)
         tab.append(row)
-        scale.append(d)
-
-    basis = [ncore + i for i in range(len(rows))]
+    basis = list(range(ncore, ncore + len(rows)))
 
     # phase 1: maximize -sum(artificials); the objective row is the sum of
-    # the rows, whose artificial entries cancel the -1s; the derived
-    # artificial of an inequality row reads sigma * slack - 1 here
-    common = lcm(*scale)
-    obj = [0] * (width + 1)
-    for row, d in zip(tab, scale):
-        f = common // d
-        obj = [v + f * r for v, r in zip(obj, row)]
-    for j in range(nart, width):
-        obj[j] = 0
-    s = common
-    if s > _BOUND:
-        obj, s = _reduced(obj, s)
+    # the true rows times L, whose artificial entries cancel the -Ls; the
+    # derived artificial of an inequality row reads sigma * slack - D*L here
+    if scale == 1:
+        obj = list(map(sum, zip(*tab)))
+    else:
+        weights = [scale // d for _, d, _ in rows]
+        obj = [sum(map(mul, weights, col)) for col in zip(*tab)]
+    obj[nart:width] = [0] * neq
     tab.append(obj)
-    scale.append(s)
-    _bland_simplex(tab, scale, basis, nfree, nart)  # artificials never re-enter
+    d = _simplex(tab, basis, 1, nfree, nart)  # artificials never re-enter
     # objective value is -tab[-1][-1]; equalities are consistent iff it is 0
-    obj, s = tab[-1], scale[-1]
+    obj = tab[-1]
     if obj[-1] > 0:
+        s = d * scale
+        mults = (-sigma * obj[c] if sigma else -s - obj[c] for c, sigma in cols)
         cert = {
             "phase": 1,
-            "multipliers": [
-                Fraction(-sigma * obj[c] if sigma else -s - obj[c], s)
-                for c, sigma in cols
-            ],
-            "signs": list(signs),
+            "multipliers": [Fraction(v, s) if v else ZERO for v in mults],
+            "signs": signs,
         }
         return Feasibility(False, None, None, cert)
 
-    # drive any artificial still basic at zero level out of the basis; the
-    # first nonzero label is never an x- (its x+ comes first and is nonzero)
-    for i in range(len(rows)):
-        if basis[i] >= ncore:
-            j = next((j for j in range(nart) if tab[i][j] != 0), None)
-            if j is not None:
-                _pivot(tab, scale, basis, i, j if j < nfree else j + nfree, j, 1)
-
-    # phase 2: maximize t = t+ - t-; a basic t+ or t- is priced out with
-    # its row, whose basic entry equals its scale
+    # phase 2: maximize t = t+ - t-, priced out with the basic row of t+ or
+    # t-, whose t+ entry is d or -d; _simplex then drives out any artificial
+    # still basic at zero level, whose pivots keep this row priced out, and
+    # runs Bland's rule
     obj = [0] * (width + 1)
-    obj[nvars] = 1
-    s = 1
-    for i, label in enumerate(basis):
-        if label < ncore:
-            col, sign = _column(label, nfree)
-            f = obj[col] * sign
-            if f:
-                d = scale[i]
-                obj = [d * v - f * r for v, r in zip(obj, tab[i])]
-                s *= d
-                if s > _BOUND:
-                    obj, s = _reduced(obj, s)
+    obj[nvars] = d
+    if nvars in basis:
+        obj = [-v for v in tab[basis.index(nvars)]]
+        obj[nvars] = 0
+    elif nfree + nvars in basis:
+        obj = tab[basis.index(nfree + nvars)][:]
+        obj[nvars] = 0
     tab[-1] = obj
-    scale[-1] = s
-    if not _bland_simplex(tab, scale, basis, nfree, nart):
-        raise RuntimeError("slack-bounded program cannot be unbounded")
+    driven = [i for i, label in enumerate(basis) if label >= ncore]
+    d = _simplex(tab, basis, d, nfree, nart, driven)
 
     # x_j and t are read from the one basic row of x+ or x- (t+ or t-):
     # the two columns are negatives of each other, so never both basic
     values = [ZERO] * nfree
     for i, label in enumerate(basis):
-        if label < 2 * nfree:
-            col, sign = _column(label, nfree)
-            values[col] = Fraction(sign * tab[i][-1], scale[i])
+        v = tab[i][-1]
+        if label < 2 * nfree and v:
+            col, v = (label, v) if label < nfree else (label - nfree, -v)
+            values[col] = Fraction(v, d)
     x = tuple(values[:nvars])
     margin = values[nvars]
-    if margin > 0:
+    if margin.numerator > 0:
         return Feasibility(True, x, margin, None)
     # dual multipliers from the reduced costs of the artificial columns,
     # sigma * slack for an inequality row
-    obj, s = tab[-1], scale[-1]
+    obj = tab[-1]
     y = {}
     w = {}
     for ridx, (c, sigma) in enumerate(cols):
+        v = -obj[c] * signs[ridx]
         if sigma:
-            y[ridx] = Fraction(-sigma * signs[ridx] * obj[c], s)
+            y[ridx] = Fraction(sigma * v, d) if v else ZERO
         else:
-            w[ridx] = Fraction(-obj[c] * signs[ridx], s)
+            w[ridx] = Fraction(v, d) if v else ZERO
     cert = {"phase": 2, "y": y, "w": w, "bound": margin}
     return Feasibility(False, x, margin, cert)
 
@@ -355,13 +327,18 @@ def _solve(rows, nvars: int) -> Feasibility:
 def _combination(rows, weights) -> tuple[list[int], int]:
     """sum_i weights[i] * rows[i] over the true rows, as an integer vector
     and a positive scale. weights maps row indices to Fractions."""
-    terms = [(rows[i], c) for i, c in weights.items() if c]
-    common = lcm(*(c.denominator * d for (_, d, _), c in terms))
-    total = [0] * len(rows[-1][0])
-    for (vec, d, _), c in terms:
-        f = c.numerator * (common // (c.denominator * d))
-        total = [t + f * v for t, v in zip(total, vec)]
-    return total, common
+    vecs, nums, dens = [], [], []
+    for i, c in weights.items():
+        n, e = c.as_integer_ratio()
+        if n:
+            vec, d, _ = rows[i]
+            vecs.append(vec)
+            nums.append(n)
+            dens.append(e * d)
+    common = lcm(*dens)
+    factors = [n * (common // e) for n, e in zip(nums, dens)]
+    total = [sum(map(mul, factors, col)) for col in zip(*vecs)]
+    return total or [0] * len(rows[-1][0]), common
 
 
 def _check(rows, nvars: int, result: Feasibility) -> None:
@@ -374,7 +351,8 @@ def _check(rows, nvars: int, result: Feasibility) -> None:
         for vec, _, kind in rows:
             if kind == "le":
                 continue
-            lhs = sum(a * v for a, v in zip(vec, point))
+            # point has nvars entries, so only the x coefficients are read
+            lhs = sum(map(mul, vec, point))
             rhs = vec[-1] * den
             if not (lhs == rhs if kind == "eq" else lhs > rhs):
                 raise RuntimeError(f"LP witness violates a row: {result}")
@@ -396,12 +374,13 @@ def _check(rows, nvars: int, result: Feasibility) -> None:
     strict_y = [m.numerator for i, m in y.items() if rows[i][2] == "ge"]
     bound_y = [m.numerator for i, m in y.items() if rows[i][2] == "le"]
     total, common = _combination(rows, {**y, **cert["w"]})
+    num, den = margin.as_integer_ratio()
     if (
         margin != result.margin
-        or margin.numerator > 0
+        or num > 0
         or any(total[:nvars])
         or total[nvars] != common
-        or total[-1] * margin.denominator != margin.numerator * common
+        or total[-1] * den != num * common
         or max(strict_y, default=0) > 0
         or not any(strict_y)
         or min(bound_y, default=0) < 0

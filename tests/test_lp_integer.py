@@ -14,7 +14,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stratakit.lp as lp
@@ -58,7 +58,22 @@ def ref_pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def ref_feasibility(equalities, stricts, nvars):
+class Basis(list):
+    """A basis list that reports every assignment, the last step of a
+    pivot, as (row, label) to on_pivot."""
+
+    def __init__(self, labels, on_pivot):
+        super().__init__(labels)
+        self.on_pivot = on_pivot
+
+    def __setitem__(self, row, label):
+        super().__setitem__(row, label)
+        self.on_pivot(row, label)
+
+
+def ref_feasibility(equalities, stricts, nvars, pivots=None):
+    """The Fraction tableau's result; its pivots, as (row, label), are
+    appended to pivots when a list is given."""
     zero, one = F(0), F(1)
     rows = []
     for g, h in stricts:
@@ -89,6 +104,8 @@ def ref_feasibility(equalities, stricts, nvars):
         signs.append(sign)
         tab.append(row)
     basis = [ncore + i for i in range(len(rows))]
+    if pivots is not None:
+        basis = Basis(basis, lambda row, label: pivots.append((row, label)))
     obj = [zero] * (ncols + 1)
     for j in range(ncore, ncols):
         obj[j] = -one
@@ -209,30 +226,15 @@ def test_matches_fraction_tableau(system):
     assert_same(*system)
 
 
-# numerators up to 2^40 over denominators up to 2^20: row scales pass the
-# reduction bound within a pivot or two
+# numerators up to 2^40 over denominators up to 2^20: entries far past one
+# machine word, so a division that is not exact would show
 large = st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**20))
 
 
-def test_lazy_reduction_matches_fraction_tableau():
-    # a row is reduced by its gcd only past lp._BOUND, which the small
-    # entries above never reach; count that this branch runs
-    reductions = []
-    real = lp._reduced
-
-    def counted(vec, scale):
-        reductions.append(scale)
-        return real(vec, scale)
-
-    @settings(max_examples=150, deadline=None)
-    @given(systems(large))
-    def check(system):
-        assert_same(*system)
-
-    with mock.patch.object(lp, "_reduced", counted):
-        check()
-    assert reductions
-    assert all(scale > lp._BOUND for scale in reductions)
+@settings(max_examples=150, deadline=None)
+@given(systems(large))
+def test_large_entries_match_fraction_tableau(system):
+    assert_same(*system)
 
 
 # small entries, about half of them integral
@@ -263,9 +265,121 @@ def test_int_and_mixed_coefficients_match_their_fraction_form(system, rng):
         assert repr(got) == repr(want)
 
 
-@pytest.mark.parametrize("central", [False, True])
-def test_braid3_sign_systems_match(central):
-    arr = braid_arrangement(3)
+# ------------------------------------------------- one common denominator
+
+
+def watched_simplex(pivots):
+    """A stand-in for lp._simplex that runs it and, after every pivot,
+    checks the integer tableau against a Fraction tableau pivoted the same
+    way from the same start: each division of the pivot is exact, and the
+    tableau divided by its denominator equals the Fraction tableau entry
+    by entry. Its pivots are appended to pivots as (row, label)."""
+    real = lp._simplex
+    seen = {}
+
+    def run(tab, basis, d, nfree, nart, driven=()):
+        if seen.get("tab") is not tab:
+            # phase 1 of a new program: every row enters at denominator 1
+            assert d == 1
+            seen.update(tab=tab, ref=[[F(v) for v in row] for row in tab])
+        else:
+            # phase 2: the constraint rows are as phase 1 left them, and
+            # the objective row is the one _solve priced out
+            ref = seen["ref"]
+            assert [[F(v, d) for v in row] for row in tab[:-1]] == ref[:-1]
+            ref[-1] = [F(v, d) for v in tab[-1]]
+        seen.update(before=[list(row) for row in tab], d=d)
+
+        def pivoted(r, label):
+            before, old, ref = seen["before"], seen["d"], seen["ref"]
+            if label < nfree:
+                col, sign = label, 1
+            else:
+                col, sign = label - nfree, -1 if label < 2 * nfree else 1
+            prow = before[r]
+            p = sign * prow[col]
+            if p < 0:
+                prow, p = [-v for v in prow], -p
+            urow = [sign * v for v in prow]
+            for i, row in enumerate(before):
+                if i != r:
+                    f = row[col]
+                    assert all((p * a - f * b) % old == 0 for a, b in zip(row, urow))
+            assert tab[r] == prow
+            pv = sign * ref[r][col]
+            ref[r] = [v / pv for v in ref[r]]
+            for i, row in enumerate(ref):
+                if i != r:
+                    f = sign * row[col]
+                    ref[i] = [v - f * b for v, b in zip(row, ref[r])]
+            assert [[F(v, p) for v in row] for row in tab] == ref
+            seen.update(before=[list(row) for row in tab], d=p)
+            pivots.append((r, label))
+
+        watched = Basis(basis, pivoted)
+        out = real(tab, watched, d, nfree, nart, driven)
+        basis[:] = watched
+        return out
+
+    return run
+
+
+def result_fractions(result):
+    cert = result.certificate or {}
+    yield from result.witness or ()
+    if result.margin is not None:
+        yield result.margin
+    yield from cert.get("multipliers", ())
+    yield from cert.get("y", {}).values()
+    yield from cert.get("w", {}).values()
+
+
+# small and large entries, integral ones about half the time
+entries = st.one_of(
+    small, large, st.integers(-3, 3).map(F), st.integers(-(2**40), 2**40).map(F)
+)
+
+
+# three equalities through 0 in R^2: the third artificial stays basic at
+# zero level and is driven out on a negative pivot
+REDUNDANT = (
+    [([F(6), F(1)], F(0)), ([F(0), F(-5)], F(0)), ([F(6), F(6)], F(0))],
+    [([F(-6), F(-1)], F(0))],
+    2,
+)
+
+
+def test_common_denominator_pivots_match_fraction_tableau():
+    @settings(max_examples=200, deadline=None)
+    @given(
+        systems(entries),
+        st.sampled_from(["fraction", "int", "mixed"]),
+        st.randoms(use_true_random=False),
+    )
+    @example(REDUNDANT, "int", random.Random(0))
+    @example(REDUNDANT, "fraction", random.Random(0))
+    def check(system, form, rng):
+        keep = {"fraction": lambda v: False, "int": lambda v: True}.get(
+            form, lambda v: rng.random() < 0.5
+        )
+        eqs, stricts, n = as_ints(system, keep)
+        got_pivots, want_pivots = [], []
+        with mock.patch.object(lp, "_simplex", watched_simplex(got_pivots)):
+            got = strict_feasibility(eqs, stricts, n)
+        want = ref_feasibility(*system, pivots=want_pivots)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert got_pivots == want_pivots
+        # a zero in a result is the shared ZERO, not a new Fraction
+        assert all(v is lp.ZERO for v in result_fractions(got) if not v)
+
+    check()
+
+
+def braid_sign_systems(k, central):
+    """Counts of feasible and infeasible sign systems of braid(k), each
+    checked against the Fraction tableau."""
+    arr = braid_arrangement(k)
     seen = {True: 0, False: 0}
     for sigma in product((-1, 0, 1), repeat=len(arr.forms)):
         eqs, stricts = [], []
@@ -278,8 +392,19 @@ def test_braid3_sign_systems_match(central):
             else:
                 stricts.append(([-v for v in a], -rhs))
         seen[assert_same(eqs, stricts, arr.n).feasible] += 1
+    return seen
+
+
+@pytest.mark.parametrize("central", [False, True])
+def test_braid3_sign_systems_match(central):
     # braid(3) has 13 faces: 6 chambers, 6 walls, 1 line
-    assert seen == {True: 13, False: 14}
+    assert braid_sign_systems(3, central) == {True: 13, False: 14}
+
+
+def test_braid4_sign_systems_match():
+    # braid(4) has 75 faces of its 3^6 sign vectors; its forms are central,
+    # so its affine and central systems are the same
+    assert braid_sign_systems(4, central=False) == {True: 75, False: 654}
 
 
 def test_fractional_arrangement_systems_match():
