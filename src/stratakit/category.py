@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Hashable, Mapping, NamedTuple
 
 from .delta import DeltaComplex, _face_pairs, _nerve
-from .poset import Poset, _packed
+from .poset import Poset, _Closed, _closure
 
 __all__ = [
     "AcyclicCategory",
@@ -131,7 +131,7 @@ class AcyclicCategory:
         return tuple(_category_problems(self))
 
     @cached_property
-    def _links(self) -> dict[Obj, tuple[int, ...]]:
+    def _links(self) -> dict[Obj, tuple[tuple[int, ...], _Closed]]:
         """The link table: ``_link(x)`` of each object asked for so far."""
         return {}
 
@@ -144,17 +144,13 @@ class AcyclicCategory:
         Every validation of a space over this category shares it."""
         return {}
 
-    def _link(self, x: Obj) -> tuple[int, ...]:
-        """The closed link of x as one flat tuple of ints, computed once
-        per object and kept in ``_links``. With k = len(in_morphisms(x)),
-        entries 0..k-1 are the source grades of the morphisms into x, in
-        ``in_morphisms`` order; the rest is the closure of the relation
-        b_i < b_j iff b_i = b_j . c for a morphism c into src(b_j), on the
-        indices into ``in_morphisms(x)``, as ``poset._packed`` writes it:
-        the number of covers, the covers in ``Poset.from_relation``'s
-        order, then each index's strict down-set as a size followed by its
-        members. ``poset._unpacked(flat, k, k)`` reads it back.
-        Labels are not stored: ``in_morphisms(x)`` gives them.
+    def _link(self, x: Obj) -> tuple[tuple[int, ...], _Closed]:
+        """The closed link of x, computed once per object and kept in
+        ``_links``: the source grades of the morphisms into x, in
+        ``in_morphisms`` order, and the closure (``poset._closure``) of
+        the relation b_i < b_j iff b_i = b_j . c for a morphism c into
+        src(b_j), on the indices into ``in_morphisms(x)``. Labels are not
+        stored: ``in_morphisms(x)`` gives them.
 
         The morphisms into x and into each src(b) are read from ``_index``
         (``inc`` and ``src``); each pair of the relation is one
@@ -163,21 +159,20 @@ class AcyclicCategory:
         cycle the ValueError of the closure; a failed fill keeps no entry.
         Cost of the first call O(sum over b into x of |in(src b)|)
         composition lookups plus one closure and cover reduction."""
-        flat = self._links.get(x)
-        if flat is None:
+        link = self._links.get(x)
+        if link is None:
             ix = self._index
             mids, inc, src = ix.inc[ix.obj[x]], ix.inc, ix.src
             ids, objects, compose = self.morphisms, self.objects, self.compose
             index = {ids[m]: i for i, m in enumerate(mids)}
-            out = [self.grades[objects[src[m]]] for m in mids]
+            grades = tuple(self.grades[objects[src[m]]] for m in mids)
             pairs = [
                 (index[compose[(ids[b], ids[piece])]], j)
                 for j, b in enumerate(mids)
                 for piece in inc[src[b]]
             ]
-            out += _packed(range(len(mids)), pairs)
-            flat = self._links[x] = tuple(out)
-        return flat
+            link = self._links[x] = (grades, _closure(range(len(mids)), pairs))
+        return link
 
     def hom(self, x: Obj, y: Obj) -> tuple[Mid, ...]:
         ix = self._index

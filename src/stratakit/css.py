@@ -25,7 +25,7 @@ from . import category as cat_ops
 from .category import AcyclicCategory, Mid, Obj
 from .delta import DeltaComplex
 from .homology import chain_complex, homology
-from .poset import Poset, _lower_intervals, _unpacked, order_complex
+from .poset import Poset, _lower_intervals, order_complex
 
 __all__ = [
     "CombinatorialCSS",
@@ -73,21 +73,18 @@ def link_poset(x: CombinatorialCSS, cell: Obj) -> Poset:
     dimension. Total normality makes these biject with the boundary cells
     of the domain.
 
-    The grades and the closed order are read from the category's link
-    table (``AcyclicCategory._link``), filled on the first call for the
-    cell, and handed to ``from_relation`` as a ``poset._Closed``: a call
-    costs the k = |elements| down-set frozensets and the covers read from
-    the table, with no closure or cover reduction.
+    The grades and the closed order (a ``poset._Closed``) are read from
+    the category's link table (``AcyclicCategory._link``), filled on the
+    first call for the cell, and handed straight to ``from_relation``: a
+    call costs the k = |elements| down-set frozensets, with no closure or
+    cover reduction.
     """
-    c = x.cat
-    mids = c.in_morphisms(cell)
-    flat = c._link(cell)
-    k = len(mids)
+    grades, closed = x.cat._link(cell)
     return Poset.from_relation(
-        range(k),
-        _unpacked(flat, k, k),
-        dict(enumerate(flat[:k])),
-        dict(enumerate(mids)),
+        range(len(grades)),
+        closed,
+        dict(enumerate(grades)),
+        dict(enumerate(x.cat.in_morphisms(cell))),
     )
 
 

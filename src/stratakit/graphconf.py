@@ -19,6 +19,7 @@ than k, which a checker reports on.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 from typing import Hashable
@@ -178,9 +179,9 @@ def _group_picks(order: tuple[int, ...]):
     return picks
 
 
-def _specialize(g: Graph, cell: ConfCell, spec) -> ConfCell | None:
-    """Apply a specialization; None when vertex occupancies collide."""
-    ends = {e: en for e, en in g.edges}
+def _specialize(ends: dict, cell: ConfCell, spec) -> ConfCell | None:
+    """Apply a specialization; None when vertex occupancies collide.
+    ``ends`` maps each edge id to its (0-end, 1-end)."""
     labeling = list(cell.labeling)
     removed = set()
     for coord, end in spec:
@@ -213,6 +214,7 @@ def conf_category(g: Graph, k: int) -> CombinatorialCSS:
     # one instance per cell, so lookups keyed by cells or ids match by
     # identity instead of ConfCell.__eq__; a cell outside the model raises
     stored = {cell: cell for cell in cells}
+    ends = dict(g.edges)
     mids = []
     src = {}
     dst = {}
@@ -225,7 +227,7 @@ def conf_category(g: Graph, k: int) -> CombinatorialCSS:
             spec = tuple(sorted(p for group in combo for p in group))
             if not spec:
                 continue
-            result = _specialize(g, cell, spec)
+            result = _specialize(ends, cell, spec)
             if result is None:
                 continue
             result = stored[result]
@@ -376,33 +378,31 @@ def abrams_conditions(g: Graph, k: int) -> list[str]:
                     f"{start!r} and {cur!r} (need >= {k + 1})"
                 )
 
-    girth = _girth(g)
+    girth = _girth(g, adjacency)
     if girth is not None and girth <= k:
         problems.append(f"essential cycle of length {girth} (need >= {k + 1})")
     return problems
 
 
-def _girth(g: Graph) -> int | None:
+def _girth(g: Graph, adjacency: dict) -> int | None:
+    """Length of a shortest cycle of g, None if it has none: 1 for a
+    loop, else for each edge (a, b) one plus the length of a shortest a-b
+    path that avoids it, by BFS over ``adjacency`` (vertex -> (edge,
+    other end) pairs). Cost O(|E| (|V| + |E|))."""
     best = None
     for e, (a, b) in g.edges:
         if a == b:
-            best = 1 if best is None else min(best, 1)
-            continue
-        # shortest a-b path avoiding this edge, via BFS
+            return 1
         dist = {a: 0}
-        queue = [a]
-        while queue:
-            cur = queue.pop(0)
-            for e2, (x, y) in g.edges:
-                if e2 == e:
-                    continue
-                for u, w in ((x, y), (y, x)):
-                    if u == cur and w not in dist:
-                        dist[w] = dist[cur] + 1
-                        queue.append(w)
-        if b in dist:
-            cycle = dist[b] + 1
-            best = cycle if best is None else min(best, cycle)
+        queue = deque([a])
+        while queue and b not in dist:
+            cur = queue.popleft()
+            for e2, w in adjacency[cur]:
+                if e2 != e and w not in dist:
+                    dist[w] = dist[cur] + 1
+                    queue.append(w)
+        if b in dist and (best is None or dist[b] + 1 < best):
+            best = dist[b] + 1
     return best
 
 

@@ -17,11 +17,13 @@ nerve, ``delta._nerve``. ``Poset.height`` is one pass over the covers.
 ``validate_category`` needs no closure: its cycle check is a topological
 count on the category's own numbering (``category._acyclic``).
 
-An order closed once is handed on as a ``_Closed`` (covers and down-sets),
-which ``Poset.from_relation`` takes without closing again: ``_packed``
-closes a relation into the ints of a face category's link table,
-``_unpacked`` reads them back, and ``_lower_intervals`` restricts a
-poset's closure to each of its lower intervals.
+``_closure`` is the one routine that closes and reduces a relation on
+distinct elements. It returns a ``_Closed`` (covers and down-sets), the
+one form of a closed order: ``Poset.from_relation`` closes through it,
+and takes a ``_Closed`` made before without closing again. A face
+category's link table keeps one per cell (``AcyclicCategory._link``),
+and ``_lower_intervals`` restricts a poset's closure to each of its
+lower intervals.
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ class Poset:
     ) -> "Poset":
         """Build a poset from an arbitrary strict-order relation.
 
-        The relation is transitively closed and then reduced to its
-        covering pairs, so callers may pass any generating set of pairs.
-        The closure is also the covers' closure, so it becomes the cached
+        The relation is closed and reduced to its covering pairs by
+        ``_closure``, so callers may pass any generating set of pairs. The
+        closure is also the covers' closure, so it becomes the cached
         ``_down``, and the poset is marked ``_order_valid``: its covers
         name known elements, are irreflexive, acyclic and no transitive
         shortcut, so ``validate_poset`` checks only its grades (which
-        are taken as given). With repeated elements both are left to
-        ``validate_poset``.
+        are taken as given). With repeated elements only the covers are
+        kept, and both checks are left to ``validate_poset``.
 
         ``less`` may instead be a ``_Closed`` that this module made for
         these (distinct) elements: an order closed and reduced before. Its
@@ -80,36 +82,29 @@ class Poset:
         so the poset is the one its generating relation would give.
 
         Cost: the closure takes one down-set union per pair of ``less``
-        and the reduction one per comparable pair. An empty relation on
-        distinct elements is an antichain: every down-set is empty and
-        there is nothing to close or reduce, so it costs O(|elements|). A
-        ``_Closed`` costs one frozenset per element, O(|elements| +
-        |comparable pairs|), and a copy of the covers.
+        and the reduction one per comparable pair; an empty relation costs
+        O(|elements|). A ``_Closed`` costs one frozenset per element,
+        O(|elements| + |comparable pairs|), and shares its covers.
         """
         elems = tuple(elements)
         if isinstance(less, _Closed):
-            covers = tuple(less.covers)
-            down = dict(zip(elems, map(frozenset, less.down)))
+            closed, distinct = less, True
         else:
             if not isinstance(less, (list, tuple)):
                 less = list(less)
-            if not less and len(set(elems)) == len(elems):
-                down = dict.fromkeys(elems, frozenset())
-                covers = ()
-            else:
-                closure = _strict_down(elems, less)
-                covers = tuple(sorted(_cover_pairs(elems, closure), key=repr))
-                down = None
-                if len(closure) == len(elems):
-                    down = {e: frozenset(s) for e, s in closure.items()}
+            closed = _closure(elems, less)
+            distinct = len(set(elems)) == len(elems)
         p = cls(
             elems,
-            covers,
+            tuple(closed.covers),
             dict(grades) if grades else {},
             dict(labels) if labels else {},
         )
-        if down is not None:
-            p.__dict__["_down"] = down
+        if distinct:
+            if closed.covers:
+                p.__dict__["_down"] = dict(zip(elems, map(frozenset, closed.down)))
+            else:
+                p.__dict__["_down"] = dict.fromkeys(elems, frozenset())
             p.__dict__["_order_valid"] = True
         return p
 
@@ -205,51 +200,28 @@ def _cover_pairs(elements, closure) -> list[tuple]:
 
 class _Closed(NamedTuple):
     """A strict order on distinct elements, closed and reduced: its
-    covers in ``Poset.from_relation``'s order (sorted by ``repr``) and the
-    strict down-set of each element, in element order. Only this module
-    makes one (``_unpacked``, ``_lower_intervals``)."""
+    covers sorted by ``repr`` and the strict down-set of each element, in
+    element order. ``_closure`` makes one from a relation, with sorted int
+    tuples as down-sets; ``_lower_intervals`` restricts a poset's to each
+    lower interval, with the poset's frozensets. ``Poset.from_relation``
+    takes either without closing again."""
 
     covers: Sequence[tuple[int, int]]
     down: Sequence[Iterable[int]]
 
 
-def _packed(elements, pairs) -> list[int]:
-    """The order generated by ``pairs`` on the distinct ``elements``,
-    closed (``_strict_down``) and reduced (``_cover_pairs``) once, as flat
-    ints: the number of covers, the covers (lo, hi) in
-    ``from_relation``'s order, then each element's strict down-set as its
-    size followed by its members in ascending order. Raises ValueError on
-    a cycle, as ``from_relation`` would. An empty relation is an
-    antichain: no covers and every down-set empty, with no closure."""
-    elems = tuple(elements)
+def _closure(elements: Sequence, pairs) -> _Closed:
+    """The order generated by ``pairs`` on ``elements``, closed
+    (``_strict_down``) and reduced (``_cover_pairs``) once. Raises
+    ValueError on a cycle and KeyError on an unknown element. An empty
+    relation is an antichain: no covers and one shared empty down-set,
+    with no closure. On repeated elements ``from_relation`` keeps only
+    the covers."""
     if not pairs:
-        return [0] * (len(elems) + 1)
-    closure = _strict_down(elems, pairs)
-    covers = sorted(_cover_pairs(elems, closure), key=repr)
-    out = [len(covers)]
-    for cover in covers:
-        out += cover
-    for e in elems:
-        below = closure[e]
-        out.append(len(below))
-        out += sorted(below)
-    return out
-
-
-def _unpacked(flat: Sequence[int], start: int, n: int) -> _Closed:
-    """The ``_Closed`` that ``_packed`` wrote into ``flat`` from position
-    ``start`` on, for n elements; the down-sets are slices of ``flat``,
-    or one shared empty frozenset each when there are no covers."""
-    if not flat[start]:
-        return _Closed((), [frozenset()] * n)
-    end = start + 1 + 2 * flat[start]
-    covers = tuple(zip(flat[start + 1 : end : 2], flat[start + 2 : end : 2]))
-    down = []
-    for _ in range(n):
-        size = flat[end]
-        down.append(flat[end + 1 : end + 1 + size])
-        end += 1 + size
-    return _Closed(covers, down)
+        return _Closed((), ((),) * len(elements))
+    closure = _strict_down(elements, pairs)
+    covers = tuple(sorted(_cover_pairs(elements, closure), key=repr))
+    return _Closed(covers, tuple(tuple(sorted(closure[e])) for e in elements))
 
 
 def _lower_intervals(p: Poset):

@@ -12,9 +12,10 @@ adjacency or numbering.
   endpoints outside the objects.
 - ``dump_category`` and ``dump_css`` must write the same JSON as the copy
   that renumbered ids itself, on categories the CLI digests do not cover.
-- ``_link`` must return the same table, or raise the same KeyError or
-  ValueError, as the copy that looked composites up by ids and then
-  closed the relation, also on invalid tables and repeated morphism ids.
+- ``_link`` must return the same grades and closure, or raise the same
+  KeyError or ValueError, as the copy that looked composites up by ids and
+  then closed the relation, also on invalid tables and repeated morphism
+  ids.
 
 Inputs are fixtures, duals, products, configuration spaces, their
 quotients and random categories from ``digraph_categories``.
@@ -138,22 +139,19 @@ def dump_css_before(x):
 def link_before(c, x):
     """The table as the id-keyed copy built it (source grades, then one
     pair per morphism c), with the pairs replaced by their closure as the
-    table now holds it: the number of covers, the covers, then each
-    element's down-set as a size and its sorted members, closed and
-    reduced by ``from_relation_before``."""
+    table now holds it: the covers, then each element's strict down-set
+    as a sorted tuple, closed and reduced by ``from_relation_before``."""
     _, inc = adjacency_before(c)
     mids = inc[x]
     index = {m: i for i, m in enumerate(mids)}
-    out = [c.grades[c.src[m]] for m in mids]
-    for j, b in enumerate(mids):
-        for piece in inc[c.src[b]]:
-            out += (index[c.compose[(b, piece)]], j)
-    k = len(mids)
-    p = from_relation_before(range(k), list(zip(out[k::2], out[k + 1 :: 2])))
-    flat = out[:k] + [len(p.covers)] + [i for cover in p.covers for i in cover]
-    for e in p.elements:
-        flat += (len(p._down[e]), *sorted(p._down[e]))
-    return tuple(flat)
+    grades = tuple(c.grades[c.src[m]] for m in mids)
+    less = [
+        (index[c.compose[(b, piece)]], j)
+        for j, b in enumerate(mids)
+        for piece in inc[c.src[b]]
+    ]
+    p = from_relation_before(range(len(mids)), less)
+    return grades, (p.covers, tuple(tuple(sorted(p._down[e])) for e in p.elements))
 
 
 # --- comparison -------------------------------------------------------------

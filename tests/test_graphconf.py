@@ -1,6 +1,11 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stratakit.graphconf as graphconf
 
 from stratakit.category import categories_isomorphic
 from stratakit.css import quotient_css, sd, validate_total_normality
@@ -147,6 +152,87 @@ class TestAbrams:
         assert abrams_conditions(subdivide_graph(loop_graph(), 3), 2) == []
         assert abrams_conditions(subdivide_graph(k5_graph(), 3), 2) == []
         assert abrams_conditions(subdivide_graph(k5_graph(), 3), 3)  # k=3 needs more
+
+
+def girth_before(g):
+    """``_girth`` as it was: a BFS per non-loop edge that pops the front
+    of a list and scans every edge per dequeued vertex."""
+    best = None
+    for e, (a, b) in g.edges:
+        if a == b:
+            best = 1 if best is None else min(best, 1)
+            continue
+        dist = {a: 0}
+        queue = [a]
+        while queue:
+            cur = queue.pop(0)
+            for e2, (x, y) in g.edges:
+                if e2 == e:
+                    continue
+                for u, w in ((x, y), (y, x)):
+                    if u == cur and w not in dist:
+                        dist[w] = dist[cur] + 1
+                        queue.append(w)
+        if b in dist:
+            cycle = dist[b] + 1
+            best = cycle if best is None else min(best, cycle)
+    return best
+
+
+def girth_brute_force(g):
+    """Size of a smallest set of edges that forms a cycle: connected, and
+    every vertex it touches has degree 2 in it (a loop counts twice)."""
+    for size in range(1, len(g.edges) + 1):
+        for subset in combinations(g.edges, size):
+            degree = Counter()
+            parent = {}
+
+            def find(v):
+                while parent.setdefault(v, v) != v:
+                    v = parent[v]
+                return v
+
+            for _, (a, b) in subset:
+                degree[a] += 1
+                degree[b] += 1
+                parent[find(a)] = find(b)
+            if set(degree.values()) == {2} and len({find(v) for v in degree}) == 1:
+                return size
+    return None
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 6 vertices and 8 edges between random ends, loops and
+    parallel edges included."""
+    n = draw(st.integers(1, 6))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(ends, max_size=8))
+    return Graph(tuple(range(n)), tuple((f"e{i}", ab) for i, ab in enumerate(pairs)))
+
+
+def outcome(f, *args):
+    """What f returns, or the type and arguments of what it raises."""
+    try:
+        return ("returned", f(*args))
+    except Exception as exc:  # compared, not swallowed
+        return ("raised", type(exc).__name__, exc.args)
+
+
+class TestGirth:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs(), st.integers(1, 4))
+    def test_shortest_cycle_as_brute_force(self, g, k):
+        adjacency = {v: [] for v in g.vertices}
+        for e, (a, b) in g.edges:
+            adjacency[a].append((e, b))
+            adjacency[b].append((e, a))
+        girth = graphconf._girth(g, adjacency)
+        assert girth == girth_brute_force(g) == girth_before(g)
+        got = outcome(abrams_conditions, g, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphconf, "_girth", lambda g, adjacency: girth_before(g))
+            assert got == outcome(abrams_conditions, g, k)
 
 
 class TestSigmaAction:

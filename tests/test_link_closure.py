@@ -1,9 +1,9 @@
 """One closure per link.
 
 ``AcyclicCategory._link`` keeps each cell's link closed: its source
-grades, then the covers and every element's strict down-set, packed into
-ints by ``poset._packed`` once per cell. ``link_poset`` hands that closure
-to ``Poset.from_relation`` as a ``poset._Closed``, and
+grades and a ``poset._Closed`` (the covers and every element's strict
+down-set) made by ``poset._closure`` once per cell. ``link_poset`` hands
+that closure to ``Poset.from_relation``, and
 ``_closed_cell_link_ok`` builds each lower interval from the link's
 closure (``poset._lower_intervals``); neither closes a relation again.
 
@@ -46,7 +46,7 @@ from stratakit.css import (
 from stratakit.fixtures import CSS_FIXTURES, rp2
 from stratakit.graphconf import Graph, conf_category, sigma_action, y_graph
 from stratakit.homology import chain_complex
-from stratakit.poset import Poset, _lower_intervals, order_complex
+from stratakit.poset import Poset, _Closed, _lower_intervals, order_complex
 from test_complex_memo import PERTURBATIONS
 from test_link_table import drop_composite, from_relation_before, outcome, shape
 
@@ -223,16 +223,21 @@ class TestAsTheRawRelation:
         x = base("fixture simplex-2")
         c = fresh(x.cat)
         cell = max(c.objects, key=c.grades.__getitem__)
-        flat = c._link(cell)
+        link = c._link(cell)
         lk = link_poset(CombinatorialCSS(c, x.closed), cell)
         k = len(lk.elements)
         assert (k, len(lk.covers)) == (6, 6)
-        assert flat[k] == len(lk.covers)
-        covers = tuple(i for ab in lk.covers for i in ab)
-        assert flat[k + 1 : k + 1 + len(covers)] == covers
-        # grades, the cover count, the covers, then sizes and members
-        assert len(flat) == k + 1 + len(covers) + k + 6
-        assert c._link(cell) is flat
+        # the source grades, then the reference closure of the raw relation
+        grades, closed = link
+        assert type(closed) is _Closed
+        ref = from_relation_before(*raw_link(x, cell))
+        assert grades == tuple(ref.grades[i] for i in range(k))
+        down = tuple(tuple(sorted(ref._down[e])) for e in ref.elements)
+        assert closed == (ref.covers, down)
+        assert sum(map(len, closed.down)) == 6
+        # the poset shares the table's covers
+        assert lk.covers is closed.covers
+        assert c._link(cell) is link
 
 
 class TestFailedFills:

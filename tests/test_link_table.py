@@ -1,11 +1,13 @@
 """The link table and the constant-cost trivial posets.
 
-``link_poset`` reads each cell's grades and relation from a table cached
-on the face category (``AcyclicCategory._link``). It is compared with a
-copy of the function that rebuilt them on every call: elements, covers,
-grades, labels and down-sets. Inputs are fixtures, products, duals,
-configuration spaces and their quotients; the table of a fresh category is
-first filled by the computed closed flags of ``make_css``.
+``link_poset`` reads each cell's grades and closed relation from a table
+cached on the face category (``AcyclicCategory._link``). It is compared
+with a copy of the function that rebuilt them on every call: elements,
+covers, grades, labels and down-sets; each table entry must be the source
+grades and that copy's closure, down-sets as sorted tuples. Inputs are
+fixtures, products, duals, configuration spaces and their quotients; the
+table of a fresh category is first filled by the computed closed flags of
+``make_css``.
 
 ``Poset.from_relation`` with an empty relation on distinct elements, and
 ``order_complex`` on an antichain, skip the closure and the chain layers;
@@ -90,6 +92,15 @@ def link_poset_before(x, cell):
     grades = {index[m]: c.grades[c.src[m]] for m in mids}
     labels = {index[m]: m for m in mids}
     return from_relation_before(range(len(mids)), less, grades, labels)
+
+
+def link_table_before(x, cell):
+    """A link table entry from the poset ``link_poset_before`` builds: the
+    source grades, then the covers and each element's strict down-set as
+    a sorted tuple."""
+    p = link_poset_before(x, cell)
+    down = tuple(tuple(sorted(p._down[e])) for e in p.elements)
+    return tuple(p.grades.values()), (p.covers, down)
 
 
 def order_complex_before(p):
@@ -237,11 +248,9 @@ class TestLinkTable:
         flags = css._computed_closed_flags(c)
         assert set(c._links) == set(c.objects)
         assert flags == make_css(x.cat).closed
-        # compact: one flat tuple of ints per cell
-        assert all(
-            type(v) is tuple and all(type(i) is int for i in v)
-            for v in c._links.values()
-        )
+        # the source grades and the reference closure, down-sets as tuples
+        for cell, entry in c._links.items():
+            assert entry == link_table_before(x, cell)
         assert_links_as_before(c, x)
 
     def test_each_cell_is_computed_once(self):

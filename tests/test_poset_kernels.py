@@ -10,6 +10,9 @@ cached ``_down``; it must equal the closure of the covers, and
 poset is also marked valid as an order, so ``validate_poset`` checks only
 its grades; it is compared with a copy of the function that checked
 everything, on drawn grades that may be partial or not increase.
+``from_relation`` closes through ``_closure``; it is compared with a
+copy of the version that closed and reduced in place, on relations with
+repeated ids, cycles and unknown ids.
 ``chain_layers`` is a copy of the chain lister the package used before
 its chains came from the nerve kernel; other test modules take it as
 their reference.
@@ -211,3 +214,91 @@ class TestValidOrderSkipsOrderChecks:
         shortcut = Poset((0, 1, 2), ((0, 1), (1, 2), (0, 2)))
         assert "_order_valid" not in shortcut.__dict__
         assert validate_poset(shortcut) == ["cover (0,2) is a transitive shortcut"]
+
+
+# --- from_relation through _closure against the in-place version ----------------
+
+
+def from_relation_in_place(elements, less, grades=None, labels=None):
+    """``Poset.from_relation`` (on a relation, not a ``_Closed``) as it was
+    before ``_closure``: closure and cover reduction in place, an empty
+    relation on distinct elements as an antichain without a closure."""
+    elems = tuple(elements)
+    if not isinstance(less, (list, tuple)):
+        less = list(less)
+    if not less and len(set(elems)) == len(elems):
+        down = dict.fromkeys(elems, frozenset())
+        covers = ()
+    else:
+        closure = _strict_down(elems, less)
+        found = []
+        for hi in elems:
+            below = closure[hi]
+            if below:
+                shadow = set().union(*map(closure.__getitem__, below))
+                found.extend((lo, hi) for lo in below - shadow)
+        covers = tuple(sorted(found, key=repr))
+        down = None
+        if len(closure) == len(elems):
+            down = {e: frozenset(s) for e, s in closure.items()}
+    p = Poset(
+        elems,
+        covers,
+        dict(grades) if grades else {},
+        dict(labels) if labels else {},
+    )
+    if down is not None:
+        p.__dict__["_down"] = down
+        p.__dict__["_order_valid"] = True
+    return p
+
+
+def poset_or_error(f, *args):
+    """The poset f returns, all of it, dict orders included, or the type
+    and arguments of what it raises."""
+    try:
+        p = f(*args)
+    except Exception as exc:  # compared, not swallowed
+        return ("raised", type(exc).__name__, exc.args)
+    down = p.__dict__.get("_down")
+    return (
+        "returned",
+        p.elements,
+        p.covers,
+        tuple(p.grades.items()),
+        tuple(p.labels.items()),
+        None if down is None else tuple(down.items()),
+        p.__dict__.get("_order_valid"),
+    )
+
+
+@st.composite
+def any_relations(draw):
+    """Ids, distinct or repeated, and pairs among them in any direction (so
+    cycles and self-pairs), now and then naming an id that is not one;
+    grades and labels or none, and the container the pairs come in."""
+    ids = draw(st.lists(st.integers(-6, 6), max_size=7, unique=draw(st.booleans())))
+    known = st.sampled_from(ids) if ids else st.nothing()
+    name = st.one_of(known, st.integers(7, 9)) if draw(st.booleans()) else known
+    less = draw(st.lists(st.tuples(name, name), max_size=12)) if ids else []
+    if draw(st.booleans()):  # most draws: pairs up the drawn order only
+        less = [(a, b) for a, b in less if a in ids and b in ids]
+        less = [(a, b) for a, b in less if ids.index(a) < ids.index(b)]
+    grades = {e: draw(st.integers(0, 3)) for e in ids} if draw(st.booleans()) else None
+    labels = {e: f"v{e}" for e in ids} if draw(st.booleans()) else None
+    container = draw(st.sampled_from([list, tuple, iter]))
+    return ids, less, grades, labels, container
+
+
+class TestFromRelationAsInPlace:
+    @settings(max_examples=500, deadline=None)
+    @given(any_relations())
+    def test_equal_poset_or_error(self, drawn):
+        ids, less, grades, labels, container = drawn
+        got = poset_or_error(
+            Poset.from_relation, container(ids), container(less), grades, labels
+        )
+        want = poset_or_error(
+            from_relation_in_place, container(ids), container(less), grades, labels
+        )
+        assert got == want
