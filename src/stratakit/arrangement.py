@@ -13,13 +13,12 @@ Sign values are encoded as 0 or (sign, level); the pointwise order on
 sign vectors is taken as the closure order, with a rational segment
 spot-check available as a validator.
 
-The face posets test that order on every ordered pair of labels. Each
-label is first encoded as two ints over 2*order bits per form
+``SignVector.leq`` and the face posets test that order on bit masks.
+Each label is first encoded as two ints over 2*order bits per form
 (``_order_masks``): a value (s, l) is the bit 2(l-1) + (s < 0) of its
 form, ``below`` sets the bit of each value and ``above`` also every bit
-of the lower levels, and v <= w iff ``below(v) & ~above(w) == 0``. A pair
-costs one AND of ints, where comparing the k values made O(k)
-interpreted comparisons; the n(n-1) pairs remain. The LP systems of one
+of the lower levels, and v <= w iff ``below(v) & ~above(w) == 0``, one
+AND of ints per ordered pair of labels. The LP systems of one
 enumeration append prebuilt rows: each form's row at -1, 0 and +1 is
 built once per call (``_sign_rows``), with integral coefficients as ints,
 which the LP then takes without scaling.
@@ -99,7 +98,8 @@ def validate_arrangement(arr: Arrangement) -> list[str]:
 
 @dataclass(frozen=True)
 class SignVector:
-    """A map from the forms to S_l; values are 0 or (sign, level)."""
+    """A map from the forms to S_l; values are 0 or (sign, level), a plain
+    tuple with an int level, as ``_order_masks`` reads them."""
 
     values: tuple
     order: int
@@ -109,27 +109,23 @@ class SignVector:
             if v == 0:
                 continue
             if (
-                not isinstance(v, tuple)
+                type(v) is not tuple
                 or len(v) != 2
                 or v[0] not in (-1, 1)
+                or type(v[1]) is not int
                 or not 1 <= v[1] <= self.order
             ):
                 raise ValueError(f"malformed sign value {v!r}")
 
     def leq(self, other: "SignVector") -> bool:
         """Pointwise order: 0 < +-e_1 < ... < +-e_l, +-e_j incomparable
-        to -+e_j."""
+        to -+e_j, tested on the bit masks of ``_order_masks``."""
         if self.order != other.order or len(self.values) != len(other.values):
             raise ValueError("sign vectors live over different data")
-        return all(_value_leq(v, w) for v, w in zip(self.values, other.values))
-
-
-def _value_leq(v, w) -> bool:
-    if v == 0:
-        return True
-    if w == 0:
-        return False
-    return v[1] < w[1] or v == w
+        (below, _), (_, not_above) = _order_masks(
+            (self.values, other.values), self.order
+        )
+        return not below & not_above
 
 
 def _sign_rows(arr: Arrangement, central: bool) -> list[tuple]:
@@ -189,7 +185,7 @@ def _order_masks(labels, order: int) -> tuple[list[int], list[int]]:
     2*order*i; a value (s, l) is the bit 2(l-1) + (s < 0) of its form,
     and a level-1 sign s is read as (s, 1). ``below`` holds the value's
     own bit, ``above`` that bit and both bits of every lower level: the
-    values _value_leq puts below it."""
+    values at or below it in the order of ``SignVector.leq``."""
     width = 2 * order
     below = []
     not_above = []
@@ -210,13 +206,11 @@ def _order_masks(labels, order: int) -> tuple[list[int], list[int]]:
 
 def _poset_from_faces(faces: dict, order: int) -> Poset:
     """faces: label -> dim, labels in S_order^k (plain signs at order 1);
-    ordered pointwise by _value_leq.
+    ordered pointwise as by ``SignVector.leq``.
 
     Each label becomes two ints once (``_order_masks``), and the test of
     an ordered pair is ``below[a] & not_above[b]``: one AND of ints of
-    2*order*k bits, where ``_value_leq`` on every form made O(k)
-    interpreted comparisons per pair. There are still n(n-1) tests for n
-    labels."""
+    2*order*k bits, for each of the n(n-1) ordered pairs of n labels."""
     labels = sorted(faces, key=repr)
     below, not_above = _order_masks(labels, order)
     less = [

@@ -19,6 +19,7 @@ is always an error.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import category as cat_ops
@@ -180,35 +181,32 @@ def _diamond_ok(p: Poset) -> bool:
     return True
 
 
-def _closed_cell_link_ok(
-    p: Poset, n: int, problems: list[str], tag: str, memo: dict
-):
-    """Sphere, grade and diamond checks on a closed cell's link, and a
-    sphere check on each lower interval. An interval is the strict
+def _closed_cell_problems(p: Poset, n: int, memo: dict) -> list[str]:
+    """The diagnostics of a closed cell's link p: the sphere failure
+    alone, else the grade and diamond failures and the first lower
+    interval that is not a homology sphere. An interval is the strict
     down-set of an element, so it is down-closed: its covers are the
     link's covers whose upper end lies in it, already in
     ``from_relation``'s order, and its down-sets are the link's. All are
     read from the link's closure in one pass (``poset._lower_intervals``),
-    so each costs one dict entry per element and its covers, and no
-    closure or sort. Its elements are sorted by value (the order complex,
-    and so the verdict, does not depend on their order). ``memo`` is the
-    category's sphere-test memo (see ``_sphere_homology_ok``): links and
-    intervals repeat across the cells of one space, and each distinct
-    poset has its order complex built once. An empty interval is a
-    homology sphere iff its top has grade 0, so it is decided without
-    building its poset; under a grade-0 element the interval is always
-    empty, as lifts strictly raise dimension (checked by
-    ``_grading_problems``)."""
+    with no closure or sort. Its elements are sorted by value (the order
+    complex, and so the verdict, does not depend on their order). ``memo``
+    is the category's sphere-test memo (see ``_sphere_homology_ok``):
+    links and intervals repeat across the cells of one space. An empty
+    interval is a homology sphere iff its top has grade 0, so it is
+    decided without building its poset; under a grade-0 element the
+    interval is always empty, as lifts strictly raise dimension (checked
+    by ``_grading_problems``)."""
     if not _sphere_homology_ok(p, n, memo):
-        problems.append(
-            f"{tag}: link is not a homology ({n - 1})-sphere as required "
-            "for a closed cell"
-        )
-        return
+        return [
+            f"link is not a homology ({n - 1})-sphere as required for a "
+            "closed cell"
+        ]
+    problems = []
     if set(p.grades.values()) != set(range(n)) and n > 0:
-        problems.append(f"{tag}: link grades do not fill 0..{n - 1}")
+        problems.append(f"link grades do not fill 0..{n - 1}")
     if not _diamond_ok(p):
-        problems.append(f"{tag}: link violates the diamond property")
+        problems.append("link violates the diamond property")
     # each boundary cell of the domain must itself bound a sphere
     grades = p.grades
     for e, below, closed in _lower_intervals(p):
@@ -222,10 +220,11 @@ def _closed_cell_link_ok(
             sphere = _sphere_homology_ok(sub, g, memo)
         if not sphere:
             problems.append(
-                f"{tag}: lower interval under a grade-{g} boundary cell is "
-                "not a homology sphere"
+                f"lower interval under a grade-{g} boundary cell is not a "
+                "homology sphere"
             )
-            return
+            break
+    return problems
 
 
 def validate_total_normality(x: CombinatorialCSS) -> list[str]:
@@ -264,7 +263,8 @@ def validate_total_normality(x: CombinatorialCSS) -> list[str]:
             problems.append(f"cell {cell!r}: 0-cell with nonempty boundary")
             continue
         if x.closed[cell]:
-            _closed_cell_link_ok(lk, n, problems, f"cell {cell!r}", memo)
+            for d in _closed_cell_problems(lk, n, memo):
+                problems.append(f"cell {cell!r}: {d}")
     return problems
 
 
@@ -291,15 +291,20 @@ def _grading_problems(
     c: AcyclicCategory, closed: dict[Obj, bool]
 ) -> list[str]:
     """On a valid category: the cells without a dimension or a closed flag
-    (``_missing_grading``), else the lifts that do not strictly raise
-    dimension, compared on ``_index`` numbers with one grade per object
-    number. Links are defined only when there are none."""
+    (``_missing_grading``), else the cells of negative dimension (a cell
+    is a disk D^n with n >= 0), in cell order, then the lifts that do not
+    strictly raise dimension, compared on ``_index`` numbers with one
+    grade per object number. Links are defined only when there are none."""
     problems = _missing_grading(c, closed)
     if problems:
         return problems
     ix = c._index
     grade = [c.grades[cell] for cell in c.objects]
     return [
+        f"cell {cell!r}: negative dimension {d}"
+        for cell, d in zip(c.objects, grade)
+        if d < 0
+    ] + [
         f"morphism {m!r}: lift does not strictly raise dimension"
         for m, i, j in zip(c.morphisms, ix.src, ix.dst)
         if grade[i] >= grade[j]
@@ -321,12 +326,10 @@ def _computed_closed_flags(c: AcyclicCategory) -> dict[Obj, bool]:
     memo = c._spheres
     for cell in c.objects:
         lk = link_poset(probe, cell)
-        trial: list[str] = []
-        if _sphere_homology_ok(lk, c.grades[cell], memo):
-            _closed_cell_link_ok(lk, c.grades[cell], trial, "probe", memo)
-            flags[cell] = not trial
-        else:
-            flags[cell] = False
+        n = c.grades[cell]
+        # the first check repeats this sphere test; traced counts include it
+        ok = _sphere_homology_ok(lk, n, memo)
+        flags[cell] = ok and not _closed_cell_problems(lk, n, memo)
     return flags
 
 
@@ -364,18 +367,15 @@ class SalvettiPartition:
     target: tuple[tuple[Obj, ...], ...]
 
     def source_block_sizes(self) -> dict[Obj, int]:
-        out: dict[Obj, int] = {}
-        for layer in self.source:
-            for s in layer:
-                out[s] = out.get(s, 0) + 1
-        return out
+        return _block_sizes(self.source)
 
     def target_block_sizes(self) -> dict[Obj, int]:
-        out: dict[Obj, int] = {}
-        for layer in self.target:
-            for t in layer:
-                out[t] = out.get(t, 0) + 1
-        return out
+        return _block_sizes(self.target)
+
+
+def _block_sizes(layers) -> Counter:
+    """How many sd cells carry each tag, in first-tag order."""
+    return Counter(tag for layer in layers for tag in layer)
 
 
 def salvetti_partition(x: CombinatorialCSS) -> SalvettiPartition:

@@ -367,6 +367,11 @@ def load_delta(payload: dict) -> DeltaComplex:
         if rows is None:
             raise ValueError(f"/faces/{n}: missing face table")
         faces.append(tuple(tuple(r) for r in rows))
+    names = set(map(str, range(1, len(cells))))
+    for key in payload["faces"]:
+        if key not in names:
+            top = len(cells) - 1
+            raise ValueError(f"/faces/{key}: stray face table, top dimension {top}")
     return DeltaComplex(cells, tuple(faces))
 
 

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction as F
 
 import pytest
@@ -79,6 +79,14 @@ class TestSignVector:
             SignVector(((2, 1),), 1)
         with pytest.raises(ValueError):
             SignVector(((1, 3),), 2)
+
+    @pytest.mark.parametrize(
+        "value", [(1, 1.0), (1, True), namedtuple("V", "s l")(1, 1)]
+    )
+    def test_a_level_is_an_int_in_a_plain_tuple(self, value):
+        # the order is tested on bit masks, which read only this form
+        with pytest.raises(ValueError, match="malformed sign value"):
+            SignVector((value,), 1)
 
 
 class TestLevelOne:

@@ -6,8 +6,9 @@ versions, which built each stratification in its own loop, wrote the
 collapse rule out separately, compared labels value by value and built
 every LP system row by row: equal elements, covers, grades and labels,
 and the same sequence of LP systems. The bit-mask order of labels is
-checked against the value-by-value comparisons. The LP row table holds
-ints exactly where a coefficient is integral, and the level-1 candidates
+checked against the value-by-value comparisons, both as the face posets
+read it and as ``SignVector.leq`` reads it. The LP row table holds ints
+exactly where a coefficient is integral, and the level-1 candidates
 equal those of a copy of the Fraction-row code.
 """
 
@@ -16,12 +17,14 @@ from fractions import Fraction as F
 from itertools import product as iproduct
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratakit.arrangement as arrangement
 from stratakit.arrangement import (
     Arrangement,
+    SignVector,
     braid_arrangement,
     complement_poset,
     faces_higher,
@@ -328,6 +331,31 @@ def test_mask_order_is_the_value_order(case):
     assert (not lo_a & hi_b) == leq(a, b)
     assert (not lo_b & hi_a) == leq(b, a)
     assert not lo_a & hi_a
+
+
+def as_values(label):
+    """A plain-sign label as SignVector values: s read as (s, 1)."""
+    return tuple((v, 1) if v else 0 for v in label)
+
+
+@settings(max_examples=500, deadline=None)
+@given(label_pairs())
+def test_sign_vector_leq_is_the_value_order(case):
+    """``SignVector.leq`` against the value-by-value comparison; vectors of
+    a different order or length raise."""
+    order, plain, a, b = case
+    if plain:
+        a, b = as_values(a), as_values(b)
+    u, v = SignVector(a, order), SignVector(b, order)
+    assert u.leq(v) == ref_higher_leq(a, b)
+    assert v.leq(u) == ref_higher_leq(b, a)
+    others = [SignVector(b, order + 1), SignVector(b + (0,), order)]
+    if b:
+        others.append(SignVector(b[:-1], order))
+    for other in others:
+        for x, y in ((u, other), (other, u)):
+            with pytest.raises(ValueError, match="different data"):
+                x.leq(y)
 
 
 def test_braid3_matches_the_separate_loops():

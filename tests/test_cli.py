@@ -223,6 +223,46 @@ def test_sd_of_invalid_space(tmp_path, capsys):
     assert json.loads(out)["diagnostics"]
 
 
+NEGATIVE_DIMENSIONS = {
+    "objects": [{"id": 0}, {"id": 1}],
+    "morphisms": [{"id": 10, "src": 0, "dst": 1}],
+    "compose": [],
+    "dims": {"0": -3, "1": -1},
+    "closed": {"0": False, "1": False},
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "sd"])
+def test_negative_dimensions_are_invalid(tmp_path, capsys, command):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(NEGATIVE_DIMENSIONS))
+    code, out, _ = run(capsys, command, "--file", str(path))
+    assert code == 2
+    r = json.loads(out)
+    assert r["diagnostics"] == [
+        "cell 0: negative dimension -3",
+        "cell 1: negative dimension -1",
+    ]
+    assert "homology" not in r and r.get("valid") is not True
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"cells": [["a", "b"]], "faces": {"1": [[0, 1]]}}, "1"),
+        ({"cells": [["a"]], "faces": {"x": [], "2": [[0, 0, 0]]}}, "x"),
+        ({"cells": [["a", "b"], ["e"]], "faces": {"1": [[0, 1]], "3": []}}, "3"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "homology"])
+def test_a_stray_face_table_is_rejected(tmp_path, capsys, command, payload, key):
+    path = tmp_path / "delta.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith(f"error: /faces/{key}: stray face table")
+
+
 def test_export_dot_multiedges(capsys):
     code, out, _ = run(capsys, "export", "dot", "--fixture", "circle-minimal")
     assert code == 0

@@ -13,6 +13,7 @@ from stratakit.category import (
 from stratakit.css import (
     CombinatorialCSS,
     SubdivisionData,
+    _computed_closed_flags,
     cellular_closure,
     dual,
     identity_subdivision,
@@ -105,6 +106,23 @@ class TestValidation:
             "object 7: closed flag given, but it is not a cell",
         ]
 
+    def test_negative_dimensions_are_reported(self):
+        # a cell is a disk D^n with n >= 0; both cells are named, and the
+        # lift, which raises dimension, is not
+        c = AcyclicCategory(
+            ("a", "b"), ("f",), {"f": "a"}, {"f": "b"}, {}, {"a": -3, "b": -1}
+        )
+        closed = {"a": False, "b": False}
+        want = ["cell 'a': negative dimension -3", "cell 'b': negative dimension -1"]
+        assert validate_total_normality(CombinatorialCSS(c, closed)) == want
+        assert _computed_closed_flags(c) == closed
+        for flags in (None, closed):
+            with pytest.raises(ValueError, match="'a': negative dimension -3"):
+                make_css(c, flags)
+        # after the missing-dimension and missing-flag diagnostics, alone
+        bare = CombinatorialCSS(c, {"a": False})
+        assert validate_total_normality(bare) == ["cell 'b': no closedness flag"]
+
     def test_y_space_valid_despite_spherical_link(self):
         # the category cannot refute closedness of the tail cell; the
         # user-supplied non-closed flag must be accepted
@@ -133,6 +151,12 @@ class TestSalvettiPartition:
             part = salvetti_partition(x)
             assert set(part.source_block_sizes()) == set(x.cells())
             assert set(part.target_block_sizes()) == set(x.cells())
+
+    def test_blocks_in_first_tag_order(self):
+        for x in (simplex(2), circle_minimal(), torus()):
+            part = salvetti_partition(x)
+            assert list(part.source_block_sizes()) == list(x.cells())
+            assert list(part.target_block_sizes()) == list(x.cells())
 
     def test_circle_splits(self):
         part = salvetti_partition(circle_minimal())

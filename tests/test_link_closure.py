@@ -4,7 +4,7 @@
 grades and a ``poset._Closed`` (the covers and every element's strict
 down-set) made by ``poset._closure`` once per cell. ``link_poset`` hands
 that closure to ``Poset.from_relation``, and
-``_closed_cell_link_ok`` builds each lower interval from the link's
+``_closed_cell_problems`` builds each lower interval from the link's
 closure (``poset._lower_intervals``); neither closes a relation again.
 
 Both are compared with the general path on the raw relation:
@@ -80,7 +80,8 @@ def link_poset_before(x, cell):
 
 
 def closed_cell_link_ok_before(p, n, problems, tag, memo):
-    """``_closed_cell_link_ok`` closing each interval's covers again."""
+    """The closed-cell check closing each interval's covers again, adding
+    its diagnostics with the prefix ``f"{tag}: "`` to ``problems``."""
     if not css._sphere_homology_ok(p, n, memo):
         problems.append(
             f"{tag}: link is not a homology ({n - 1})-sphere as required "
@@ -112,6 +113,13 @@ def closed_cell_link_ok_before(p, n, problems, tag, memo):
                 "not a homology sphere"
             )
             return
+
+
+def closed_cell_problems_before(p, n, memo):
+    """``closed_cell_link_ok_before``'s diagnostics, without a prefix."""
+    problems = []
+    closed_cell_link_ok_before(p, n, problems, "", memo)
+    return [d.removeprefix(": ") for d in problems]
 
 
 def grading_problems_before(c, closed):
@@ -290,12 +298,12 @@ def logged(monkeypatch):
     log = []
     current = {
         "link_poset": css.link_poset,
-        "_closed_cell_link_ok": css._closed_cell_link_ok,
+        "_closed_cell_problems": css._closed_cell_problems,
         "_grading_problems": css._grading_problems,
     }
     before = {
         "link_poset": link_poset_before,
-        "_closed_cell_link_ok": closed_cell_link_ok_before,
+        "_closed_cell_problems": closed_cell_problems_before,
         "_grading_problems": grading_problems_before,
     }
     sphere_ok = css._sphere_homology_ok
@@ -332,7 +340,7 @@ def logged(monkeypatch):
         code = before if reference else current
         link = wrap("link_poset", code["link_poset"], shape)
         monkeypatch.setattr(css, "link_poset", link)
-        monkeypatch.setattr(css, "_closed_cell_link_ok", code["_closed_cell_link_ok"])
+        monkeypatch.setattr(css, "_closed_cell_problems", code["_closed_cell_problems"])
         monkeypatch.setattr(css, "_grading_problems", code["_grading_problems"])
         if reference:
             monkeypatch.setattr(
