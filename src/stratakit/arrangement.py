@@ -34,7 +34,7 @@ from itertools import product as iproduct
 from .css import CombinatorialCSS, poset_to_css, salvetti_complex
 from .delta import DeltaComplex
 from .lp import rational_rank, strict_feasibility
-from .poset import Poset, _cover_pairs, order_complex
+from .poset import Poset, _closure, order_complex
 
 __all__ = [
     "Arrangement",
@@ -204,24 +204,28 @@ def _order_masks(labels, order: int) -> tuple[list[int], list[int]]:
     return below, not_above
 
 
-def _poset_from_faces(faces: dict, order: int) -> Poset:
-    """faces: label -> dim, labels in S_order^k (plain signs at order 1);
-    ordered pointwise as by ``SignVector.leq``.
-
-    Each label becomes two ints once (``_order_masks``), and the test of
-    an ordered pair is ``below[a] & not_above[b]``: one AND of ints of
-    2*order*k bits, for each of the n(n-1) ordered pairs of n labels."""
-    labels = sorted(faces, key=repr)
+def _mask_pairs(labels, order: int) -> list[tuple[int, int]]:
+    """The pairs (a, b) of positions in ``labels`` with labels[a] <
+    labels[b] pointwise, as by ``SignVector.leq``. Each label becomes two
+    ints once (``_order_masks``), and the test of an ordered pair is
+    ``below[a] & not_above[b]``: one AND of ints of 2*order*k bits, for
+    each of the n(n-1) ordered pairs of n labels."""
     below, not_above = _order_masks(labels, order)
-    less = [
+    return [
         (a, b)
         for a, lo in enumerate(below)
         for b, hi in enumerate(not_above)
         if not lo & hi and a != b
     ]
+
+
+def _poset_from_faces(faces: dict, order: int) -> Poset:
+    """faces: label -> dim, labels in S_order^k (plain signs at order 1);
+    ordered pointwise (``_mask_pairs``)."""
+    labels = sorted(faces, key=repr)
     return Poset.from_relation(
         range(len(labels)),
-        less,
+        _mask_pairs(labels, order),
         {i: faces[lab] for i, lab in enumerate(labels)},
         dict(enumerate(labels)),
     )
@@ -252,17 +256,12 @@ def _symmetric_strata(levels):
 
 def _level1_covers(faces) -> dict:
     """Lower covers of each level-1 face, from (sign vector, dim) pairs:
-    the order by a mask test (``_order_masks``) of every pair of faces of
-    one level, reduced by ``poset._cover_pairs``."""
+    the order of the faces of one level (``_mask_pairs``), closed and
+    reduced by ``poset._closure``."""
     signs = [s for s, _ in faces]
-    lows, highs = _order_masks(signs, 1)
-    down = {
-        a: {b for b, lo in zip(signs, lows) if not lo & hi and b != a}
-        for a, hi in zip(signs, highs)
-    }
     covers: dict = {a: [] for a in signs}
-    for lo, hi in _cover_pairs(signs, down):
-        covers[hi].append(lo)
+    for lo, hi in _closure(range(len(signs)), _mask_pairs(signs, 1)).covers:
+        covers[signs[hi]].append(signs[lo])
     return covers
 
 

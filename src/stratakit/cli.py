@@ -116,7 +116,13 @@ def _kinds() -> dict:
 
 
 def _load_checked(path: str, kind: str | None = None):
+    """Kind, value and payload of the JSON file at ``path``, read as
+    ``kind`` or as the kind its keys name, and checked by the schema
+    before its loader runs. The report of ``export json`` (keys exactly
+    ``body``, ``digest`` and ``operation``) is read as its ``body``."""
     payload = _read_payload(path)
+    if isinstance(payload, dict) and payload.keys() == {"body", "digest", "operation"}:
+        payload = payload["body"]
     actual = kind or sio.detect_kind(payload)
     problems = sio.validate_payload(payload, actual)
     if problems:

@@ -4,11 +4,18 @@ Categories and stratified spaces constructed in memory carry structured
 ids (tuples); on export these are replaced by the category's dense
 numbering (``AcyclicCategory._index``) with the original ids kept as
 string labels, so round-trips are stable and diffable.
-Schema violations are reported with JSON pointer paths.
+
+``SCHEMAS`` is the one type check of a JSON input (``validate_payload``),
+and each loader takes a payload that satisfies it. Every object schema
+is closed: it names exactly the keys its dumper writes, plus the
+documented optional ones, and any other key is a violation. An integer
+is an int, so ``2.0`` and ``true`` are violations too. Each violation
+is reported with its JSON pointer path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -41,136 +48,87 @@ __all__ = [
 ]
 
 _ID = {"type": ["integer", "string"]}
+_INT = {"type": "integer"}
+_STR = {"type": "string"}
+
+
+def _obj(properties: dict, *required: str) -> dict:
+    """A closed object schema: its keys are ``properties``, of which
+    ``required`` are mandatory, and any other key is a violation."""
+    return {
+        "type": "object",
+        "required": list(required),
+        "properties": properties,
+        "additionalProperties": False,
+    }
+
+
+def _array(items: dict, size: int | None = None) -> dict:
+    """An array schema whose entries match ``items``; ``size`` entries
+    exactly when given."""
+    if size is None:
+        return {"type": "array", "items": items}
+    return {"type": "array", "items": items, "minItems": size, "maxItems": size}
+
+
+_CATEGORY = {
+    "objects": _array(_obj({"id": _ID, "grade": _INT, "label": _STR}, "id")),
+    "morphisms": _array(
+        _obj({"id": _ID, "src": _ID, "dst": _ID, "label": _STR}, "id", "src", "dst")
+    ),
+    "compose": _array(_array(_ID, 3)),
+}
+_RATIONAL = {"type": ["string", "integer"]}
 
 SCHEMAS = {
-    "poset": {
-        "type": "object",
-        "required": ["elements", "covers"],
-        "properties": {
-            "elements": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["id"],
-                    "properties": {
-                        "id": {"type": "integer"},
-                        "grade": {"type": "integer"},
-                        "label": {"type": "string"},
-                    },
-                },
-            },
-            "covers": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": "integer"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
+    "poset": _obj(
+        {
+            "elements": _array(_obj({"id": _INT, "grade": _INT, "label": _STR}, "id")),
+            "covers": _array(_array(_INT, 2)),
         },
-    },
-    "category": {
-        "type": "object",
-        "required": ["objects", "morphisms", "compose"],
-        "properties": {
-            "objects": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["id"],
-                    "properties": {"id": _ID, "grade": {"type": "integer"}},
-                },
-            },
-            "morphisms": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["id", "src", "dst"],
-                    "properties": {"id": _ID, "src": _ID, "dst": _ID},
-                },
-            },
-            "compose": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": _ID,
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-            },
+        "elements",
+        "covers",
+    ),
+    "category": _obj(_CATEGORY, *_CATEGORY),
+    "css": _obj(
+        {
+            **_CATEGORY,
+            "dims": {"type": "object", "additionalProperties": _INT},
+            "closed": {"type": "object", "additionalProperties": {"type": "boolean"}},
         },
-    },
-    "delta": {
-        "type": "object",
-        "required": ["cells", "faces"],
-        "properties": {
-            "cells": {"type": "array", "items": {"type": "array"}},
+        *_CATEGORY,
+        "dims",
+        "closed",
+    ),
+    "delta": _obj(
+        {
+            "cells": _array({"type": "array"}),
             "faces": {
                 "type": "object",
-                "additionalProperties": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}},
-                },
+                "additionalProperties": _array(_array(_INT)),
             },
         },
-    },
-    "arrangement": {
-        "type": "object",
-        "required": ["n", "hyperplanes"],
-        "properties": {
+        "cells",
+        "faces",
+    ),
+    "arrangement": _obj(
+        {
             "n": {"type": "integer", "minimum": 1},
-            "hyperplanes": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["a", "b"],
-                    "properties": {
-                        "a": {
-                            "type": "array",
-                            "items": {"type": ["string", "integer"]},
-                        },
-                        "b": {"type": ["string", "integer"]},
-                    },
-                },
-            },
+            "hyperplanes": _array(
+                _obj({"a": _array(_RATIONAL), "b": _RATIONAL}, "a", "b")
+            ),
         },
-    },
-    "graph": {
-        "type": "object",
-        "required": ["vertices", "edges"],
-        "properties": {
-            "vertices": {"type": "array", "items": _ID},
-            "edges": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["id", "ends"],
-                    "properties": {
-                        "id": _ID,
-                        "ends": {
-                            "type": "array",
-                            "items": _ID,
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                    },
-                },
-            },
+        "n",
+        "hyperplanes",
+    ),
+    "graph": _obj(
+        {
+            "vertices": _array(_ID),
+            "edges": _array(_obj({"id": _ID, "ends": _array(_ID, 2)}, "id", "ends")),
         },
-    },
-}
-SCHEMAS["css"] = {
-    "type": "object",
-    "required": ["objects", "morphisms", "compose", "dims", "closed"],
-    "properties": {
-        **SCHEMAS["category"]["properties"],
-        "dims": {"type": "object", "additionalProperties": {"type": "integer"}},
-        "closed": {
-            "type": "object",
-            "additionalProperties": {"type": "boolean"},
-        },
-    },
+        "vertices",
+        "edges",
+    ),
 }
 
 
@@ -194,56 +152,37 @@ def detect_kind(payload: object) -> str:
 
 def validate_payload(payload: dict, kind: str) -> list[str]:
     """Schema violations of ``payload`` as ``kind``, each with its JSON
-    pointer path; empty iff valid.
+    pointer path; empty iff valid. This is the one type check of a JSON
+    input: the schemas are closed, so a key they do not name is a
+    violation, and an integer is an int, so ``2.0`` and ``true`` are not."""
+    return [
+        f"{'/' + '/'.join(str(p) for p in err.absolute_path)}: {err.message}"
+        for err in sorted(_validator(kind).iter_errors(payload), key=str)
+    ]
+
+
+@functools.cache
+def _validator(kind: str):
+    """The Draft 2020-12 validator of ``SCHEMAS[kind]``, built once, whose
+    ``integer`` is ``type(v) is int``: the draft's also admits ``2.0``.
 
     jsonschema is imported here, not at module top, because it is most of
-    the import time of ``stratakit.cli`` and only this function uses it:
+    the import time of ``stratakit.cli`` and only validation uses it:
     commands that validate no JSON input never load it."""
     import jsonschema
 
-    validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
-    return [
-        f"{'/' + '/'.join(str(p) for p in err.absolute_path)}: {err.message}"
-        for err in sorted(validator.iter_errors(payload), key=str)
-    ]
+    base = jsonschema.Draft202012Validator
+    strict = base.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+    return jsonschema.validators.extend(base, type_checker=strict)(SCHEMAS[kind])
 
 
 def _hashable(v):
     return tuple(_hashable(x) for x in v) if isinstance(v, list) else v
 
 
-def _ints(entries, pointer: str, what: str) -> None:
-    """Raise at the first (position, value) of ``entries`` whose value is
-    not an int, naming it by ``pointer`` formatted with the position: 2.0
-    passes the schema's integer type, but is no id, index or grade."""
-    for pos, v in entries:
-        if type(v) is not int:
-            raise ValueError(f"{pointer.format(*pos)}: {what} is not an int: {v!r}")
-
-
-def _ids(entries, pointer: str) -> None:
-    """``_ints`` for ids, which are ints or strings: an id 2.0 would pass
-    the schema's integer type and be merged with the id 2."""
-    for pos, v in entries:
-        if isinstance(v, float):
-            raise ValueError(
-                f"{pointer.format(*pos)}: id is not an int or a string: {v!r}"
-            )
-
-
 def load_poset(payload: dict) -> Poset:
+    """A poset from a payload that satisfies ``SCHEMAS["poset"]``."""
     items = payload["elements"]
-    _ints((((i,), e["id"]) for i, e in enumerate(items)), "/elements/{}/id", "id")
-    _ints(
-        (((i,), e["grade"]) for i, e in enumerate(items) if "grade" in e),
-        "/elements/{}/grade",
-        "grade",
-    )
-    _ints(
-        (((i, j), v) for i, c in enumerate(payload["covers"]) for j, v in enumerate(c)),
-        "/covers/{}/{}",
-        "id",
-    )
     elements = tuple(e["id"] for e in items)
     grades = {e["id"]: e["grade"] for e in items if "grade" in e}
     labels = {e["id"]: e["label"] for e in items if "label" in e}
@@ -264,34 +203,15 @@ def dump_poset(p: Poset) -> dict:
 
 
 def load_category(payload: dict) -> AcyclicCategory:
+    """A category from a payload that satisfies ``SCHEMAS["category"]``
+    (or ``SCHEMAS["css"]``); labels are not read."""
     items = payload["objects"]
-    _ids((((i,), o["id"]) for i, o in enumerate(items)), "/objects/{}/id")
-    _ints(
-        (((i,), o["grade"]) for i, o in enumerate(items) if "grade" in o),
-        "/objects/{}/grade",
-        "grade",
-    )
-    _ids(
-        (
-            ((i, key), m[key])
-            for i, m in enumerate(payload["morphisms"])
-            for key in ("id", "src", "dst")
-        ),
-        "/morphisms/{}/{}",
-    )
-    _ids(
-        (((i, j), v) for i, e in enumerate(payload["compose"]) for j, v in enumerate(e)),
-        "/compose/{}/{}",
-    )
     objects = tuple(o["id"] for o in items)
     grades = {o["id"]: o["grade"] for o in items if "grade" in o}
     mids = tuple(m["id"] for m in payload["morphisms"])
     src = {m["id"]: m["src"] for m in payload["morphisms"]}
     dst = {m["id"]: m["dst"] for m in payload["morphisms"]}
-    compose = {
-        (_hashable(g), _hashable(f)): _hashable(gf)
-        for g, f, gf in payload["compose"]
-    }
+    compose = {(g, f): gf for g, f, gf in payload["compose"]}
     return AcyclicCategory(objects, mids, src, dst, compose, grades)
 
 
@@ -321,11 +241,10 @@ def dump_category(c: AcyclicCategory) -> dict:
 
 
 def load_css(payload: dict) -> CombinatorialCSS:
-    """A stratified space; ``dims`` and ``closed`` name each object by its
-    ``str``, so a key that two objects share (1 and "1") is rejected."""
+    """A stratified space from a payload that satisfies ``SCHEMAS["css"]``;
+    ``dims`` and ``closed`` name each object by its ``str``, so a key that
+    two objects share (1 and "1") is rejected."""
     c = load_category(payload)
-    dims = {}
-    closed = {}
     by_key: dict = {}
     shared = {}
     for x in c.objects:
@@ -337,14 +256,8 @@ def load_css(payload: dict) -> CombinatorialCSS:
             raise ValueError(f"/{section}/{key}: {shared.get(key, 'unknown object')}")
         return by_key[key]
 
-    for key, v in payload["dims"].items():
-        x = cell("dims", key)
-        # 2.0 (and true) pass the schema's integer type, but no dimension
-        if type(v) is not int:
-            raise ValueError(f"/dims/{key}: dimension is not an int: {v!r}")
-        dims[x] = v
-    for key, v in payload["closed"].items():
-        closed[cell("closed", key)] = v
+    dims = {cell("dims", key): v for key, v in payload["dims"].items()}
+    closed = {cell("closed", key): v for key, v in payload["closed"].items()}
     cat = AcyclicCategory(
         c.objects, c.morphisms, c.src, c.dst, c.compose, dims
     )
@@ -360,6 +273,8 @@ def dump_css(x: CombinatorialCSS) -> dict:
 
 
 def load_delta(payload: dict) -> DeltaComplex:
+    """A Delta complex from a payload that satisfies ``SCHEMAS["delta"]``,
+    with one face table for each dimension from 1 to the top."""
     cells = tuple(tuple(_hashable(c) for c in layer) for layer in payload["cells"])
     faces = []
     for n in range(1, len(cells)):
@@ -393,9 +308,8 @@ def _rational(v, pointer: str) -> Fraction:
 
 
 def load_arrangement(payload: dict) -> Arrangement:
-    n = payload["n"]
-    if type(n) is not int:  # 2.0 passes the schema's integer type
-        raise ValueError(f"/n: ambient dimension is not an int: {n!r}")
+    """An arrangement from a payload that satisfies
+    ``SCHEMAS["arrangement"]``, each coefficient a rational."""
     rows = [
         (
             [_rational(v, f"/hyperplanes/{k}/a/{i}") for i, v in enumerate(h["a"])],
@@ -403,7 +317,7 @@ def load_arrangement(payload: dict) -> Arrangement:
         )
         for k, h in enumerate(payload["hyperplanes"])
     ]
-    return Arrangement.from_lists(n, rows)
+    return Arrangement.from_lists(payload["n"], rows)
 
 
 def dump_arrangement(arr: Arrangement) -> dict:
@@ -416,26 +330,23 @@ def dump_arrangement(arr: Arrangement) -> dict:
 
 
 def load_graph(payload: dict) -> Graph:
-    edges = payload["edges"]
-    _ids((((i,), v) for i, v in enumerate(payload["vertices"])), "/vertices/{}")
-    _ids((((i,), e["id"]) for i, e in enumerate(edges)), "/edges/{}/id")
-    _ids(
-        (((i, j), v) for i, e in enumerate(edges) for j, v in enumerate(e["ends"])),
-        "/edges/{}/ends/{}",
-    )
+    """A graph from a payload that satisfies ``SCHEMAS["graph"]``."""
     return Graph(
-        tuple(_hashable(v) for v in payload["vertices"]),
-        tuple(
-            (_hashable(e["id"]), (_hashable(e["ends"][0]), _hashable(e["ends"][1])))
-            for e in payload["edges"]
-        ),
+        tuple(payload["vertices"]),
+        tuple((e["id"], tuple(e["ends"])) for e in payload["edges"]),
     )
 
 
 def dump_graph(g: Graph) -> dict:
+    """Ids as they are if ints or strings, else as their ``str`` (the
+    edges of ``k5_graph`` are named by vertex pairs)."""
+
+    def name(v):
+        return v if type(v) in (int, str) else str(v)
+
     return {
-        "vertices": list(g.vertices),
-        "edges": [{"id": e, "ends": list(ends)} for e, ends in g.edges],
+        "vertices": [name(v) for v in g.vertices],
+        "edges": [{"id": name(e), "ends": [name(v) for v in ends]} for e, ends in g.edges],
     }
 
 

@@ -9,21 +9,22 @@ rather than inferring them.
 Each order-theoretic primitive exists once here: ``_strict_down`` is
 the only topological sort and transitive closure (Kahn's algorithm,
 accumulating down-sets as it goes, ValueError on a cycle),
-``_cover_pairs`` the only reduction of a closed order to its covers (also
-of the arrangement's level-1 face order), and ``_order_nerve`` the only
-chain lister, for ``order_complex`` and ``Poset.chains``: the nerve of
-the poset as a thin category, grown by the one kernel that grows every
-nerve, ``delta._nerve``. ``Poset.height`` is one pass over the covers.
-``validate_category`` needs no closure: its cycle check is a topological
-count on the category's own numbering (``category._acyclic``).
+``_cover_pairs`` the only reduction of a closed order to its covers, and
+``_order_nerve`` the only chain lister, for ``order_complex`` and
+``Poset.chains``: the nerve of the poset as a thin category, grown by
+the one kernel that grows every nerve, ``delta._nerve``.
+``Poset.height`` is one pass over the covers. ``validate_category``
+needs no closure: its cycle check is a topological count on the
+category's own numbering (``category._acyclic``).
 
 ``_closure`` is the one routine that closes and reduces a relation on
 distinct elements. It returns a ``_Closed`` (covers and down-sets), the
 one form of a closed order: ``Poset.from_relation`` closes through it,
-and takes a ``_Closed`` made before without closing again. A face
-category's link table keeps one per cell (``AcyclicCategory._link``),
-and ``_lower_intervals`` restricts a poset's closure to each of its
-lower intervals.
+and takes a ``_Closed`` made before without closing again. The
+arrangement's level-1 face covers (``arrangement._level1_covers``) are
+read from one. A face category's link table keeps one per cell
+(``AcyclicCategory._link``), and ``_lower_intervals`` restricts a
+poset's closure to each of its lower intervals.
 """
 
 from __future__ import annotations

@@ -334,7 +334,7 @@ def test_out_flag(tmp_path, capsys):
 
 # A triangle whose d_2 names an edge that does not exist, one whose faces
 # break d_0 d_2 = d_1 d_0 and d_1 d_2 = d_1 d_1 while d(d(t)) = 0, and one
-# whose d_0 is 2.0, which the schema takes for an integer.
+# whose d_0 is 2.0, which the schema's integer type rejects.
 BAD_DELTAS = [
     (
         {"cells": [[0, 1], [0], [0]], "faces": {"1": [[1, 0]], "2": [[0, 0, 5]]}},
@@ -353,7 +353,7 @@ BAD_DELTAS = [
             "cells": [[0, 1, 2], ["a", "b", "c"], ["t"]],
             "faces": {"1": [[1, 0], [2, 0], [2, 1]], "2": [[2.0, 1, 0]]},
         },
-        "error: invalid complex: 2-cell 0: face d_0 is not an int",
+        "error: schema violations: /faces/2/0/0: 2.0 is not of type 'integer'",
     ),
 ]
 
@@ -597,15 +597,15 @@ def css_payload_with_dim(capsys, value):
     "command", [["validate"], ["sd"], ["homology"], ["dual"], ["facecat"]]
 )
 def test_a_float_dimension_is_rejected(tmp_path, capsys, command):
-    # 2.0 is an integer to the schema; it used to reach the sphere tests
-    # and die there with a TypeError
+    # a dimension 1.0 taken for an int would reach the sphere tests and
+    # die there with a TypeError
     body, key = css_payload_with_dim(capsys, 1.0)
     path = tmp_path / "css.json"
     path.write_text(json.dumps(body))
     code, out, err = run(capsys, *command, "--file", str(path))
     assert code == 2 and out == ""
     assert err.splitlines()[0] == (
-        f"error: /dims/{key}: dimension is not an int: 1.0"
+        f"error: schema violations: /dims/{key}: 1.0 is not of type 'integer'"
     )
     assert "Traceback" not in err
 
@@ -614,8 +614,9 @@ def test_a_bool_dimension_is_rejected(capsys):
     import stratakit.io as sio
 
     body, key = css_payload_with_dim(capsys, True)
-    with pytest.raises(ValueError, match=f"^/dims/{key}: dimension is not an int"):
-        sio.load_css(body)
+    assert sio.validate_payload(body, "css") == [
+        f"/dims/{key}: True is not of type 'integer'"
+    ]
 
 
 @pytest.mark.parametrize("section", ["dims", "closed"])
@@ -648,7 +649,9 @@ def test_a_float_ambient_dimension_is_rejected(tmp_path, capsys, command):
     path.write_text(json.dumps({"n": 2.0, "hyperplanes": [{"a": ["1", "0"], "b": "0"}]}))
     code, out, err = run(capsys, *command, "--file", str(path))
     assert code == 2 and out == ""
-    assert err.splitlines()[0] == "error: /n: ambient dimension is not an int: 2.0"
+    assert err.splitlines()[0] == (
+        "error: schema violations: /n: 2.0 is not of type 'integer'"
+    )
     assert "Traceback" not in err
 
 
@@ -789,7 +792,7 @@ def with_value(payload, path, value):
 
 
 @pytest.mark.parametrize(
-    "payload, path, message",
+    "payload, path, fault",
     [
         (POSET, ("elements", 1, "id"), "/elements/1/id: id is not an int: 1.0"),
         (POSET, ("elements", 1, "grade"), "/elements/1/grade: grade is not an int: 1.0"),
@@ -806,16 +809,21 @@ def with_value(payload, path, value):
     ],
 )
 @pytest.mark.parametrize("command", [["validate"], ["export", "json"]])
-def test_a_float_id_or_grade_is_rejected(tmp_path, capsys, payload, path, message, command):
-    # 1.0 is an integer to the schema; as an id it was merged with 1, and
-    # `export json` printed it back as 1.0
+def test_a_float_id_or_grade_is_rejected(tmp_path, capsys, payload, path, fault, command):
+    # an id 1.0 taken for an int would be merged with 1, and `export json`
+    # would print it back as 1.0. Each case is named by its fault; ids of
+    # categories and graphs may also be strings
+    types = "'integer', 'string'" if fault.endswith("or a string: 1.0") else "'integer'"
+    pointer = "/" + "/".join(map(str, path))
     if command == ["export", "json"] and payload is GRAPH:
         command = ["conf", "--k", "2"]
     file = tmp_path / "input.json"
     file.write_text(json.dumps(with_value(payload, path, 1.0)))
     code, out, err = run(capsys, *command, "--file", str(file))
     assert code == 2 and out == ""
-    assert err.splitlines()[0] == f"error: {message}"
+    assert err.splitlines()[0] == (
+        f"error: schema violations: {pointer}: 1.0 is not of type {types}"
+    )
     assert "Traceback" not in err
 
 
