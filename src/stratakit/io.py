@@ -10,12 +10,18 @@ and each loader takes a payload that satisfies it. Every object schema
 is closed: it names exactly the keys its dumper writes, plus the
 documented optional ones, and any other key is a violation. An integer
 is an int, so ``2.0`` and ``true`` are violations too. Each violation
-is reported with its JSON pointer path.
+is reported with its JSON pointer path, in document order.
+
+The check is a small walker over ``SCHEMAS`` in this module, not a JSON
+Schema library: it implements exactly the keywords the schemas use
+(``type``, ``required``, ``properties``, ``additionalProperties``,
+``items``, ``minItems``, ``maxItems``, ``minimum``), with the message
+text and pointers of the ``jsonschema`` package's Draft 2020-12
+validator, and raises on any other keyword.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 
@@ -154,26 +160,67 @@ def validate_payload(payload: dict, kind: str) -> list[str]:
     """Schema violations of ``payload`` as ``kind``, each with its JSON
     pointer path; empty iff valid. This is the one type check of a JSON
     input: the schemas are closed, so a key they do not name is a
-    violation, and an integer is an int, so ``2.0`` and ``true`` are not."""
-    return [
-        f"{'/' + '/'.join(str(p) for p in err.absolute_path)}: {err.message}"
-        for err in sorted(_validator(kind).iter_errors(payload), key=str)
-    ]
+    violation, and an integer is an int, so ``2.0`` and ``true`` are not.
+
+    The violations come in document order: a value's own (its type, then
+    each missing required key in schema order, then its unknown keys),
+    then those of its entries in the order the payload lists them. The
+    messages are those of the ``jsonschema`` package's Draft 2020-12
+    validator."""
+    found: list[str] = []
+    _check(payload, SCHEMAS[kind], "", found)
+    return found
 
 
-@functools.cache
-def _validator(kind: str):
-    """The Draft 2020-12 validator of ``SCHEMAS[kind]``, built once, whose
-    ``integer`` is ``type(v) is int``: the draft's also admits ``2.0``.
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+_KEYWORDS = frozenset(
+    "type required properties additionalProperties items minItems maxItems minimum".split()
+)
 
-    jsonschema is imported here, not at module top, because it is most of
-    the import time of ``stratakit.cli`` and only validation uses it:
-    commands that validate no JSON input never load it."""
-    import jsonschema
 
-    base = jsonschema.Draft202012Validator
-    strict = base.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
-    return jsonschema.validators.extend(base, type_checker=strict)(SCHEMAS[kind])
+def _check(value, schema: dict, at: str, found: list[str]) -> None:
+    """Append to ``found`` each violation of ``schema`` by ``value``, whose
+    JSON pointer is ``at``, in document order. A keyword this walker does
+    not implement raises, so a schema edit cannot be silently ignored."""
+    if not schema.keys() <= _KEYWORDS:
+        raise NotImplementedError(f"schema keywords {sorted(schema.keys() - _KEYWORDS)}")
+    pointer = at or "/"
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    for t in types:
+        if type(value) is int if t == "integer" else isinstance(value, _TYPES[t]):
+            break
+    else:
+        if types:
+            found.append(f"{pointer}: {value!r} is not of type {', '.join(map(repr, types))}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                found.append(f"{pointer}: {key!r} is a required property")
+        named = schema.get("properties", {})
+        rest = schema.get("additionalProperties", True)
+        if rest is False and not value.keys() <= named.keys():
+            extras = sorted(value.keys() - named.keys(), key=str)
+            listed = ", ".join(map(repr, extras)) + (" was" if len(extras) == 1 else " were")
+            found.append(
+                f"{pointer}: Additional properties are not allowed ({listed} unexpected)"
+            )
+        for key, entry in value.items():
+            if isinstance(sub := named.get(key, rest), dict):
+                _check(entry, sub, f"{at}/{key}", found)
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            found.append(f"{pointer}: {value!r} {short}")
+        if len(value) > schema.get("maxItems", len(value)):
+            long = "is expected to be empty" if schema["maxItems"] == 0 else "is too long"
+            found.append(f"{pointer}: {value!r} {long}")
+        for i, entry in enumerate(value if "items" in schema else ()):
+            _check(entry, schema["items"], f"{at}/{i}", found)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        low = schema.get("minimum", value)
+        if value < low:
+            found.append(f"{pointer}: {value!r} is less than the minimum of {low!r}")
 
 
 def _hashable(v):

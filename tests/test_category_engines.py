@@ -713,6 +713,38 @@ def test_cli_import_leaves_networkx_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_json_inputs_are_checked_without_jsonschema(tmp_path):
+    # the schema check is stratakit's own: with jsonschema unimportable, an
+    # exported file validates and a misspelled key exits 2 as before
+    src = os.path.dirname(os.path.dirname(stratakit.__file__))
+    code = (
+        "import sys; sys.modules['jsonschema'] = None; "
+        "from stratakit.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+        )
+
+    export = tmp_path / "torus.json"
+    assert cli("export", "json", "--fixture", "torus", "--out", str(export)).returncode == 0
+    done = cli("validate", "--file", str(export))
+    assert done.returncode == 0, done.stderr
+    typo = tmp_path / "typo.json"
+    typo.write_text(
+        '{"n": 2, "hyperplanes": [{"a": ["1", "0"], "b": "0"}],'
+        ' "hyperplanse": [{"a": ["0", "1"], "b": "0"}]}'
+    )
+    done = cli("validate", "--file", str(typo))
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[0] == (
+        "error: schema violations: "
+        "/: Additional properties are not allowed ('hyperplanse' was unexpected)"
+    )
+
+
 def nerve_by_merged_chains(c):
     """The nondegenerate nerve as built before faces were found from the
     parent chain: every face is a merged chain, looked up by hashing it."""

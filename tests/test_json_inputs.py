@@ -1,6 +1,8 @@
 """The JSON input boundary: the schemas are closed to exactly the keys
 the dumpers write, a report of ``export json`` reads back through
-``--file``, and no mutation of an exported payload makes a command raise."""
+``--file``, no mutation of an exported payload makes a command raise, and
+the schema walker of ``stratakit.io`` reports what a Draft 2020-12
+validator reports."""
 
 import contextlib
 import copy
@@ -8,6 +10,7 @@ import io
 import json
 from fractions import Fraction
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,3 +243,152 @@ def test_every_command_exits_0_or_2_on_a_mutated_export(workdir, payload):
     kind = sio.detect_kind(payload) if codes["validate"] == 0 else None
     if kind in ("delta", "graph", "poset", "arrangement"):
         round_trips(kind, payload)
+
+
+# --- the schema walker against a Draft 2020-12 validator ----------------------
+
+
+def draft_2020_12(schema):
+    """A Draft 2020-12 validator of ``schema`` whose integer is
+    ``type(v) is int``."""
+    base = jsonschema.Draft202012Validator
+    strict = base.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+    return jsonschema.validators.extend(base, type_checker=strict)(schema)
+
+
+REFERENCE = {kind: draft_2020_12(schema) for kind, schema in sio.SCHEMAS.items()}
+
+
+def reference_lines(payload, validator) -> list[str]:
+    """The sorted violation lines of ``validator``, in the form of
+    ``validate_payload``."""
+    return sorted(
+        f"/{'/'.join(str(p) for p in err.absolute_path)}: {err.message}"
+        for err in validator.iter_errors(payload)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_exports())
+def test_the_walker_reports_what_a_draft_2020_12_validator_reports(payload):
+    for kind, validator in REFERENCE.items():
+        lines = sio.validate_payload(payload, kind)
+        assert sorted(lines) == reference_lines(payload, validator), kind
+
+
+@pytest.mark.parametrize(
+    "kind, payload, lines",
+    [
+        (
+            "category",
+            {"objects": [], "morphisms": [], "compose": [[0, 1]]},
+            ["/compose/0: [0, 1] is too short"],
+        ),
+        (
+            "category",
+            {"objects": [], "morphisms": [], "compose": [[0, 1, 2, 3]]},
+            ["/compose/0: [0, 1, 2, 3] is too long"],
+        ),
+        (
+            "graph",
+            {"vertices": [2.0]},
+            [
+                "/: 'edges' is a required property",
+                "/vertices/0: 2.0 is not of type 'integer', 'string'",
+            ],
+        ),
+        (
+            "arrangement",
+            {"n": 0, "hyperplanes": []},
+            ["/n: 0 is less than the minimum of 1"],
+        ),
+        (
+            "arrangement",
+            {"n": 0.5, "hyperplanes": []},
+            ["/n: 0.5 is not of type 'integer'", "/n: 0.5 is less than the minimum of 1"],
+        ),
+        (
+            "arrangement",
+            {"n": False, "hyperplanes": []},
+            ["/n: False is not of type 'integer'"],
+        ),
+        (
+            "poset",
+            {"elements": [{"id": 0, "b": 1, "a": 2}], "covers": []},
+            ["/elements/0: Additional properties are not allowed ('a', 'b' were unexpected)"],
+        ),
+        (
+            "css",
+            {"objects": [], "morphisms": [], "compose": [], "dims": {}, "closed": {"0": 1}},
+            ["/closed/0: 1 is not of type 'boolean'"],
+        ),
+    ],
+)
+def test_each_message_form_is_the_validators(kind, payload, lines):
+    assert sio.validate_payload(payload, kind) == lines
+    assert sorted(lines) == reference_lines(payload, REFERENCE[kind])
+
+
+@pytest.mark.parametrize(
+    "schema, payload, line",
+    [
+        ({"type": "array", "minItems": 1}, [], "/: [] should be non-empty"),
+        ({"type": "array", "maxItems": 0}, [0], "/: [0] is expected to be empty"),
+    ],
+)
+def test_the_size_bounds_of_one_and_zero_have_their_own_words(schema, payload, line):
+    found: list[str] = []
+    sio._check(payload, schema, "", found)
+    assert found == [line]
+    assert reference_lines(payload, draft_2020_12(schema)) == [line]
+
+
+def test_violations_come_in_document_order(tmp_path):
+    # a value's own violations come before those of its entries, so the
+    # first line names the first fault in the file
+    payload = {
+        "n": 2,
+        "hyperplanes": [{"a": ["1", "0"], "b": "0", "c": "1"}],
+        "hyperplanse": [],
+    }
+    lines = [
+        "/: Additional properties are not allowed ('hyperplanse' was unexpected)",
+        "/hyperplanes/0: Additional properties are not allowed ('c' was unexpected)",
+    ]
+    assert sio.validate_payload(payload, "arrangement") == lines
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = call("validate", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == "error: schema violations: " + "; ".join(lines)
+
+
+IMPLEMENTED = {
+    "type", "required", "properties", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum",
+}
+
+
+def schema_nodes(schema):
+    """``schema`` and every schema inside it."""
+    yield schema
+    for sub in [
+        *schema.get("properties", {}).values(),
+        schema.get("items"),
+        schema.get("additionalProperties"),
+    ]:
+        if isinstance(sub, dict):
+            yield from schema_nodes(sub)
+
+
+@pytest.mark.parametrize("kind", sorted(sio.SCHEMAS))
+def test_every_schema_keyword_is_one_the_walker_implements(kind):
+    for node in schema_nodes(sio.SCHEMAS[kind]):
+        assert set(node) <= IMPLEMENTED, node
+
+
+def test_a_keyword_the_walker_does_not_implement_raises(monkeypatch):
+    vertices = {"type": "array", "items": {"type": "string", "pattern": "^v"}}
+    monkeypatch.setitem(sio.SCHEMAS["graph"]["properties"], "vertices", vertices)
+    with pytest.raises(NotImplementedError, match="pattern"):
+        sio.validate_payload({"vertices": ["x"], "edges": []}, "graph")
