@@ -7,43 +7,53 @@ the optimum is positive. The simplex method uses Bland's rule, so it
 terminates and never misclassifies a degenerate face. Optimal dual
 multipliers are retained as infeasibility certificates.
 
+Start. Each inequality row is written with a positive slack coefficient
+and starts on its slack: a strict row as -g.x + t + s = -h, and t + s = 1.
+Only an equality row starts on an artificial, negated first if its rhs is
+negative. A strict row with h > 0 is then the only infeasible row, and t-
+enters the one with the largest true h (the first on ties) in one pivot:
+every other strict row i then reads h_r - h_i >= 0, and t <= 1 reads
+1 + h_r. This is the auxiliary-variable start of Chvatal, Linear
+Programming (1983), ch. 8, with the free t as x0. Phase 1 minimizes the
+sum of the equality artificials only, so a system without equalities goes
+straight to phase 2. Per seed-1 ``arrangement`` benchmark pass (2,538
+LPs), the all-artificial start took 15,264 phase-1 and 33 phase-2 Bland
+pivots; this one takes 1,284 start pivots, 5,797 phase-1 and 2,676
+phase-2 pivots, 15,297 -> 9,757 in all.
+
 One denominator. The tableau holds integer rows R over one common positive
 denominator D, the true tableau being R / D (Edmonds' integer pivoting,
 the rule of Bareiss elimination). Every row enters at D = 1 as its integer
 vector from _system: an all-int row as it is, any other times the lcm d of
 its denominators. A pivot on entry p of row r keeps R_r, makes every other
 row (p*R_i - R_i[col]*R_r) // D, and D becomes p; if p < 0, which happens
-only when an artificial is driven out, R_r and p are negated first (the
-same as negating every row and taking D = -p). Each entry is then a minor
-of the input rows (the objective among them), so every division is exact,
-entries stay as small as those minors, and no row is ever divided by a
-common factor. The pivots are the ones a Fraction tableau of the true rows
-takes: a row that entered times d is its true row times d until it is
-pivoted on, and a positive row scale changes neither the ratio test, which
-compares rhs_i*a_k with rhs_k*a_i, nor the signs that Bland's entering
-test reads. The phase-1 objective, the sum of the true rows, is stored as
-sum (L/d_r)*R_r with L the lcm of the row scales, so it is read over D*L;
-phase 2 prices out the basic t row at D (D*e_t -/+ R_t) and is read over
-D. Witness, margin and certificate become Fractions once, at the end,
-with ZERO for a zero.
+at the start pivot and when an artificial is driven out, R_r and p are
+negated first (the same as negating every row and taking D = -p). Each
+entry is then a minor of the input rows (the objective among them), so
+every division is exact, entries stay as small as those minors, and no row
+is ever divided by a common factor. The pivots are the ones a Fraction
+tableau of the true rows takes: a row that entered times d is its true
+row times d until it is pivoted on, and a positive row scale changes
+neither the ratio test, which compares rhs_i*a_k with rhs_k*a_i, nor the
+signs that Bland's entering test reads. The phase-1 objective, the sum of
+the true equality rows, is stored as sum (L/d_r)*R_r with L the lcm of
+their scales, so it is read over D*L; phase 2 prices out the basic t row
+at D (D*e_t -/+ R_t) and is read over D. Witness, margin and certificate
+become Fractions once, at the end, with ZERO for a zero.
 
 Stored columns. Of the columns a textbook tableau has, only these are
-stored: x+ and t+ (nvars + 1), one slack per inequality row (s) and one
-artificial per equality row (e), then the rhs, so a row update costs
-nvars + s + e + 2 multiply-subtract-divides.
-- The split x = x+ - x-, t = t+ - t- keeps only its x+ and t+ columns: the
-  x- and t- columns are their negatives in every row and stay so under row
-  operations, so Bland's rule reads them by a sign flip, and a pivot on an
-  x- column updates the rows with the negated pivot row.
-- The artificial column of inequality row r is sigma_r times its slack
-  column in every constraint row, sigma_r being -1 for a strict row and +1
-  for t <= 1, times -1 if the row was negated for a nonnegative rhs. Row
-  operations keep that; the objective row keeps it too, offset by -D*L in
-  phase 1, whose objective zeroes the artificial entries. Artificials
-  never enter and keep their labels, so the pivots do not change, and the
-  certificates read an inequality row's artificial entry from its slack:
-  the phase-1 multiplier is -sigma_r*obj[slack_r]/(D*L) and the phase-2
-  y_r is -sigma_r*signs[r]*obj[slack_r]/D.
+stored: x+ and t+ (nvars + 1), one slack per inequality row and one
+artificial per equality row, then the rhs, so a row update costs nvars +
+(number of rows) + 2 multiply-subtract-divides. The split x = x+ - x-,
+t = t+ - t- keeps only its x+ and t+ columns: the x- and t- columns are
+their negatives in every row and stay so under row operations, so Bland's
+rule reads them by a sign flip, and a pivot on an x- column updates the
+rows with the negated pivot row. Each row's starting basic column, its
+slack or its artificial, is +1 in its own true row and 0 in the others,
+so the certificates read each row's dual from that column's reduced cost.
+In phase 1 the artificial entries of the objective row are not zeroed and
+read D*L plus the reduced cost, so the multiplier of every row is
+-obj[column]/(D*L).
 
 Every result is checked before it is returned (_check), against the rows
 from _system: a witness must satisfy every row and a certificate must
@@ -127,6 +137,29 @@ def _system(equalities, stricts, nvars: int) -> list[tuple[list[int], int, str]]
     return rows
 
 
+def _pivot(tab, r, col, sign, d) -> int:
+    """Pivot tab, integer rows over the common denominator d, on row r and
+    stored column col, read as its x- (or t-) column when sign is -1, and
+    return the new denominator: the pivot entry, made positive first by
+    negating row r if it is not."""
+    prow = tab[r]
+    p = sign * prow[col]
+    if p < 0:
+        prow = tab[r] = [-v for v in prow]
+        p = -p
+    # a pivot on x- updates the rows with the negated pivot row; the
+    # pivot row has a nonzero f and is kept
+    urow = prow if sign > 0 else [-v for v in prow]
+    for i, row in enumerate(tab):
+        f = row[col]
+        if f:
+            if i != r:
+                tab[i] = [(p * a - f * b) // d for a, b in zip(row, urow)]
+        elif p != d:
+            tab[i] = [p * a // d for a in row]
+    return p
+
+
 def _simplex(tab, basis, d, nfree, nart, driven=()) -> int:
     """Pivot tab, integer rows over the common denominator d with the
     objective row last (entry > 0 means entering improves), and return the
@@ -149,7 +182,7 @@ def _simplex(tab, basis, d, nfree, nart, driven=()) -> int:
             if col is None:
                 continue
             label = col if col < nfree else col + nfree
-            sign, p = 1, prow[col]
+            sign = 1
         else:
             obj = tab[m]
             for col in range(nfree):
@@ -183,21 +216,7 @@ def _simplex(tab, basis, d, nfree, nart, driven=()) -> int:
                         r, best_rhs, p = i, rhs, a
             if r is None:
                 raise RuntimeError("slack-bounded program cannot be unbounded")
-        prow = tab[r]
-        if p < 0:
-            prow = tab[r] = [-v for v in prow]
-            p = -p
-        # a pivot on x- updates the rows with the negated pivot row; the
-        # pivot row has a nonzero f and is kept
-        urow = prow if sign > 0 else [-v for v in prow]
-        for i, row in enumerate(tab):
-            f = row[col]
-            if f:
-                if i != r:
-                    tab[i] = [(p * a - f * b) // d for a, b in zip(row, urow)]
-            elif p != d:
-                tab[i] = [p * a // d for a in row]
-        d = p
+        d = _pivot(tab, r, col, sign, d)
         basis[r] = label
 
 
@@ -216,67 +235,85 @@ def strict_feasibility(
 
 
 def _solve(rows, nvars: int) -> Feasibility:
-    # column labels: x+ (nvars), t+, x- (nvars), t-, slacks, artificials
-    # (label ncore + r for row r); x- and t- are not stored, nor the
-    # artificial of an inequality row, which is sigma_r times its slack
-    # column (see the module docstring)
+    # column labels: x+ (nvars), t+, x- (nvars), t-, slacks, artificials;
+    # x- and t- are not stored, so a stored column past t+ has label
+    # column + nfree
     nfree = nvars + 1  # x and t, both sign-free
     neq = [kind for *_, kind in rows].count("eq")
-    nart = nfree + len(rows) - neq  # stored index of the first artificial
+    nstrict = len(rows) - neq - 1
+    nart = nfree + nstrict + 1  # stored index of the first artificial
     ncore = nfree + nart
     width = nart + neq  # stored columns
 
+    # every row starts on the column that is +d in it and 0 in every other
+    # row: an inequality row on its slack, an equality row on its
+    # artificial. A strict row g.x - t - s = h is negated so that its slack
+    # enters +d; an equality row is negated if its rhs is negative
     tab: list[list[int]] = []
     signs = []
-    # each row's (stored column, sigma): its artificial's for an equality
-    # (sigma 0), else its slack's, with artificial = sigma * slack
-    cols = []
+    cols = []  # each row's starting basic column
     si = nfree
     ai = nart
     zeros = [0] * (width - nfree)
-    scale = 1  # the lcm of the row scales
     for vec, d, kind in rows:
-        row = vec[:-1]
-        row.extend(zeros)
-        row.append(vec[-1])
-        if d != 1:
-            scale = lcm(scale, d)
-        if kind != "eq":
-            row[si] = -d if kind == "ge" else d
-        sign = 1
-        if row[-1] < 0:
-            row = [-v for v in row]
-            sign = -1
+        sign = -1 if kind == "ge" or (kind == "eq" and vec[-1] < 0) else 1
+        row = [-v for v in vec] if sign < 0 else vec[:]
+        rhs = row.pop()
+        row += zeros
+        row.append(rhs)
         if kind == "eq":
             row[ai] = d
-            cols.append((ai, 0))
+            cols.append(ai)
             ai += 1
         else:
-            cols.append((si, -sign if kind == "ge" else sign))
+            row[si] = d
+            cols.append(si)
             si += 1
         signs.append(sign)
         tab.append(row)
-    basis = list(range(ncore, ncore + len(rows)))
+    basis = [c + nfree for c in cols]
+
+    # a strict row with a negative rhs is the only row infeasible at the
+    # start: t- enters the one whose true rhs R[-1]/d is the most negative
+    # (the first on ties), one pivot at D = 1, after which every inequality
+    # row is feasible (the module docstring's Start)
+    d = 1
+    worst = None
+    for i in range(nstrict):
+        rhs = tab[i][-1]
+        if rhs < 0 and (
+            worst is None or rhs * rows[worst][1] < tab[worst][-1] * rows[i][1]
+        ):
+            worst = i
+    if worst is not None:
+        d = _pivot(tab, worst, nvars, -1, d)
+        basis[worst] = nfree + nvars
 
     # phase 1: maximize -sum(artificials); the objective row is the sum of
-    # the true rows times L, whose artificial entries cancel the -Ls; the
-    # derived artificial of an inequality row reads sigma * slack - D*L here
-    if scale == 1:
-        obj = list(map(sum, zip(*tab)))
+    # the true equality rows times L, the lcm of their scales, read over
+    # D*L. Its artificial entries are not zeroed, so each reads D*L plus
+    # the artificial's reduced cost, and the multiplier of row r is
+    # -obj[cols[r]] / (D*L) for every row alike
+    eqs = tab[nstrict:nstrict + neq]
+    scales = [e for _, e, _ in rows[nstrict:nstrict + neq]]
+    scale = lcm(*scales)
+    if not eqs:
+        obj = [0] * (width + 1)
+    elif scale == 1:
+        obj = list(map(sum, zip(*eqs)))
     else:
-        weights = [scale // d for _, d, _ in rows]
-        obj = [sum(map(mul, weights, col)) for col in zip(*tab)]
-    obj[nart:width] = [0] * neq
+        weights = [scale // e for e in scales]
+        obj = [sum(map(mul, weights, col)) for col in zip(*eqs)]
     tab.append(obj)
-    d = _simplex(tab, basis, 1, nfree, nart)  # artificials never re-enter
+    d = _simplex(tab, basis, d, nfree, nart)  # artificials never re-enter
     # objective value is -tab[-1][-1]; equalities are consistent iff it is 0
     obj = tab[-1]
     if obj[-1] > 0:
         s = d * scale
-        mults = (-sigma * obj[c] if sigma else -s - obj[c] for c, sigma in cols)
+        mults = (obj[c] for c in cols)
         cert = {
             "phase": 1,
-            "multipliers": [Fraction(v, s) if v else ZERO for v in mults],
+            "multipliers": [Fraction(-v, s) if v else ZERO for v in mults],
             "signs": signs,
         }
         return Feasibility(False, None, None, cert)
@@ -309,17 +346,14 @@ def _solve(rows, nvars: int) -> Feasibility:
     margin = values[nvars]
     if margin.numerator > 0:
         return Feasibility(True, x, margin, None)
-    # dual multipliers from the reduced costs of the artificial columns,
-    # sigma * slack for an inequality row
+    # dual multipliers from the reduced costs of the starting basic
+    # columns, each +1 in its own true row and 0 in the others at the start
     obj = tab[-1]
     y = {}
     w = {}
-    for ridx, (c, sigma) in enumerate(cols):
-        v = -obj[c] * signs[ridx]
-        if sigma:
-            y[ridx] = Fraction(sigma * v, d) if v else ZERO
-        else:
-            w[ridx] = Fraction(v, d) if v else ZERO
+    for i, c in enumerate(cols):
+        v = -obj[c] * signs[i]
+        (w if rows[i][2] == "eq" else y)[i] = Fraction(v, d) if v else ZERO
     cert = {"phase": 2, "y": y, "w": w, "bound": margin}
     return Feasibility(False, x, margin, cert)
 
@@ -358,15 +392,21 @@ def _check(rows, nvars: int, result: Feasibility) -> None:
                 raise RuntimeError(f"LP witness violates a row: {result}")
         return
     if cert["phase"] == 1:
-        weights = {
-            i: m * s
-            for i, ((*_, kind), m, s) in enumerate(
-                zip(rows, cert["multipliers"], cert["signs"])
-            )
-            if kind == "eq"
-        }
+        # a phase-1 certificate weights the equality rows only: every
+        # inequality row, written with a +1 slack, has t coefficient +1, so
+        # at the phase-1 optimum their multipliers, each >= 0 by its slack's
+        # reduced cost, add up to 0 by t's
+        weights = {}
+        stray = False
+        for i, ((*_, kind), m, s) in enumerate(
+            zip(rows, cert["multipliers"], cert["signs"])
+        ):
+            if kind == "eq":
+                weights[i] = m * s
+            elif m:
+                stray = True
         total, _ = _combination(rows, weights)
-        if any(total[:-1]) or not total[-1]:
+        if stray or any(total[:-1]) or not total[-1]:
             raise RuntimeError(f"LP phase-1 certificate is no proof: {result}")
         return
     margin = cert["bound"]

@@ -3,6 +3,8 @@ from collections import Counter, namedtuple
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import stratakit.arrangement as arrangement
 from stratakit.arrangement import (
@@ -270,6 +272,28 @@ def test_closure_order_spotcheck_clean():
     assert closure_order_spotcheck(point_in_line(), 2, seed=5) == []
     assert closure_order_spotcheck(braid_arrangement(2), 2, seed=5) == []
     assert closure_order_spotcheck(three_generic_lines(), 1, seed=5, pairs=10) == []
+
+
+@st.composite
+def integer_arrangements(draw):
+    """Two to four forms in R^2 or R^3 with small integer coefficients; a
+    draw with a zero linear part or a repeated hyperplane is rejected."""
+    n = draw(st.sampled_from((2, 3)))
+    coefficient = st.integers(-3, 3)
+    form = st.tuples(st.lists(coefficient, min_size=n, max_size=n), coefficient)
+    rows = draw(st.lists(form, min_size=2, max_size=4))
+    arr = Arrangement(n, tuple((tuple(map(F, a)), F(b)) for a, b in rows))
+    assume(not validate_arrangement(arr))
+    return arr
+
+
+@settings(max_examples=54, deadline=None)
+@given(integer_arrangements(), st.integers(0, 2**16))
+def test_closure_order_spotcheck_clean_on_random_arrangements(arr, seed):
+    # the spotcheck's segments start at LP witnesses, so this covers the
+    # witnesses the simplex returns, whatever its starting basis
+    for order in (1, 2):
+        assert closure_order_spotcheck(arr, order, seed=seed) == []
 
 
 def test_closure_order_spotcheck_sample_depends_on_the_poset(monkeypatch):

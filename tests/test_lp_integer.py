@@ -1,9 +1,12 @@
 """The integer-tableau LP and the fraction-free rank against copies of the
 Fraction routines they replaced, and the LP's result self-check.
 
-The integer tableau must take the same pivots as a Fraction tableau, so
+The integer tableau must take the same pivots as a Fraction tableau that
+starts as it does (on the inequality slacks, after one pivot of t-), so
 every ``Feasibility`` (witness, margin and certificate dicts included)
-must equal the reference's, not only the verdict.
+must equal the reference's, not only the verdict. A second Fraction
+tableau, started with an artificial on every row, must reach the same
+verdict and margin, which are the LP optimum whatever the start.
 """
 
 import random
@@ -71,9 +74,18 @@ class Basis(list):
         self.on_pivot(row, label)
 
 
-def ref_feasibility(equalities, stricts, nvars, pivots=None):
+def ref_feasibility(equalities, stricts, nvars, pivots=None, start="slack"):
     """The Fraction tableau's result; its pivots, as (row, label), are
-    appended to pivots when a list is given."""
+    appended to pivots when a list is given.
+
+    start picks the starting basis. "slack", the rule of lp._solve: each
+    inequality row is written with a +1 slack and starts on it (a strict
+    row is negated), t- enters the strict row with the most negative rhs
+    (the first on ties), and only the equality rows start on artificials,
+    after negation if their rhs is negative. "artificial", the textbook
+    two-phase start: every row starts on an artificial after negation if
+    its rhs is negative. The two need not give the same witness or
+    certificate, but the verdict and the margin, the LP optimum, agree."""
     zero, one = F(0), F(1)
     rows = []
     for g, h in stricts:
@@ -85,38 +97,48 @@ def ref_feasibility(equalities, stricts, nvars, pivots=None):
     nslack = sum(kind != "eq" for *_, kind in rows)
     ncore = 2 * nfree + nslack
     ncols = ncore + len(rows)
-    tab, signs = [], []
+    # each row's starting basic column: +1 in its own row, 0 in the others
+    tab, signs, starts = [], [], []
     si = 0
     for ridx, (coeffs, rhs, kind) in enumerate(rows):
         row = [zero] * (ncols + 1)
         for j, a in enumerate(coeffs):
             row[j] = F(a)
             row[nfree + j] = -F(a)
+        row[-1] = F(rhs)
         if kind != "eq":
             row[2 * nfree + si] = -one if kind == "ge" else one
-            si += 1
-        row[-1] = F(rhs)
-        sign = 1
-        if row[-1] < 0:
-            row = [-v for v in row]
-            sign = -1
-        row[ncore + ridx] = one
+        if start == "slack" and kind != "eq":
+            sign = 1 if kind == "le" else -1
+            starts.append(2 * nfree + si)
+        else:
+            sign = -1 if row[-1] < 0 else 1
+            starts.append(ncore + ridx)
+        row = [sign * v for v in row]
+        row[ncore + ridx] = one if starts[-1] >= ncore else zero
+        si += kind != "eq"
         signs.append(sign)
         tab.append(row)
-    basis = [ncore + i for i in range(len(rows))]
+    basis = list(starts)
     if pivots is not None:
         basis = Basis(basis, lambda row, label: pivots.append((row, label)))
+    if start == "slack":
+        violated = [i for i in range(len(stricts)) if tab[i][-1] < 0]
+        if violated:
+            worst = min(violated, key=lambda i: tab[i][-1])
+            ref_pivot(tab, basis, worst, nfree + nvars)
     obj = [zero] * (ncols + 1)
-    for j in range(ncore, ncols):
-        obj[j] = -one
+    for i, c in enumerate(starts):
+        if c >= ncore:
+            obj[c] = -one
+            obj = [v + r for v, r in zip(obj, tab[i])]
     tab.append(obj)
-    for i in range(len(rows)):
-        tab[-1] = [v + r for v, r in zip(tab[-1], tab[i])]
     ref_bland_simplex(tab, basis, ncore)
     if tab[-1][-1] > 0:
+        # an artificial costs -1 in phase 1, a slack 0
         cert = {
             "phase": 1,
-            "multipliers": [-one - tab[-1][ncore + i] for i in range(len(rows))],
+            "multipliers": [-(c >= ncore) - tab[-1][c] for c in starts],
             "signs": list(signs),
         }
         return lp.Feasibility(False, None, None, cert)
@@ -143,7 +165,7 @@ def ref_feasibility(equalities, stricts, nvars, pivots=None):
         return lp.Feasibility(True, x, margin, None)
     y, w = {}, {}
     for ridx, (_, _, kind) in enumerate(rows):
-        mult = -tab[-1][ncore + ridx] * signs[ridx]
+        mult = -tab[-1][starts[ridx]] * signs[ridx]
         (w if kind == "eq" else y)[ridx] = mult
     cert = {"phase": 2, "y": y, "w": w, "bound": margin}
     return lp.Feasibility(False, x, margin, cert)
@@ -171,11 +193,23 @@ def ref_rank(rows):
     return rank
 
 
+def optimum(result):
+    """What every starting basis must agree on, the LP optimum being
+    unique: the verdict, the margin t*, and whether the equalities alone
+    are inconsistent (a phase-1 certificate)."""
+    return result.feasible, result.margin, (result.certificate or {}).get("phase")
+
+
 def assert_same(equalities, stricts, nvars):
+    """strict_feasibility equals the Fraction tableau that starts as it
+    does, and has the optimum of the all-artificial start."""
     got = strict_feasibility(equalities, stricts, nvars)
     want = ref_feasibility(equalities, stricts, nvars)
     assert got == want
     assert repr(got) == repr(want)
+    assert optimum(got) == optimum(
+        ref_feasibility(equalities, stricts, nvars, start="artificial")
+    )
     return got
 
 
@@ -268,57 +302,58 @@ def test_int_and_mixed_coefficients_match_their_fraction_form(system, rng):
 # ------------------------------------------------- one common denominator
 
 
-def watched_simplex(pivots):
-    """A stand-in for lp._simplex that runs it and, after every pivot,
-    checks the integer tableau against a Fraction tableau pivoted the same
-    way from the same start: each division of the pivot is exact, and the
-    tableau divided by its denominator equals the Fraction tableau entry
-    by entry. Its pivots are appended to pivots as (row, label)."""
+def watched_pivot(pivots, nvars):
+    """A stand-in for lp._pivot that runs it and checks it against a
+    Fraction pivot of the same tableau: each division is exact, and the
+    tableau after it, divided by the new denominator, equals the tableau
+    before it, divided by the old one, pivoted in Fraction arithmetic on
+    the same row and column. Every pivot is checked, the start pivot of
+    _solve among them, so by induction the integer tableau over its
+    denominator is the Fraction tableau throughout. Pivots are appended
+    to pivots as (row, label), the label read back from the stored column
+    and its sign as _solve numbers labels."""
+    real = lp._pivot
+    nfree = nvars + 1
+
+    def run(tab, r, col, sign, d):
+        before = [list(row) for row in tab]
+        p = real(tab, r, col, sign, d)
+        prow = before[r]
+        if sign * prow[col] < 0:
+            prow = [-v for v in prow]
+        assert p == sign * prow[col]
+        urow = [sign * v for v in prow]
+        for i, row in enumerate(before):
+            if i != r:
+                f = row[col]
+                assert all((p * a - f * b) % d == 0 for a, b in zip(row, urow))
+        assert tab[r] == prow
+        ref = [[F(v, d) for v in row] for row in before]
+        pv = sign * ref[r][col]
+        ref[r] = [v / pv for v in ref[r]]
+        for i, row in enumerate(ref):
+            if i != r:
+                f = sign * row[col]
+                ref[i] = [v - f * b for v, b in zip(row, ref[r])]
+        assert [[F(v, p) for v in row] for row in tab] == ref
+        pivots.append((r, col if col < nfree and sign > 0 else col + nfree))
+        return p
+
+    return run
+
+
+def phase_pivots(calls):
+    """A stand-in for lp._simplex that runs it and appends the pivots of
+    each call to calls, as a list of (row, label): a program's first call
+    is its phase 1, its second its phase 2."""
     real = lp._simplex
-    seen = {}
 
     def run(tab, basis, d, nfree, nart, driven=()):
-        if seen.get("tab") is not tab:
-            # phase 1 of a new program: every row enters at denominator 1
-            assert d == 1
-            seen.update(tab=tab, ref=[[F(v) for v in row] for row in tab])
-        else:
-            # phase 2: the constraint rows are as phase 1 left them, and
-            # the objective row is the one _solve priced out
-            ref = seen["ref"]
-            assert [[F(v, d) for v in row] for row in tab[:-1]] == ref[:-1]
-            ref[-1] = [F(v, d) for v in tab[-1]]
-        seen.update(before=[list(row) for row in tab], d=d)
-
-        def pivoted(r, label):
-            before, old, ref = seen["before"], seen["d"], seen["ref"]
-            if label < nfree:
-                col, sign = label, 1
-            else:
-                col, sign = label - nfree, -1 if label < 2 * nfree else 1
-            prow = before[r]
-            p = sign * prow[col]
-            if p < 0:
-                prow, p = [-v for v in prow], -p
-            urow = [sign * v for v in prow]
-            for i, row in enumerate(before):
-                if i != r:
-                    f = row[col]
-                    assert all((p * a - f * b) % old == 0 for a, b in zip(row, urow))
-            assert tab[r] == prow
-            pv = sign * ref[r][col]
-            ref[r] = [v / pv for v in ref[r]]
-            for i, row in enumerate(ref):
-                if i != r:
-                    f = sign * row[col]
-                    ref[i] = [v - f * b for v, b in zip(row, ref[r])]
-            assert [[F(v, p) for v in row] for row in tab] == ref
-            seen.update(before=[list(row) for row in tab], d=p)
-            pivots.append((r, label))
-
-        watched = Basis(basis, pivoted)
+        made = []
+        watched = Basis(basis, lambda row, label: made.append((row, label)))
         out = real(tab, watched, d, nfree, nart, driven)
         basis[:] = watched
+        calls.append(made)
         return out
 
     return run
@@ -364,16 +399,44 @@ def test_common_denominator_pivots_match_fraction_tableau():
         )
         eqs, stricts, n = as_ints(system, keep)
         got_pivots, want_pivots = [], []
-        with mock.patch.object(lp, "_simplex", watched_simplex(got_pivots)):
+        with mock.patch.object(lp, "_pivot", watched_pivot(got_pivots, n)):
             got = strict_feasibility(eqs, stricts, n)
         want = ref_feasibility(*system, pivots=want_pivots)
         assert got == want
         assert repr(got) == repr(want)
         assert got_pivots == want_pivots
+        assert optimum(got) == optimum(ref_feasibility(*system, start="artificial"))
         # a zero in a result is the shared ZERO, not a new Fraction
         assert all(v is lp.ZERO for v in result_fractions(got) if not v)
 
     check()
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(entries))
+@example(([], [([F(1)], F(1)), ([F(-1)], F(-3))], 1))
+def test_without_equalities_phase_1_makes_no_pivot(system):
+    # t- enters the most violated strict row before phase 1, which leaves
+    # every inequality row feasible, so with no equality row phase 1 has
+    # nothing to do: its Bland loop makes no pivot, and the start pivot is
+    # the only one before phase 2
+    _, stricts, n = system
+    calls, pivots = [], []
+    with (
+        mock.patch.object(lp, "_simplex", phase_pivots(calls)),
+        mock.patch.object(lp, "_pivot", watched_pivot(pivots, n)),
+    ):
+        got = strict_feasibility([], stricts, n)
+    phase1, phase2 = calls
+    assert phase1 == []
+    start = pivots[: len(pivots) - len(phase2)]
+    violated = [i for i, (_, h) in enumerate(stricts) if h > 0]
+    if violated:
+        worst = max(violated, key=lambda i: stricts[i][1])
+        assert start == [(worst, 2 * n + 1)]
+    else:
+        assert start == []
+    assert optimum(got) == optimum(ref_feasibility([], stricts, n, start="artificial"))
 
 
 def braid_sign_systems(k, central):
@@ -490,6 +553,27 @@ def test_check_rejects_a_flipped_phase1_certificate():
     mult[i] = -mult[i]
     with pytest.raises(RuntimeError):
         _check(rows, 2, replace(r, certificate={**r.certificate, "multipliers": mult}))
+
+
+def test_check_rejects_a_phase1_certificate_weighting_an_inequality_row():
+    # inconsistent equalities with a strict row x > 0: a phase-1 certificate
+    # weights the equalities only (the t column forces zero weight on the
+    # strict rows and on t <= 1), and _solve returns the shared ZERO there
+    eqs = [([F(1), F(1)], F(0)), ([F(2), F(2)], F(1))]
+    stricts = [([F(1), F(0)], F(0))]
+    rows = _system(eqs, stricts, 2)
+    r = strict_feasibility(eqs, stricts, 2)
+    assert r.certificate["phase"] == 1
+    mult = r.certificate["multipliers"]
+    assert mult[0] is lp.ZERO and mult[-1] is lp.ZERO
+    _check(rows, 2, r)
+    for i in (0, len(rows) - 1):
+        for weight in (F(1), F(-1, 3)):
+            tampered = list(mult)
+            tampered[i] = weight
+            cert = {**r.certificate, "multipliers": tampered}
+            with pytest.raises(RuntimeError):
+                _check(rows, 2, replace(r, certificate=cert))
 
 
 def test_check_rejects_a_flipped_phase2_certificate():
