@@ -33,7 +33,7 @@ from itertools import product as iproduct
 
 from .css import CombinatorialCSS, poset_to_css, salvetti_complex
 from .delta import DeltaComplex
-from .lp import rational_rank, strict_feasibility
+from .lp import _fraction, rational_rank, strict_feasibility
 from .poset import Poset, _closure, order_complex
 
 __all__ = [
@@ -65,8 +65,15 @@ class Arrangement:
 
     @classmethod
     def from_lists(cls, n: int, rows) -> "Arrangement":
+        """The arrangement of the rows (a, b), each coefficient an int or a
+        Fraction: a float or a bool raises TypeError naming its form, and
+        an invalid arrangement ValueError."""
         forms = tuple(
-            (tuple(Fraction(v) for v in a), Fraction(b)) for a, b in rows
+            (
+                tuple(_fraction(v, f"form {i}") for v in a),
+                _fraction(b, f"form {i}"),
+            )
+            for i, (a, b) in enumerate(rows)
         )
         arr = cls(n, forms)
         bad = validate_arrangement(arr)

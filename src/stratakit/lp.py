@@ -10,16 +10,28 @@ multipliers are retained as infeasibility certificates.
 Start. Each inequality row is written with a positive slack coefficient
 and starts on its slack: a strict row as -g.x + t + s = -h, and t + s = 1.
 Only an equality row starts on an artificial, negated first if its rhs is
-negative. A strict row with h > 0 is then the only infeasible row, and t-
-enters the one with the largest true h (the first on ties) in one pivot:
-every other strict row i then reads h_r - h_i >= 0, and t <= 1 reads
-1 + h_r. This is the auxiliary-variable start of Chvatal, Linear
-Programming (1983), ch. 8, with the free t as x0. Phase 1 minimizes the
-sum of the equality artificials only, so a system without equalities goes
-straight to phase 2. Per seed-1 ``arrangement`` benchmark pass (2,538
-LPs), the all-artificial start took 15,264 phase-1 and 33 phase-2 Bland
-pivots; this one takes 1,284 start pivots, 5,797 phase-1 and 2,676
-phase-2 pivots, 15,297 -> 9,757 in all.
+negative. As x is free, each equality row in turn is then solved for its
+first x with a nonzero entry, one pivot with no pricing and no ratio test,
+read as x+ or x- so that the row's rhs stays >= 0. A row with no x entry
+left is 0 = rhs: if its rhs is nonzero, the equalities are inconsistent
+and its artificial entries weight them into that contradiction (the
+phase-1 certificate; no inequality row has been pivoted on yet, so every
+slack entry is 0); if it is 0, the row is redundant and stays inert, its
+artificial basic at 0 and every entry a pivot can read 0. A later pivot
+may leave an eliminated row's rhs negative: that row is negated and read
+with x- for x+ (or back), the same basic solution. A strict row with
+h > 0 is then the only infeasible row, and t- enters the one with the
+largest true h in one pivot (the first on ties; h_i is -rhs_i/t_i on the
+tableau, compared as rhs_i*t_w < rhs_w*t_i, since the eliminations have
+moved the row scales): every other strict row i then reads h_r - h_i >= 0,
+and t <= 1 reads 1 + h_r. This is the auxiliary-variable start of
+Chvatal, Linear Programming (1983), ch. 8, with the free t as x0. No
+phase-1 objective is built and Bland's rule runs in phase 2 only. Per
+seed-1 ``arrangement`` benchmark pass (2,538 LPs), the all-artificial
+start took 15,264 phase-1 and 33 phase-2 Bland pivots; phase 1 on the
+equality rows after one t- pivot took 1,284 start, 5,797 phase-1 and
+2,676 phase-2 pivots (9,757); this start takes 2,888 elimination, 1,072
+t- and 3,968 phase-2 pivots (7,928).
 
 One denominator. The tableau holds integer rows R over one common positive
 denominator D, the true tableau being R / D (Edmonds' integer pivoting,
@@ -27,19 +39,17 @@ the rule of Bareiss elimination). Every row enters at D = 1 as its integer
 vector from _system: an all-int row as it is, any other times the lcm d of
 its denominators. A pivot on entry p of row r keeps R_r, makes every other
 row (p*R_i - R_i[col]*R_r) // D, and D becomes p; if p < 0, which happens
-at the start pivot and when an artificial is driven out, R_r and p are
-negated first (the same as negating every row and taking D = -p). Each
-entry is then a minor of the input rows (the objective among them), so
-every division is exact, entries stay as small as those minors, and no row
-is ever divided by a common factor. The pivots are the ones a Fraction
-tableau of the true rows takes: a row that entered times d is its true
-row times d until it is pivoted on, and a positive row scale changes
-neither the ratio test, which compares rhs_i*a_k with rhs_k*a_i, nor the
-signs that Bland's entering test reads. The phase-1 objective, the sum of
-the true equality rows, is stored as sum (L/d_r)*R_r with L the lcm of
-their scales, so it is read over D*L; phase 2 prices out the basic t row
-at D (D*e_t -/+ R_t) and is read over D. Witness, margin and certificate
-become Fractions once, at the end, with ZERO for a zero.
+at the start pivots, R_r and p are negated first (the same as negating
+every row and taking D = -p). Each entry is then a minor of the input rows
+(the objective among them), so every division is exact, entries stay as
+small as those minors, and no row is ever divided by a common factor. The
+pivots are the ones a Fraction tableau of the true rows takes: a row that
+entered times d is its true row times d until it is pivoted on, and a
+positive row scale changes neither the ratio test, which compares
+rhs_i*a_k with rhs_k*a_i, nor the signs that Bland's entering test and the
+start read. Phase 2 prices out the basic t- row at D (D*e_t + R_t) and is
+read over D. Witness, margin and certificate become Fractions once, at the
+end, with ZERO for a zero.
 
 Stored columns. Of the columns a textbook tableau has, only these are
 stored: x+ and t+ (nvars + 1), one slack per inequality row and one
@@ -50,10 +60,9 @@ their negatives in every row and stay so under row operations, so Bland's
 rule reads them by a sign flip, and a pivot on an x- column updates the
 rows with the negated pivot row. Each row's starting basic column, its
 slack or its artificial, is +1 in its own true row and 0 in the others,
-so the certificates read each row's dual from that column's reduced cost.
-In phase 1 the artificial entries of the objective row are not zeroed and
-read D*L plus the reduced cost, so the multiplier of every row is
--obj[column]/(D*L).
+so a row's entries there weight the starting rows into it: the phase-1
+certificate reads them from the inconsistent row, and the phase-2
+certificate reads each row's dual from that column's reduced cost.
 
 Every result is checked before it is returned (_check), against the rows
 from _system: a witness must satisfy every row and a certificate must
@@ -101,12 +110,25 @@ class Feasibility:
     certificate: dict | None
 
 
-def _scaled(values) -> tuple[list[int], int]:
+def _fraction(v, where: str) -> Fraction:
+    """v as a Fraction. A float or a bool raises TypeError naming where:
+    a float stands for its binary value (0.1 would be read as
+    3602879701896397/2**55), and neither is an exact coefficient."""
+    if isinstance(v, (float, bool)):
+        raise TypeError(
+            f"{where} has a {type(v).__name__} coefficient {v!r}; "
+            "give an int or a Fraction"
+        )
+    return Fraction(v)
+
+
+def _scaled(values, where: str) -> tuple[list[int], int]:
     """An integer vector and a positive scale whose quotient is values.
-    An all-int list comes back as it is, with scale 1."""
+    An all-int list comes back as it is, with scale 1; a float or a bool
+    raises TypeError naming where (``_fraction``)."""
     if all(type(v) is int for v in values):
         return values, 1
-    fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in values]
+    fracs = [v if type(v) in (int, Fraction) else _fraction(v, where) for v in values]
     scale = lcm(*(v.denominator for v in fracs))
     return [v.numerator * (scale // v.denominator) for v in fracs], scale
 
@@ -118,7 +140,7 @@ def _system(equalities, stricts, nvars: int) -> list[tuple[list[int], int, str]]
     then equalities e.x = f, then t <= 1. An all-int row is copied once,
     into its vector with scale 1; any other is scaled first (``_scaled``).
     A coefficient list whose length is not nvars raises ValueError naming
-    its row."""
+    its row, and a float or a bool coefficient TypeError."""
     rows = []
     parts = (("ge", "strict", stricts), ("eq", "equality", equalities))
     for kind, name, given in parts:
@@ -131,7 +153,7 @@ def _system(equalities, stricts, nvars: int) -> list[tuple[list[int], int, str]]
             if type(rhs) is int and all(type(v) is int for v in coeffs):
                 rows.append(([*coeffs, -1 if ge else 0, rhs], 1, kind))
                 continue
-            vec, scale = _scaled([*coeffs, rhs])
+            vec, scale = _scaled([*coeffs, rhs], f"{name} row {i}")
             rows.append((vec[:-1] + [-scale if ge else 0, vec[-1]], scale, kind))
     rows.append(([0] * nvars + [1, 1], 1, "le"))
     return rows
@@ -160,62 +182,49 @@ def _pivot(tab, r, col, sign, d) -> int:
     return p
 
 
-def _simplex(tab, basis, d, nfree, nart, driven=()) -> int:
+def _simplex(tab, basis, d, nfree, nart) -> int:
     """Pivot tab, integer rows over the common denominator d with the
-    objective row last (entry > 0 means entering improves), and return the
-    new denominator. Labels and stored columns are as in _solve. First each
-    row in driven, whose artificial is basic at zero level, leaves on its
-    first nonzero entry below nart, if it still has one (never an x-: its
-    x+ comes first and is nonzero); then Bland's rule runs to the optimum.
-    The smallest improving label enters: x+ and t+ (entry > 0), then x-
-    and t- (entry < 0, read from the x+ column by a sign flip), then the
-    slacks; artificials never enter. The smallest basis label among the
-    minimal ratios leaves; the ratio test compares rhs_i*a_k with
-    rhs_k*a_i."""
+    objective row last (entry > 0 means entering improves), by Bland's
+    rule to the optimum, and return the new denominator. Labels and stored
+    columns are as in _solve. The smallest improving label enters: x+ and
+    t+ (entry > 0), then x- and t- (entry < 0, read from the x+ column by
+    a sign flip), then the slacks; artificials never enter. The smallest
+    basis label among the minimal ratios leaves; the ratio test compares
+    rhs_i*a_k with rhs_k*a_i."""
     m = len(tab) - 1
-    driven = list(driven)
     while True:
-        if driven:
-            r = driven.pop(0)
-            prow = tab[r]
-            col = next((j for j in range(nart) if prow[j]), None)
-            if col is None:
-                continue
-            label = col if col < nfree else col + nfree
-            sign = 1
+        obj = tab[m]
+        for col in range(nfree):
+            if obj[col] > 0:
+                label, sign = col, 1
+                break
         else:
-            obj = tab[m]
             for col in range(nfree):
-                if obj[col] > 0:
-                    label, sign = col, 1
+                if obj[col] < 0:
+                    label, sign = nfree + col, -1
                     break
             else:
-                for col in range(nfree):
-                    if obj[col] < 0:
-                        label, sign = nfree + col, -1
+                for col in range(nfree, nart):
+                    if obj[col] > 0:
+                        label, sign = nfree + col, 1
                         break
                 else:
-                    for col in range(nfree, nart):
-                        if obj[col] > 0:
-                            label, sign = nfree + col, 1
-                            break
-                    else:
-                        return d
-            r = None
-            for i in range(m):
-                row = tab[i]
-                a = row[col] * sign
-                if a > 0:
-                    rhs = row[-1]
-                    if r is None:
-                        r, best_rhs, p = i, rhs, a
-                        continue
-                    lhs = rhs * p
-                    other = best_rhs * a
-                    if lhs < other or (lhs == other and basis[i] < basis[r]):
-                        r, best_rhs, p = i, rhs, a
-            if r is None:
-                raise RuntimeError("slack-bounded program cannot be unbounded")
+                    return d
+        r = None
+        for i in range(m):
+            row = tab[i]
+            a = row[col] * sign
+            if a > 0:
+                rhs = row[-1]
+                if r is None:
+                    r, best_rhs, p = i, rhs, a
+                    continue
+                lhs = rhs * p
+                other = best_rhs * a
+                if lhs < other or (lhs == other and basis[i] < basis[r]):
+                    r, best_rhs, p = i, rhs, a
+        if r is None:
+            raise RuntimeError("slack-bounded program cannot be unbounded")
         d = _pivot(tab, r, col, sign, d)
         basis[r] = label
 
@@ -226,8 +235,9 @@ def strict_feasibility(
     nvars: int,
 ) -> Feasibility:
     """Decide {e.x = f for equalities, g.x > h for stricts} over the
-    rationals. Coefficients may be ints, Fractions or a mix; a list of
-    coefficients whose length is not nvars raises ValueError."""
+    rationals. Coefficients may be ints, Fractions or a mix; a float or a
+    bool raises TypeError, and a list of coefficients whose length is not
+    nvars ValueError."""
     rows = _system(equalities, stricts, nvars)
     result = _solve(rows, nvars)
     _check(rows, nvars, result)
@@ -242,7 +252,6 @@ def _solve(rows, nvars: int) -> Feasibility:
     neq = [kind for *_, kind in rows].count("eq")
     nstrict = len(rows) - neq - 1
     nart = nfree + nstrict + 1  # stored index of the first artificial
-    ncore = nfree + nart
     width = nart + neq  # stored columns
 
     # every row starts on the column that is +d in it and 0 in every other
@@ -273,66 +282,61 @@ def _solve(rows, nvars: int) -> Feasibility:
         tab.append(row)
     basis = [c + nfree for c in cols]
 
-    # a strict row with a negative rhs is the only row infeasible at the
-    # start: t- enters the one whose true rhs R[-1]/d is the most negative
-    # (the first on ties), one pivot at D = 1, after which every inequality
-    # row is feasible (the module docstring's Start)
+    # each equality row is solved for its first x with a nonzero entry,
+    # read as x+ or x- so that the row's rhs stays >= 0 (the module
+    # docstring's Start); a row with no x entry left is 0 = rhs
     d = 1
+    eqs = range(nstrict, nstrict + neq)
+    for r in eqs:
+        row = tab[r]
+        col = next((j for j in range(nvars) if row[j]), None)
+        if col is not None:
+            sign = 1 if (row[col] > 0) == (row[-1] >= 0) else -1
+            d = _pivot(tab, r, col, sign, d)
+            basis[r] = col if sign > 0 else nfree + col
+        elif row[-1]:
+            # inconsistent: the row, which entered times its scale, is the
+            # sum of the signed true rows weighted by its artificial
+            # entries; every slack entry is still 0
+            s = d * rows[r][1]
+            mults = (row[c] for c in cols)
+            cert = {
+                "phase": 1,
+                "multipliers": [Fraction(v, s) if v else ZERO for v in mults],
+                "signs": signs,
+            }
+            return Feasibility(False, None, None, cert)
+        # else redundant: its artificial stays basic at 0, and every entry
+        # a pivot can read is 0
+    # a later elimination may have left an eliminated row's rhs negative:
+    # negated, with x+ read as x- (or back), it is the same solution
+    for r in eqs:
+        if tab[r][-1] < 0:
+            tab[r] = [-v for v in tab[r]]
+            basis[r] = (basis[r] + nfree) % (2 * nfree)
+
+    # a strict row with a negative rhs is the only infeasible row now: t-
+    # enters the one whose true rhs R[-1]/R[t] is the most negative (the
+    # first on ties), after which every inequality row is feasible. Phase 2
+    # maximizes t = t+ - t-, priced out with the basic row of t-, whose t+
+    # entry is -d
     worst = None
     for i in range(nstrict):
-        rhs = tab[i][-1]
-        if rhs < 0 and (
-            worst is None or rhs * rows[worst][1] < tab[worst][-1] * rows[i][1]
+        row = tab[i]
+        if row[-1] < 0 and (
+            worst is None or row[-1] * tab[worst][nvars] < tab[worst][-1] * row[nvars]
         ):
             worst = i
-    if worst is not None:
+    if worst is None:
+        obj = [0] * (width + 1)
+        obj[nvars] = d
+    else:
         d = _pivot(tab, worst, nvars, -1, d)
         basis[worst] = nfree + nvars
-
-    # phase 1: maximize -sum(artificials); the objective row is the sum of
-    # the true equality rows times L, the lcm of their scales, read over
-    # D*L. Its artificial entries are not zeroed, so each reads D*L plus
-    # the artificial's reduced cost, and the multiplier of row r is
-    # -obj[cols[r]] / (D*L) for every row alike
-    eqs = tab[nstrict:nstrict + neq]
-    scales = [e for _, e, _ in rows[nstrict:nstrict + neq]]
-    scale = lcm(*scales)
-    if not eqs:
-        obj = [0] * (width + 1)
-    elif scale == 1:
-        obj = list(map(sum, zip(*eqs)))
-    else:
-        weights = [scale // e for e in scales]
-        obj = [sum(map(mul, weights, col)) for col in zip(*eqs)]
+        obj = tab[worst][:]
+        obj[nvars] = 0
     tab.append(obj)
-    d = _simplex(tab, basis, d, nfree, nart)  # artificials never re-enter
-    # objective value is -tab[-1][-1]; equalities are consistent iff it is 0
-    obj = tab[-1]
-    if obj[-1] > 0:
-        s = d * scale
-        mults = (obj[c] for c in cols)
-        cert = {
-            "phase": 1,
-            "multipliers": [Fraction(-v, s) if v else ZERO for v in mults],
-            "signs": signs,
-        }
-        return Feasibility(False, None, None, cert)
-
-    # phase 2: maximize t = t+ - t-, priced out with the basic row of t+ or
-    # t-, whose t+ entry is d or -d; _simplex then drives out any artificial
-    # still basic at zero level, whose pivots keep this row priced out, and
-    # runs Bland's rule
-    obj = [0] * (width + 1)
-    obj[nvars] = d
-    if nvars in basis:
-        obj = [-v for v in tab[basis.index(nvars)]]
-        obj[nvars] = 0
-    elif nfree + nvars in basis:
-        obj = tab[basis.index(nfree + nvars)][:]
-        obj[nvars] = 0
-    tab[-1] = obj
-    driven = [i for i, label in enumerate(basis) if label >= ncore]
-    d = _simplex(tab, basis, d, nfree, nart, driven)
+    d = _simplex(tab, basis, d, nfree, nart)
 
     # x_j and t are read from the one basic row of x+ or x- (t+ or t-):
     # the two columns are negatives of each other, so never both basic
@@ -381,7 +385,7 @@ def _check(rows, nvars: int, result: Feasibility) -> None:
     certificate meets the conditions in the Feasibility docstring."""
     cert = result.certificate
     if result.feasible:
-        point, den = _scaled(result.witness)
+        point, den = _scaled(result.witness, "LP witness")
         for vec, _, kind in rows:
             if kind == "le":
                 continue
@@ -392,10 +396,9 @@ def _check(rows, nvars: int, result: Feasibility) -> None:
                 raise RuntimeError(f"LP witness violates a row: {result}")
         return
     if cert["phase"] == 1:
-        # a phase-1 certificate weights the equality rows only: every
-        # inequality row, written with a +1 slack, has t coefficient +1, so
-        # at the phase-1 optimum their multipliers, each >= 0 by its slack's
-        # reduced cost, add up to 0 by t's
+        # a phase-1 certificate weights the equality rows only: it is read
+        # before any inequality row is pivoted on (the module docstring's
+        # Start)
         weights = {}
         stray = False
         for i, ((*_, kind), m, s) in enumerate(
@@ -435,14 +438,15 @@ def _rank(rows) -> int:
     keeps the rank; an all-int row is only copied. Below the pivot, every
     entry becomes (p*a - f*b) // prev, prev being the previous pivot: the
     division is exact, since each entry is a minor of the integer matrix.
-    Rows of unequal length raise ValueError naming the first such row.
+    Rows of unequal length raise ValueError naming the first such row, and
+    a float or a bool entry TypeError naming its row.
     """
     n = len(rows[0]) if rows else 0
     M = []
     for i, r in enumerate(rows):
         if len(r) != n:
             raise ValueError(f"row {i} has {len(r)} entries, expected {n}")
-        M.append(list(_scaled(r)[0]))
+        M.append(list(_scaled(r, f"row {i}")[0]))
     m = len(M)
     rank = 0
     prev = 1
@@ -465,5 +469,6 @@ def _rank(rows) -> int:
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a rational matrix by exact fraction-free elimination."""
+    """Rank of a rational matrix by exact fraction-free elimination; the
+    entries are ints or Fractions, and a float or a bool raises TypeError."""
     return _rank(rows)

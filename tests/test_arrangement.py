@@ -68,6 +68,19 @@ class TestValidation:
         arr = Arrangement.from_lists(1, [([1], 0), ([-1], 1)])
         assert validate_arrangement(arr) == []
 
+    @pytest.mark.parametrize(
+        "rows", [[([1], 0), ([0.1], 0)], [([1], 0), ([1], True)], [([True], 0)]]
+    )
+    def test_float_or_bool_coefficient_rejected(self, rows):
+        # 0.1 as a float is 3602879701896397/2**55, not 1/10
+        form = len(rows) - 1
+        with pytest.raises(TypeError, match=f"form {form} has a"):
+            Arrangement.from_lists(1, rows)
+
+    def test_fraction_coefficients_kept_exact(self):
+        arr = Arrangement.from_lists(1, [([F(1, 10)], F(-3, 100))])
+        assert arr.forms == (((F(1, 10),), F(-3, 100)),)
+
 
 class TestSignVector:
     def test_order(self):

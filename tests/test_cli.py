@@ -151,6 +151,21 @@ def test_validate_failure_exit_code(tmp_path, capsys):
     assert not json.loads(out)["valid"]
 
 
+def test_validate_reads_a_json_decimal_exactly(tmp_path, capsys):
+    # 0.1x + 0.03 is 10x + 3 scaled by 1/100 only if "0.1" reads as 1/10
+    # and "0.03" as 3/100, not as their binary values
+    path = tmp_path / "decimals.json"
+    one = {"a": ["0.1"], "b": "0.03"}
+    path.write_text(json.dumps({"n": 1, "hyperplanes": [one]}))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 0, err
+    assert json.loads(out)["valid"]
+    path.write_text(json.dumps({"n": 1, "hyperplanes": [one, {"a": [10], "b": 3}]}))
+    code, _, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2
+    assert "form 1 duplicates form 0 up to scaling" in err
+
+
 def test_schema_error_has_pointer_path(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"elements": [{"grade": 3}], "covers": []}))

@@ -104,6 +104,30 @@ class TestShapes:
             rational_rank([[1, 2], [3]])
 
 
+class TestExactInputs:
+    """A float stands for its binary value (0.1 is not 1/10) and a bool for
+    0 or 1, so either is refused as a coefficient, naming its row."""
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False])
+    def test_strict_row(self, value):
+        with pytest.raises(TypeError, match="strict row 1 has a"):
+            strict_feasibility([], [([1, 0], 0), ([F(1, 2), value], 0)], 2)
+
+    @pytest.mark.parametrize("value", [0.1, True])
+    def test_equality_rhs(self, value):
+        with pytest.raises(TypeError, match="equality row 0 has a"):
+            strict_feasibility([([1, 2], value)], [], 2)
+
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_rank_row(self, value):
+        with pytest.raises(TypeError, match="row 2 has a"):
+            rational_rank([[1, 2], [F(1, 3), 0], [3, value]])
+
+    def test_ints_and_fractions_still_mix(self):
+        assert strict_feasibility([([1, F(1, 2)], F(1, 10))], [], 2).feasible
+        assert rational_rank([[1, F(1, 2)], [2, 1]]) == 1
+
+
 class TestRank:
     def test_known_ranks(self):
         assert rational_rank([[F(1), F(2)], [F(2), F(4)]]) == 1

@@ -2,11 +2,12 @@
 Fraction routines they replaced, and the LP's result self-check.
 
 The integer tableau must take the same pivots as a Fraction tableau that
-starts as it does (on the inequality slacks, after one pivot of t-), so
-every ``Feasibility`` (witness, margin and certificate dicts included)
-must equal the reference's, not only the verdict. A second Fraction
-tableau, started with an artificial on every row, must reach the same
-verdict and margin, which are the LP optimum whatever the start.
+starts as it does (on the inequality slacks, each equality row solved for
+one x, then one pivot of t-), so every ``Feasibility`` (witness, margin
+and certificate dicts included) must equal the reference's, not only the
+verdict. A second Fraction tableau, started with an artificial on every
+row and run through phase 1, must reach the same verdict, margin and
+certificate phase, which are fixed by the LP whatever the start.
 """
 
 import random
@@ -74,18 +75,24 @@ class Basis(list):
         self.on_pivot(row, label)
 
 
-def ref_feasibility(equalities, stricts, nvars, pivots=None, start="slack"):
+def ref_feasibility(equalities, stricts, nvars, pivots=None, start="eliminate"):
     """The Fraction tableau's result; its pivots, as (row, label), are
     appended to pivots when a list is given.
 
-    start picks the starting basis. "slack", the rule of lp._solve: each
-    inequality row is written with a +1 slack and starts on it (a strict
-    row is negated), t- enters the strict row with the most negative rhs
-    (the first on ties), and only the equality rows start on artificials,
-    after negation if their rhs is negative. "artificial", the textbook
-    two-phase start: every row starts on an artificial after negation if
-    its rhs is negative. The two need not give the same witness or
-    certificate, but the verdict and the margin, the LP optimum, agree."""
+    start picks the starting basis. "eliminate", the rule of lp._solve:
+    each inequality row is written with a +1 slack and starts on it (a
+    strict row is negated), and each equality row on an artificial, after
+    negation if its rhs is negative. Each equality row in turn is then
+    solved for its first x with a nonzero entry, as x+ or x- so that its
+    rhs stays >= 0; a row with no x entry left and a nonzero rhs proves
+    the equalities inconsistent by its artificial entries. An eliminated
+    row whose rhs a later elimination made negative is negated and read
+    with x- for x+ (or back), t- enters the strict row with the most
+    negative rhs (the first on ties), and phase 2 runs. "artificial", the
+    textbook two-phase start: every row starts on an artificial after
+    negation if its rhs is negative, and phase 1 minimizes their sum. The
+    two need not give the same witness or certificate, but the verdict,
+    the margin (the LP optimum) and the certificate phase agree."""
     zero, one = F(0), F(1)
     rows = []
     for g, h in stricts:
@@ -108,7 +115,7 @@ def ref_feasibility(equalities, stricts, nvars, pivots=None, start="slack"):
         row[-1] = F(rhs)
         if kind != "eq":
             row[2 * nfree + si] = -one if kind == "ge" else one
-        if start == "slack" and kind != "eq":
+        if start == "eliminate" and kind != "eq":
             sign = 1 if kind == "le" else -1
             starts.append(2 * nfree + si)
         else:
@@ -122,35 +129,55 @@ def ref_feasibility(equalities, stricts, nvars, pivots=None, start="slack"):
     basis = list(starts)
     if pivots is not None:
         basis = Basis(basis, lambda row, label: pivots.append((row, label)))
-    if start == "slack":
+    if start == "eliminate":
+        eqs = range(len(stricts), len(stricts) + len(equalities))
+        for i in eqs:
+            row = tab[i]
+            col = next((j for j in range(nvars) if row[j]), None)
+            if col is not None:
+                keep = (row[col] > 0) == (row[-1] >= 0)
+                ref_pivot(tab, basis, i, col if keep else nfree + col)
+            elif row[-1]:
+                cert = {
+                    "phase": 1,
+                    "multipliers": [row[c] for c in starts],
+                    "signs": list(signs),
+                }
+                return lp.Feasibility(False, None, None, cert)
+        for i in eqs:
+            if tab[i][-1] < 0:
+                tab[i] = [-v for v in tab[i]]
+                # the same solution under another label, not a pivot
+                list.__setitem__(basis, i, (basis[i] + nfree) % (2 * nfree))
         violated = [i for i in range(len(stricts)) if tab[i][-1] < 0]
         if violated:
             worst = min(violated, key=lambda i: tab[i][-1])
             ref_pivot(tab, basis, worst, nfree + nvars)
-    obj = [zero] * (ncols + 1)
-    for i, c in enumerate(starts):
-        if c >= ncore:
+    else:
+        obj = [zero] * (ncols + 1)
+        for i, c in enumerate(starts):
             obj[c] = -one
             obj = [v + r for v, r in zip(obj, tab[i])]
-    tab.append(obj)
-    ref_bland_simplex(tab, basis, ncore)
-    if tab[-1][-1] > 0:
-        # an artificial costs -1 in phase 1, a slack 0
-        cert = {
-            "phase": 1,
-            "multipliers": [-(c >= ncore) - tab[-1][c] for c in starts],
-            "signs": list(signs),
-        }
-        return lp.Feasibility(False, None, None, cert)
-    for i in range(len(rows)):
-        if basis[i] >= ncore:
-            enter = next((j for j in range(ncore) if tab[i][j] != 0), None)
-            if enter is not None:
-                ref_pivot(tab, basis, i, enter)
+        tab.append(obj)
+        ref_bland_simplex(tab, basis, ncore)
+        if tab[-1][-1] > 0:
+            # an artificial costs -1 in phase 1
+            cert = {
+                "phase": 1,
+                "multipliers": [-1 - tab[-1][c] for c in starts],
+                "signs": list(signs),
+            }
+            return lp.Feasibility(False, None, None, cert)
+        for i in range(len(rows)):
+            if basis[i] >= ncore:
+                enter = next((j for j in range(ncore) if tab[i][j] != 0), None)
+                if enter is not None:
+                    ref_pivot(tab, basis, i, enter)
+        tab.pop()
     obj = [zero] * (ncols + 1)
     obj[nvars] = one
     obj[nfree + nvars] = -one
-    tab[-1] = obj
+    tab.append(obj)
     for i in range(len(rows)):
         if basis[i] < ncore and obj[basis[i]]:
             f = obj[basis[i]]
@@ -344,14 +371,14 @@ def watched_pivot(pivots, nvars):
 
 def phase_pivots(calls):
     """A stand-in for lp._simplex that runs it and appends the pivots of
-    each call to calls, as a list of (row, label): a program's first call
-    is its phase 1, its second its phase 2."""
+    each call to calls, as a list of (row, label): a program calls it once,
+    for phase 2, unless its equalities are inconsistent."""
     real = lp._simplex
 
-    def run(tab, basis, d, nfree, nart, driven=()):
+    def run(tab, basis, d, nfree, nart):
         made = []
         watched = Basis(basis, lambda row, label: made.append((row, label)))
-        out = real(tab, watched, d, nfree, nart, driven)
+        out = real(tab, watched, d, nfree, nart)
         basis[:] = watched
         calls.append(made)
         return out
@@ -375,8 +402,8 @@ entries = st.one_of(
 )
 
 
-# three equalities through 0 in R^2: the third artificial stays basic at
-# zero level and is driven out on a negative pivot
+# three equalities through 0 in R^2: the third is redundant, so its
+# artificial stays basic at zero level, in a row that no pivot reads
 REDUNDANT = (
     [([F(6), F(1)], F(0)), ([F(0), F(-5)], F(0)), ([F(6), F(6)], F(0))],
     [([F(-6), F(-1)], F(0))],
@@ -412,31 +439,76 @@ def test_common_denominator_pivots_match_fraction_tableau():
     check()
 
 
+# solving the second equality for x1 leaves the first, solved for x0,
+# with a negative rhs: read with x0- for x0+ it is feasible again, and
+# without that flip phase 2 starts infeasible and returns a witness that
+# violates a row
+FLIP = (
+    [([3, -3, -3, -3], 1), ([-1, 0, 2, -1], 1)],
+    [([-1, 0, 2, 1], 0), ([-3, -1, -1, 2], 3), ([-1, -2, 1, 2], -3)],
+    4,
+)
+
+
+def start_and_phase2(system):
+    """strict_feasibility of system, the pivots made before phase 2, the
+    basis phase 2 starts from (None when it does not run) and the pivots
+    of each _simplex call."""
+    eqs, stricts, n = system
+    calls, pivots, bases = [], [], []
+    real = phase_pivots(calls)
+
+    def run(tab, basis, *rest):
+        bases.append(list(basis))
+        return real(tab, basis, *rest)
+
+    with (
+        mock.patch.object(lp, "_simplex", run),
+        mock.patch.object(lp, "_pivot", watched_pivot(pivots, n)),
+    ):
+        got = strict_feasibility(eqs, stricts, n)
+    start = pivots[: len(pivots) - sum(map(len, calls))]
+    return got, start, (bases or [None])[0], calls
+
+
+def test_an_eliminated_row_left_negative_is_read_with_x_minus():
+    got, start, basis, _ = start_and_phase2(FLIP)
+    # x0+ enters the first equality (row 3), x1- the second (row 4), whose
+    # pivot leaves row 3 at rhs -3; phase 2 starts with row 3 on x0-
+    assert start[:2] == [(3, 0), (4, 6)]
+    assert basis[3] == 5
+    assert got.feasible
+    assert_same(*FLIP)
+
+
 @settings(max_examples=150, deadline=None)
 @given(systems(entries))
 @example(([], [([F(1)], F(1)), ([F(-1)], F(-3))], 1))
-def test_without_equalities_phase_1_makes_no_pivot(system):
-    # t- enters the most violated strict row before phase 1, which leaves
-    # every inequality row feasible, so with no equality row phase 1 has
-    # nothing to do: its Bland loop makes no pivot, and the start pivot is
-    # the only one before phase 2
-    _, stricts, n = system
-    calls, pivots = [], []
-    with (
-        mock.patch.object(lp, "_simplex", phase_pivots(calls)),
-        mock.patch.object(lp, "_pivot", watched_pivot(pivots, n)),
-    ):
-        got = strict_feasibility([], stricts, n)
-    phase1, phase2 = calls
-    assert phase1 == []
-    start = pivots[: len(pivots) - len(phase2)]
-    violated = [i for i, (_, h) in enumerate(stricts) if h > 0]
-    if violated:
-        worst = max(violated, key=lambda i: stricts[i][1])
-        assert start == [(worst, 2 * n + 1)]
+@example(FLIP)
+@example(REDUNDANT)
+def test_start_makes_rank_eliminations_then_at_most_one_t_pivot(system):
+    # before phase 2, each equality row independent of the ones before it
+    # is solved for an x (rank(equalities) pivots in all), then t- enters
+    # at most one strict row, and no Bland pivot is made; inconsistent
+    # equalities stop the elimination, and phase 2 does not run
+    eqs, stricts, n = system
+    got, start, _, calls = start_and_phase2(system)
+    assert len(calls) <= 1
+    t_minus = 2 * n + 1
+    elim = [p for p in start if p[1] != t_minus]
+    assert start[: len(elim)] == elim
+    assert [row for row, _ in elim] == sorted({row for row, _ in elim})
+    nstrict = len(stricts)
+    assert all(nstrict <= row < nstrict + len(eqs) for row, _ in elim)
+    assert all(label < n or n + 1 <= label < t_minus for _, label in elim)
+    rank = _rank([a for a, _ in eqs])
+    t_pivots = start[len(elim):]
+    if got.certificate and got.certificate["phase"] == 1:
+        assert not calls and len(elim) <= rank and not t_pivots
     else:
-        assert start == []
-    assert optimum(got) == optimum(ref_feasibility([], stricts, n, start="artificial"))
+        assert len(calls) == 1 and len(elim) == rank
+        assert len(t_pivots) <= 1 and all(row < nstrict for row, _ in t_pivots)
+    assert optimum(got) == optimum(ref_feasibility(*system, start="artificial"))
 
 
 def braid_sign_systems(k, central):
@@ -557,8 +629,8 @@ def test_check_rejects_a_flipped_phase1_certificate():
 
 def test_check_rejects_a_phase1_certificate_weighting_an_inequality_row():
     # inconsistent equalities with a strict row x > 0: a phase-1 certificate
-    # weights the equalities only (the t column forces zero weight on the
-    # strict rows and on t <= 1), and _solve returns the shared ZERO there
+    # weights the equalities only (it is read before any inequality row is
+    # pivoted on), and _solve returns the shared ZERO there
     eqs = [([F(1), F(1)], F(0)), ([F(2), F(2)], F(1))]
     stricts = [([F(1), F(0)], F(0))]
     rows = _system(eqs, stricts, 2)
