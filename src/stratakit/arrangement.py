@@ -66,8 +66,8 @@ class Arrangement:
     @classmethod
     def from_lists(cls, n: int, rows) -> "Arrangement":
         """The arrangement of the rows (a, b), each coefficient an int or a
-        Fraction: a float or a bool raises TypeError naming its form, and
-        an invalid arrangement ValueError."""
+        Fraction: any other value raises TypeError naming its form, and an
+        invalid arrangement ValueError."""
         forms = tuple(
             (
                 tuple(_fraction(v, f"form {i}") for v in a),
@@ -83,11 +83,25 @@ class Arrangement:
 
 
 def validate_arrangement(arr: Arrangement) -> list[str]:
+    """The faults of the arrangement, each naming its form; empty iff
+    valid. An ``Arrangement`` built directly, not by ``from_lists``, may
+    hold a coefficient that is not an int or a Fraction; it is reported,
+    and its form is not compared with the others."""
     problems = []
     seen: list[tuple[int, tuple]] = []
     for i, (a, b) in enumerate(arr.forms):
         if len(a) != arr.n:
             problems.append(f"form {i}: expected {arr.n} coefficients")
+            continue
+        inexact = [
+            v for v in (*a, b) if type(v) is not int and not isinstance(v, Fraction)
+        ]
+        if inexact:
+            v = inexact[0]
+            problems.append(
+                f"form {i}: {type(v).__name__} coefficient {v!r} is not an int "
+                "or a Fraction"
+            )
             continue
         if not any(a):
             problems.append(f"form {i}: zero linear part does not cut a hyperplane")

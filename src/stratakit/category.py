@@ -13,9 +13,14 @@ kernels (the checks of ``validate_category``, the nerve, the link table,
 group actions and orbit quotients) read one dense numbering per
 category, ``AcyclicCategory._index``, instead of looking ids up in dicts;
 ``categories_isomorphic`` is networkx's matcher. ``_index`` is the only
-derived numbering and adjacency of a category: ``hom``,
-``out_morphisms`` and ``in_morphisms`` read it, and so do the exports of
-``io`` and the DOT diagram of the CLI.
+derived numbering and adjacency of a category, and the only place that
+hashes its ids in bulk: ``hom``, ``out_morphisms`` and ``in_morphisms``
+read it, and so do the exports of ``io`` and the DOT diagram of the CLI.
+The checks and the link table go back to the ids only where the
+numbering cannot be built or read (undefined endpoints, missing
+composites, repeated ids), so an invalid table is reported, or raises,
+as it did before they read the numbering. Cells with equal link
+relations share one closure (``AcyclicCategory._closures``).
 
 The nondegenerate nerve is grown by ``delta._nerve``, the one kernel that
 grows every nerve (order complexes too). The stars and links of an object
@@ -66,7 +71,8 @@ class _Index(NamedTuple):
     objects with ``mor``; ``comp[g * |Mor| + f]`` is the number of
     the composite of the entry (g, f) of ``compose``, in its order, or
     None when the composite is not a morphism of the category. An entry
-    naming an unknown g or f has no key; ``validate_category`` reports it.
+    naming an unknown g or f has no key, so when every entry has one,
+    ``comp`` lists the entries in ``compose`` order.
 
     A repeated id keeps the number of its last position, so the numbering
     never merges distinct ids and a lookup through ``obj`` or ``mor``
@@ -136,6 +142,14 @@ class AcyclicCategory:
         return {}
 
     @cached_property
+    def _closures(self) -> dict[tuple[int, tuple[tuple[int, int], ...]], _Closed]:
+        """The closures of the link table, one per distinct relation: a
+        link's (element count, relation pairs) -> its ``_Closed``. The
+        closure depends on nothing else, so the cells whose links have
+        equal relations share one closure, computed once."""
+        return {}
+
+    @cached_property
     def _spheres(self) -> dict:
         """The sphere-test memo of ``css._sphere_homology_ok``: for each
         link or lower-interval poset with a cover tested so far, its
@@ -150,28 +164,49 @@ class AcyclicCategory:
         ``in_morphisms`` order, and the closure (``poset._closure``) of
         the relation b_i < b_j iff b_i = b_j . c for a morphism c into
         src(b_j), on the indices into ``in_morphisms(x)``. Labels are not
-        stored: ``in_morphisms(x)`` gives them.
+        stored: ``in_morphisms(x)`` gives them. The closure comes from
+        ``_closures``: a cell whose relation (element count and pairs, in
+        order) another cell had gets that cell's ``_Closed`` object.
 
         The morphisms into x and into each src(b) are read from ``_index``
-        (``inc`` and ``src``); each pair of the relation is one
-        ``compose`` lookup, so an invalid table raises the KeyError of its
-        first missing entry or unknown composite, and a relation with a
-        cycle the ValueError of the closure; a failed fill keeps no entry.
-        Cost of the first call O(sum over b into x of |in(src b)|)
-        composition lookups plus one closure and cover reduction."""
+        (``inc`` and ``src``), and each pair of the relation is one
+        integer read of ``comp``. Where that read fails (a missing entry,
+        a composite outside the category, or a repeated id, whose earlier
+        positions have no ``comp`` key), the relation is built again from
+        the ids, one ``compose`` lookup per pair, which gives the links of
+        repeated ids, and for an invalid table raises the KeyError of its
+        first missing entry or unknown composite; a relation with a cycle
+        raises the ValueError of the closure. A failed fill keeps no
+        entry. Cost of the first call O(sum over b into x of |in(src b)|)
+        integer reads, plus one closure and cover reduction per distinct
+        relation of the category."""
         link = self._links.get(x)
         if link is None:
             ix = self._index
             mids, inc, src = ix.inc[ix.obj[x]], ix.inc, ix.src
-            ids, objects, compose = self.morphisms, self.objects, self.compose
-            index = {ids[m]: i for i, m in enumerate(mids)}
+            objects = self.objects
             grades = tuple(self.grades[objects[src[m]]] for m in mids)
-            pairs = [
-                (index[compose[(ids[b], ids[piece])]], j)
-                for j, b in enumerate(mids)
-                for piece in inc[src[b]]
-            ]
-            link = self._links[x] = (grades, _closure(range(len(mids)), pairs))
+            n, comp = len(self.morphisms), ix.comp
+            index = {m: i for i, m in enumerate(mids)}
+            try:
+                pairs = tuple([
+                    (index[comp[b * n + piece]], j)
+                    for j, b in enumerate(mids)
+                    for piece in inc[src[b]]
+                ])
+            except KeyError:
+                ids, compose = self.morphisms, self.compose
+                index = {ids[m]: i for i, m in enumerate(mids)}
+                pairs = tuple([
+                    (index[compose[(ids[b], ids[piece])]], j)
+                    for j, b in enumerate(mids)
+                    for piece in inc[src[b]]
+                ])
+            key = (len(mids), pairs)
+            closed = self._closures.get(key)
+            if closed is None:
+                closed = self._closures[key] = _closure(range(len(mids)), pairs)
+            link = self._links[x] = (grades, closed)
         return link
 
     def hom(self, x: Obj, y: Obj) -> tuple[Mid, ...]:
@@ -219,29 +254,51 @@ def validate_category(c: AcyclicCategory) -> list[str]:
 def _category_problems(c: AcyclicCategory) -> list[str]:
     """The diagnostics of ``validate_category``, in their order.
 
-    Ids are checked for repeats and undefined endpoints first; every
-    later check reads ``_index``. Cost, before -> after: acyclicity by the
-    transitive closure of ``poset._strict_down``, one down-set union per
-    morphism, -> a topological count (Kahn), O(|Ob| + |Mor|); composition
-    entries, missing entries and associativity from nine id lookups per
-    entry and three per composable pair or triple -> three per entry and
-    integer reads after that."""
+    Every check reads ``_index``: repeated ids are the ids the numbering
+    merges, a Hom(x,x) morphism has equal endpoint numbers, and the
+    composition entries are checked from the keys of ``comp``, which
+    follow ``compose`` when every entry names a known g and f, so no id is
+    hashed again; only a table with an entry naming an unknown g or f
+    numbers its entries by their ids. If ``_index`` cannot be built (an
+    undefined endpoint), the id checks run instead, and report the
+    undefined endpoint, or raise, as before the numbering. Cost, before
+    -> after: acyclicity by the transitive closure of
+    ``poset._strict_down``, one down-set union per morphism, -> a
+    topological count (Kahn), O(|Ob| + |Mor|); repeated ids and Hom(x,x)
+    from two id sets and four id lookups per morphism -> two lengths and
+    integer compares; composition entries, missing entries and
+    associativity from nine id lookups per entry and three per
+    composable pair or triple -> integer reads."""
     problems = []
-    objs = set(c.objects)
-    if len(objs) != len(c.objects):
-        problems.append("duplicate object ids")
-    mids = set(c.morphisms)
-    if len(mids) != len(c.morphisms):
-        problems.append("duplicate morphism ids")
-    for m in c.morphisms:
-        if c.src.get(m) not in objs or c.dst.get(m) not in objs:
-            problems.append(f"morphism {m!r} has undefined endpoints")
-            return problems
-        if c.src[m] == c.dst[m]:
-            problems.append(
-                f"morphism {m!r}: Hom(x,x) may only contain the identity"
-            )
-    ix = c._index
+    try:
+        ix = c._index
+    except Exception:  # the id checks below report or raise it
+        ix = None
+    if ix is None:
+        objs = set(c.objects)
+        if len(objs) != len(c.objects):
+            problems.append("duplicate object ids")
+        if len(set(c.morphisms)) != len(c.morphisms):
+            problems.append("duplicate morphism ids")
+        for m in c.morphisms:
+            if c.src.get(m) not in objs or c.dst.get(m) not in objs:
+                problems.append(f"morphism {m!r} has undefined endpoints")
+                return problems
+            if c.src[m] == c.dst[m]:
+                problems.append(
+                    f"morphism {m!r}: Hom(x,x) may only contain the identity"
+                )
+        ix = c._index
+    else:
+        if len(ix.obj) != len(c.objects):
+            problems.append("duplicate object ids")
+        if len(ix.mor) != len(c.morphisms):
+            problems.append("duplicate morphism ids")
+        for m, i, k in zip(c.morphisms, ix.src, ix.dst):
+            if i == k:
+                problems.append(
+                    f"morphism {m!r}: Hom(x,x) may only contain the identity"
+                )
     if not _acyclic(ix):
         problems.append("acyclicity violation: Hom cycle through objects")
     if problems:
@@ -249,9 +306,14 @@ def _category_problems(c: AcyclicCategory) -> list[str]:
 
     morphisms = c.morphisms
     n = len(morphisms)
-    number, src, dst, out, comp = ix.mor.get, ix.src, ix.dst, ix.out, ix.comp
-    for (g, f), gf in c.compose.items():
-        gi, fi, hi = number(g), number(f), number(gf)
+    src, dst, out, comp = ix.src, ix.dst, ix.out, ix.comp
+    items = c.compose.items()
+    if len(comp) == len(items):
+        numbered = ((*divmod(key, n), hi) for key, hi in comp.items())
+    else:
+        number = ix.mor.get
+        numbered = ((number(g), number(f), number(gf)) for (g, f), gf in items)
+    for ((g, f), gf), (gi, fi, hi) in zip(items, numbered):
         if gi is None or fi is None or hi is None:
             problems.append(f"composition entry ({g!r},{f!r}) references unknown ids")
         elif dst[fi] != src[gi]:

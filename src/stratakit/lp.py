@@ -111,10 +111,11 @@ class Feasibility:
 
 
 def _fraction(v, where: str) -> Fraction:
-    """v as a Fraction. A float or a bool raises TypeError naming where:
-    a float stands for its binary value (0.1 would be read as
-    3602879701896397/2**55), and neither is an exact coefficient."""
-    if isinstance(v, (float, bool)):
+    """v, an int or a Fraction, as a Fraction. Any other value raises
+    TypeError naming where: a float stands for its binary value (0.1
+    would be read as 3602879701896397/2**55), a bool for 0 or 1, and a
+    str or a Decimal would be parsed, so none is an exact coefficient."""
+    if type(v) is not int and not isinstance(v, Fraction):
         raise TypeError(
             f"{where} has a {type(v).__name__} coefficient {v!r}; "
             "give an int or a Fraction"
@@ -124,8 +125,8 @@ def _fraction(v, where: str) -> Fraction:
 
 def _scaled(values, where: str) -> tuple[list[int], int]:
     """An integer vector and a positive scale whose quotient is values.
-    An all-int list comes back as it is, with scale 1; a float or a bool
-    raises TypeError naming where (``_fraction``)."""
+    An all-int list comes back as it is, with scale 1; a value that is
+    not an int or a Fraction raises TypeError naming where (``_fraction``)."""
     if all(type(v) is int for v in values):
         return values, 1
     fracs = [v if type(v) in (int, Fraction) else _fraction(v, where) for v in values]
@@ -140,7 +141,7 @@ def _system(equalities, stricts, nvars: int) -> list[tuple[list[int], int, str]]
     then equalities e.x = f, then t <= 1. An all-int row is copied once,
     into its vector with scale 1; any other is scaled first (``_scaled``).
     A coefficient list whose length is not nvars raises ValueError naming
-    its row, and a float or a bool coefficient TypeError."""
+    its row, and a coefficient that is not an int or a Fraction TypeError."""
     rows = []
     parts = (("ge", "strict", stricts), ("eq", "equality", equalities))
     for kind, name, given in parts:
@@ -235,9 +236,9 @@ def strict_feasibility(
     nvars: int,
 ) -> Feasibility:
     """Decide {e.x = f for equalities, g.x > h for stricts} over the
-    rationals. Coefficients may be ints, Fractions or a mix; a float or a
-    bool raises TypeError, and a list of coefficients whose length is not
-    nvars ValueError."""
+    rationals. Coefficients may be ints, Fractions or a mix; any other
+    value (a float, a bool, a str) raises TypeError, and a list of
+    coefficients whose length is not nvars ValueError."""
     rows = _system(equalities, stricts, nvars)
     result = _solve(rows, nvars)
     _check(rows, nvars, result)
@@ -439,7 +440,7 @@ def _rank(rows) -> int:
     entry becomes (p*a - f*b) // prev, prev being the previous pivot: the
     division is exact, since each entry is a minor of the integer matrix.
     Rows of unequal length raise ValueError naming the first such row, and
-    a float or a bool entry TypeError naming its row.
+    an entry that is not an int or a Fraction TypeError naming its row.
     """
     n = len(rows[0]) if rows else 0
     M = []
@@ -470,5 +471,5 @@ def _rank(rows) -> int:
 
 def rational_rank(rows: list[list[Fraction]]) -> int:
     """Rank of a rational matrix by exact fraction-free elimination; the
-    entries are ints or Fractions, and a float or a bool raises TypeError."""
+    entries are ints or Fractions, and any other value raises TypeError."""
     return _rank(rows)

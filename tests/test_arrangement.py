@@ -77,6 +77,24 @@ class TestValidation:
         with pytest.raises(TypeError, match=f"form {form} has a"):
             Arrangement.from_lists(1, rows)
 
+    @pytest.mark.parametrize(
+        "forms, problem",
+        [
+            ((((F(1, 10),), 0.0),), "form 0: float coefficient 0.0"),
+            ((((1,), 0), ((0.1,), 0)), "form 1: float coefficient 0.1"),
+            ((((True,), 0),), "form 0: bool coefficient True"),
+            ((((1,), "1/2"),), "form 0: str coefficient '1/2'"),
+        ],
+    )
+    def test_inexact_coefficient_of_a_direct_arrangement(self, forms, problem):
+        # built without from_lists, so nothing converted the coefficients
+        arr = Arrangement(1, forms)
+        assert validate_arrangement(arr) == [
+            problem + " is not an int or a Fraction"
+        ]
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            faces_level1(arr)
+
     def test_fraction_coefficients_kept_exact(self):
         arr = Arrangement.from_lists(1, [([F(1, 10)], F(-3, 100))])
         assert arr.forms == (((F(1, 10),), F(-3, 100)),)

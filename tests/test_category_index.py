@@ -31,6 +31,7 @@ from stratakit.graphconf import (
 from stratakit.poset import _strict_down
 from test_category_engines import digraph_categories
 from test_indexed_constructions import assert_same, quotient_reference
+from test_link_table import outcome
 
 
 # --- copies of the id-keyed code -------------------------------------------
@@ -244,6 +245,76 @@ def test_validate_category_matches_copy_on_repeats_and_cycles(c):
     # the numbering gives a repeated id its last position; the cycle check
     # on it must agree with the closure-based check on the id set
     assert validate_category(c) == category_problems_before(c)
+
+
+@st.composite
+def categories_with_id_faults(draw):
+    """Small tables with faults in their ids, each drawn or not: objects
+    and morphism ids repeated, a morphism without a source or with an
+    endpoint that is no object (so ``_index`` cannot be built); Hom(x,x)
+    morphisms and cycles may come with any of them. Composition entries
+    name any morphism, known or not, as g, f or composite."""
+    faults = draw(st.sets(st.sampled_from(["objects", "ids", "source", "endpoint"])))
+    n = draw(st.integers(1, 4))
+    objects = list(range(n))
+    if "objects" in faults:
+        objects += draw(st.lists(st.sampled_from(objects), min_size=1, max_size=2))
+    mids = draw(st.lists(st.sampled_from("abcdef"), max_size=6, unique=True))
+    ends = st.sampled_from(objects)
+    src = {m: draw(ends) for m in mids}
+    dst = {m: draw(ends) for m in mids}
+    if mids and "source" in faults:
+        del src[draw(st.sampled_from(mids))]
+    if mids and "endpoint" in faults:
+        dst[draw(st.sampled_from(mids))] = n  # no object
+    if mids and "ids" in faults:
+        mids += draw(st.lists(st.sampled_from(mids), min_size=1, max_size=2))
+    names = st.sampled_from([*mids, "ghost"])
+    compose = draw(st.dictionaries(st.tuples(names, names), names, max_size=6))
+    return AcyclicCategory(tuple(objects), tuple(mids), src, dst, compose)
+
+
+@settings(max_examples=400, deadline=None)
+@given(categories_with_id_faults())
+def test_validate_category_matches_copy_on_id_faults(c):
+    # an undefined endpoint makes _index raise: the id checks report it
+    assert outcome(validate_category, c) == outcome(category_problems_before, c)
+
+
+@pytest.mark.parametrize(
+    "c, want",
+    [
+        (
+            AcyclicCategory(("x", "y"), ("f", "g"), {"f": "x"}, {"f": "y", "g": "y"}, {}),
+            ["morphism 'g' has undefined endpoints"],
+        ),
+        (
+            AcyclicCategory(
+                ("x", "x", "y"), ("f", "g", "f"), {"f": "x", "g": "y"},
+                {"f": "z", "g": "y"}, {},
+            ),
+            [
+                "duplicate object ids",
+                "duplicate morphism ids",
+                "morphism 'f' has undefined endpoints",
+            ],
+        ),
+        (
+            AcyclicCategory(
+                ("x", "x", "y"), ("f", "g", "f"), {"f": "x", "g": "y"},
+                {"f": "y", "g": "y"}, {("g", "f"): "f"},
+            ),
+            [
+                "duplicate object ids",
+                "duplicate morphism ids",
+                "morphism 'g': Hom(x,x) may only contain the identity",
+                "acyclicity violation: Hom cycle through objects",
+            ],
+        ),
+    ],
+)
+def test_id_faults_in_order(c, want):
+    assert validate_category(c) == want == category_problems_before(c)
 
 
 def swaps_of_parallel_composites(c):

@@ -4,10 +4,14 @@
 cached on the face category (``AcyclicCategory._link``). It is compared
 with a copy of the function that rebuilt them on every call: elements,
 covers, grades, labels and down-sets; each table entry must be the source
-grades and that copy's closure, down-sets as sorted tuples. Inputs are
-fixtures, products, duals, configuration spaces and their quotients; the
-table of a fresh category is first filled by the computed closed flags of
-``make_css``.
+grades and that copy's closure, down-sets as sorted tuples, and must equal
+a copy of the per-cell ``_link`` that read every pair through the ids and
+closed every cell's relation itself. Cells with equal relations share one
+closure object, and building a configuration space closes each distinct
+relation once. Inputs are fixtures, products, duals, configuration spaces
+and their quotients, also with a composite dropped or redirected or a
+morphism id repeated; the table of a fresh category is first filled by
+the computed closed flags of ``make_css``.
 
 ``Poset.from_relation`` with an empty relation on distinct elements, and
 ``order_complex`` on an antichain, skip the closure and the chain layers;
@@ -21,7 +25,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stratakit.css as css
@@ -50,6 +54,7 @@ from stratakit.graphconf import (
 )
 from stratakit.poset import (
     Poset,
+    _closure,
     _strict_down,
     order_complex,
     validate_poset,
@@ -101,6 +106,30 @@ def link_table_before(x, cell):
     p = link_poset_before(x, cell)
     down = tuple(tuple(sorted(p._down[e])) for e in p.elements)
     return tuple(p.grades.values()), (p.covers, down)
+
+
+def link_relation_before(c, cell):
+    """The source grades and the relation (element count, pairs) of the
+    per-cell ``_link`` before the shared closures: each pair read through
+    the ids, one ``compose`` lookup per pair."""
+    ix = c._index
+    mids, inc, src = ix.inc[ix.obj[cell]], ix.inc, ix.src
+    ids, objects, compose = c.morphisms, c.objects, c.compose
+    index = {ids[m]: i for i, m in enumerate(mids)}
+    grades = tuple(c.grades[objects[src[m]]] for m in mids)
+    pairs = [
+        (index[compose[(ids[b], ids[piece])]], j)
+        for j, b in enumerate(mids)
+        for piece in inc[src[b]]
+    ]
+    return grades, (len(mids), tuple(pairs))
+
+
+def link_entry_before(c, cell):
+    """The link table entry the per-cell ``_link`` computed: the source
+    grades and its own closure of the cell's relation."""
+    grades, (k, pairs) = link_relation_before(c, cell)
+    return grades, _closure(range(k), list(pairs))
 
 
 def order_complex_before(p):
@@ -203,6 +232,32 @@ def base(name):
     return BASES[name]()
 
 
+def redirect_composite(c, i):
+    """The category with its i-th composition entry (mod their count)
+    pointing at another morphism: its links may gain a cycle or a pair
+    with a composite outside them."""
+    entries = list(c.compose)
+    if not entries or len(c.morphisms) < 2:
+        return c
+    key = entries[i % len(entries)]
+    others = [m for m in c.morphisms if m != c.compose[key]]
+    compose = dict(c.compose)
+    compose[key] = others[(i // len(entries)) % len(others)]
+    return AcyclicCategory(c.objects, c.morphisms, c.src, c.dst, compose, c.grades)
+
+
+def repeat_id(c, i):
+    """The category with the i-th morphism id (mod their count) also at a
+    second position: the numbering gives it the later one, so the earlier
+    position has no ``comp`` key."""
+    if not c.morphisms:
+        return c
+    mids = list(c.morphisms)
+    m = mids[i % len(mids)]
+    mids.insert((i // len(mids)) % (len(mids) + 1), m)
+    return AcyclicCategory(c.objects, tuple(mids), c.src, c.dst, c.compose, c.grades)
+
+
 def drop_composite(c, i):
     """The category without its i-th composition entry (mod their count):
     invalid, and its links are undefined where the entry was needed."""
@@ -220,23 +275,43 @@ def drop_composite(c, i):
     )
 
 
+PERTURB = {
+    "none": lambda c, i: c,
+    "drop a composite": drop_composite,
+    "redirect a composite": redirect_composite,
+    "repeat an id": repeat_id,
+}
+
+
 # --- the link table ---------------------------------------------------------
 
 
 def assert_links_as_before(c, x_before):
+    """Each cell's link poset and table entry as the per-cell code before
+    gave them, and one closure object per distinct relation."""
     x = CombinatorialCSS(c, dict(x_before.closed))
+    # the code before the table keyed grades and labels by the index of an
+    # id, so it merged the positions of a repeated id; the table and the
+    # per-cell _link keep one element per position
+    distinct = len(set(c.morphisms)) == len(c.morphisms)
+    shared = {}
     for cell in c.objects:
         got = outcome(lambda: shape(link_poset(x, cell)))
-        want = outcome(lambda: shape(link_poset_before(x_before, cell)))
-        assert got == want
+        if distinct:
+            assert got == outcome(lambda: shape(link_poset_before(x_before, cell)))
+        entry = outcome(c._link, cell)
+        assert entry == outcome(link_entry_before, fresh(c), cell)
         if got[0] == "returned":
             lk = link_poset(x, cell)
             assert {e: lk.down_set(e) for e in lk.elements} == {
                 e: frozenset(s)
                 for e, s in _strict_down(lk.elements, lk.covers).items()
             }
+            _, relation = link_relation_before(c, cell)
+            assert shared.setdefault(relation, entry[1][1]) is entry[1][1]
         else:  # a failed fill leaves no entry behind
             assert cell not in c._links
+    assert len({id(closed) for closed in shared.values()}) == len(shared)
 
 
 class TestLinkTable:
@@ -265,16 +340,39 @@ class TestLinkTable:
     @settings(max_examples=120, deadline=None)
     @given(
         st.sampled_from(sorted(BASES)),
-        st.sampled_from(["none", "drop a composite"]),
+        st.sampled_from(sorted(PERTURB)),
         st.integers(0, 10**6),
     )
+    # pinned: links through a repeated id, and failed fills of the id path
+    @example("product rp2 x simplex-2", "repeat an id", 7)
+    @example("conf k5 2", "redirect a composite", 37)
+    @example("conf k5 2", "drop a composite", 0)
     def test_links_as_before(self, name, how, i):
         x = base(name)
-        c = fresh(x.cat)
-        if how == "drop a composite":
-            c = drop_composite(c, i)
+        c = PERTURB[how](fresh(x.cat), i)
         css._computed_closed_flags(c)
         assert_links_as_before(c, CombinatorialCSS(c, dict(x.closed)))
+
+    def test_one_closure_per_distinct_relation(self, monkeypatch):
+        closed = []
+
+        def counted(elements, pairs):
+            closed.append((len(elements), tuple(pairs)))
+            return _closure(elements, pairs)
+
+        monkeypatch.setattr(cat_ops, "_closure", counted)
+        c = conf_category(k5_graph(), 2).cat
+        # the computed flags of make_css filled the table
+        assert set(c._links) == set(c.objects)
+        relations = {cell: link_relation_before(c, cell)[1] for cell in c.objects}
+        assert sorted(closed) == sorted(set(relations.values()))
+        assert len(closed) < len(c.objects) // 4
+        first = {}
+        for cell, relation in relations.items():
+            first.setdefault(relation, cell)
+            # the same object as the first cell with this relation
+            assert c._links[cell][1] is c._links[first[relation]][1]
+            assert c._links[cell] == link_entry_before(c, cell)
 
 
 class TestComputedFlagsOnAnInvalidCategory:

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -122,6 +123,17 @@ class TestExactInputs:
     def test_rank_row(self, value):
         with pytest.raises(TypeError, match="row 2 has a"):
             rational_rank([[1, 2], [F(1, 3), 0], [3, value]])
+
+    @pytest.mark.parametrize("value", ["1/2", Decimal("0.5"), 1j, None])
+    def test_only_ints_and_fractions(self, value):
+        # a str or a Decimal used to be parsed by Fraction: ["1/2"] against
+        # "1/4" was feasible with witness 5/2
+        with pytest.raises(TypeError, match="strict row 0 has a"):
+            strict_feasibility([], [([value], F(1, 4))], 1)
+        with pytest.raises(TypeError, match="strict row 0 has a str"):
+            strict_feasibility([], [([F(1, 2)], "1/4")], 1)
+        with pytest.raises(TypeError, match="row 1 has a"):
+            rational_rank([[1, 2], [value, 1]])
 
     def test_ints_and_fractions_still_mix(self):
         assert strict_feasibility([([1, F(1, 2)], F(1, 10))], [], 2).feasible
